@@ -62,9 +62,11 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Failover|ReplicaDrain|MemberKill' ./internal/naming/ ./internal/group/ ./internal/orb/
 
 # Race-checks the concurrent request engine (shared-connection
-# invokers, pipelining, pending-table striping).
+# invokers, pipelining, pending-table striping) and the layers under
+# it whose send paths run concurrently with completion reaping and
+# lease sweeping (transport, zcbuf).
 race:
-	$(GO) test -race ./internal/orb/... ./internal/ttcp/... ./internal/shmem/... ./internal/events/... ./internal/naming/... ./internal/group/...
+	$(GO) test -race ./internal/orb/... ./internal/transport/... ./internal/zcbuf/... ./internal/ttcp/... ./internal/shmem/... ./internal/events/... ./internal/naming/... ./internal/group/...
 
 race-all:
 	$(GO) test -race ./...

@@ -189,7 +189,7 @@ func BenchmarkKzc_FileTransfer1M(b *testing.B) {
 }
 
 // BenchmarkKzc_FileTransfer1M_TCPBaseline is the same fetch over the
-// plain tcp:// data plane: without a FileSender the ORB materializes
+// plain tcp:// data plane: with no sendfile there the ORB materializes
 // the file into user space and deposits it as copied bytes.
 func BenchmarkKzc_FileTransfer1M_TCPBaseline(b *testing.B) {
 	benchFileTransfer(b, "")

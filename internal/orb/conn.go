@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -28,6 +27,11 @@ import (
 // deposit inline right after parsing the control message (the second
 // callback of §4.5), which preserves that order end to end.
 //
+// A deposit is a train of segments, on every plane: the payloads of one
+// message leave through writeDepositsLocked in one call to the data
+// plane, and a single-buffer deposit is a train of one. What the plane
+// can do beyond transport.Conn is discovered once, in setData.
+//
 // The pending-reply table is striped across pendingShards independent
 // locks so concurrent invokers sharing the connection do not serialize
 // on a single mutex (per-message software overhead, the modern cousin
@@ -43,15 +47,11 @@ type conn struct {
 	// stays usable: the graceful-degradation state in which deposits
 	// fall back to the standard marshaled path (docs/FAULTS.md).
 	dataDown atomic.Bool
-	// shmData marks the data channel as a shared-memory ring (a
-	// transport.DirectReader): sends count as shm deposits and receives
-	// claim ring views instead of copying into pooled buffers.
-	shmData atomic.Bool
-	// zcw/fsend cache the data channel's kernel-assist capabilities
-	// (MSG_ZEROCOPY sends, sendfile transfers), resolved once when the
-	// channel is established; nil on plain channels.
-	zcw   transport.ZeroCopyWriter
-	fsend transport.FileSender
+	// dep and direct are the data channel's optional capabilities,
+	// discovered once by setData: by-reference sends (kzc) and ring-view
+	// claims (shm). Both nil on plain channels.
+	dep    transport.Depositor
+	direct transport.DirectReader
 	// onLeaseExpire is the deposit-lease expiry hook, built once so
 	// granting a lease does not allocate a closure per transfer.
 	onLeaseExpire func()
@@ -61,8 +61,9 @@ type conn struct {
 	// and gather segment list keeps steady-state sends allocation-free.
 	hdrBuf [giop.HeaderSize]byte
 	segs   [2][]byte
-	// dsegs batches plain deposit segments around kernel-assist sends
-	// into single gather writes (guarded by sendMu).
+	// Deposit train scratch (guarded by sendMu): typed segments for a
+	// Depositor plane, bare byte slices for the WriteGather floor.
+	train []transport.Segment
 	dsegs [][]byte
 
 	// rhdr is the header read scratch, owned by the read loop.
@@ -115,10 +116,6 @@ type replyMsg struct {
 
 // replyMsgPool recycles replyMsg envelopes on the reply hot path.
 var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
-
-// crcTab is the checksum table of the kzc reuse guard
-// (checksum-on-completion, Options.DebugReuseGuard).
-var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // replyChanPool recycles the single-slot reply channels handed to
 // invokers. A channel is only returned to the pool by the receiver
@@ -436,7 +433,7 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []depositSeg,
 		c.orb.stats.DepositBytesSent.Add(n)
 		kind := trace.KindDepositSend
 		switch {
-		case c.shmData.Load():
+		case c.direct != nil:
 			kind = trace.KindShmDeposit
 			c.orb.stats.ShmDeposits.Add(1)
 			c.orb.stats.ShmDepositBytes.Add(n)
@@ -467,130 +464,123 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []depositSeg,
 	return nil
 }
 
-// writeDepositsLocked transmits deposit segments on the data channel
-// (sendMu held). Plain segments batch into gather writes; pooled
-// buffers at or above the channel's zero-copy threshold go through
-// MSG_ZEROCOPY with completion-gated lease release; file-backed
-// segments go disk→wire with sendfile. kzc reports whether any
-// kernel-assist path was taken.
-func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, err error) {
-	for i := 0; i < len(deposits); i++ {
-		seg := &deposits[i]
-		switch {
-		case seg.file != nil && c.fsend != nil:
-			if err = c.flushDsegsLocked(); err != nil {
-				return n, kzc, err
-			}
-			var m int64
-			m, err = c.sendFileSeg(seg.file)
-			n += m
-			if err != nil {
-				return n, kzc, err
-			}
-			kzc = true
-		case seg.buf != nil && c.zcw != nil && len(seg.b) >= c.zcw.ZeroCopyThreshold():
-			if err = c.flushDsegsLocked(); err != nil {
-				return n, kzc, err
-			}
-			// Coalesce a run of consecutive zero-copy-eligible segments
-			// into one vectored MSG_ZEROCOPY send: one syscall, one
-			// completion sequence, N pinned buffers.
-			j := i + 1
-			for j < len(deposits) {
-				s := &deposits[j]
-				if s.buf == nil || s.file != nil || len(s.b) < c.zcw.ZeroCopyThreshold() {
-					break
-				}
-				j++
-			}
-			if zgw, ok := c.zcw.(transport.ZeroCopyGatherWriter); ok && j-i >= 2 && c.orb.leaseTTL() > 0 {
-				var m int64
-				m, err = c.sendZCRunLocked(zgw, deposits[i:j])
-				n += m
-				if err != nil {
-					return n, kzc, err
-				}
-				kzc = true
-				i = j - 1
-				continue
-			}
-			if err = c.sendZCSeg(seg); err != nil {
-				return n, kzc, err
-			}
-			n += int64(len(seg.b))
-			kzc = true
-		default:
-			b := seg.b
-			if seg.file != nil {
-				// No FileSender on this channel: materialize the
-				// region and deposit it as plain bytes.
-				if b, err = seg.file.Bytes(); err != nil {
-					return n, kzc, err
-				}
-			}
-			c.dsegs = append(c.dsegs, b)
-			n += int64(len(b))
-		}
-	}
-	return n, kzc, c.flushDsegsLocked()
-}
-
-// flushDsegsLocked drains the batched plain segments in one gather
-// write (sendMu held).
-func (c *conn) flushDsegsLocked() error {
-	if len(c.dsegs) == 0 {
-		return nil
-	}
-	_, err := c.data.WriteGather(c.dsegs...)
-	clear(c.dsegs)
-	c.dsegs = c.dsegs[:0]
-	return err
-}
-
-// sendZCSeg sends one pooled-buffer segment with kernel zero-copy: a
-// lease pins the buffer until the MSG_ZEROCOPY completion settles it
-// (release-on-completion, not on write-return), with the lease sweeper
-// as the backstop when a completion is lost or merely slower than the
+// writeDepositsLocked is the one deposit send (sendMu held): every
+// train, of one segment or thirty-two, on every plane. A plane that can
+// hold references (transport.Depositor) gets the train as typed
+// segments in a single Deposit call: file regions stay on disk, and
+// each pooled buffer the plane will send by reference is leased first,
+// so its pages stay pinned until the plane's done callback settles the
+// lease — release-on-completion, not on write-return — with the lease
+// sweeper as the backstop when a completion is lost or slower than the
 // TTL. Expiry runs onLeaseExpire (markDataDown → data.Close) BEFORE
 // the sweeper releases the buffer, and the kzc transport turns that
 // close into an abort (RST) while completions are outstanding, purging
-// the send queue so the kernel holds no reference to the buffer's
-// pages by the time they return to the pool for reuse. A connection
-// that cannot zero-copy surfaces transport.ErrZeroCopyUnavailable,
-// which the caller's errDataWrite handling turns into the
-// marshaled-path fallback.
-func (c *conn) sendZCSeg(seg *depositSeg) error {
+// the send queue so the kernel holds no reference to the pages by the
+// time they return to the pool. Without leases (TTL <= 0) nothing is
+// sent by reference. A plane that declines with
+// transport.ErrZeroCopyUnavailable wrote nothing; the caller's
+// errDataWrite handling turns that into the marshaled-path fallback.
+//
+// Every other plane gets the segments' bytes in one gather write, file
+// regions lifted into user space first (a payload copy, counted as
+// one). kzc reports whether any kernel-assist path was taken.
+func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, err error) {
 	o := c.orb
-	ttl := o.leaseTTL()
-	if ttl <= 0 {
-		// Completion-gated release needs the sweeper as its backstop;
-		// without leases the segment takes the plain copying write.
-		_, err := c.data.Write(seg.b)
-		return err
+	dp := c.dep
+	var th int
+	var ttl time.Duration
+	if dp != nil {
+		th, ttl = dp.Threshold(), o.leaseTTL()
 	}
-	lid := o.leases.GrantNotify(seg.buf, time.Now().Add(ttl), c.onLeaseExpire, c.segNotify(seg))
-	ok, err := c.zcw.WriteZeroCopy(seg.b, func(copied bool) {
-		if o.leases.Settle(lid) {
+	var tl *trainLeases
+	var done func(copied bool)
+	var exp time.Time
+	var ksegs, kbytes int64
+	for i := 0; i < len(deposits) && err == nil; i++ {
+		seg := &deposits[i]
+		s := transport.Segment{B: seg.b, Pinned: seg.buf != nil && ttl > 0}
+		switch {
+		case seg.file != nil && dp != nil:
+			s = transport.Segment{File: seg.file.OS(), Off: seg.file.Offset(), N: seg.file.Len()}
+			ksegs, kbytes = ksegs+1, kbytes+s.N
+		case seg.file != nil:
+			if s.B, err = seg.file.Bytes(); err == nil {
+				o.stats.PayloadCopies.Add(1)
+				o.stats.PayloadCopyBytes.Add(int64(len(s.B)))
+			}
+		case s.ByRef(th):
+			if tl == nil {
+				tl = newTrainLeases(o)
+				done, exp = tl.done, time.Now().Add(ttl)
+			}
+			tl.lids = append(tl.lids,
+				o.leases.GrantNotify(seg.buf, exp, c.onLeaseExpire, segNotify(seg)))
+			ksegs, kbytes = ksegs+1, kbytes+int64(len(s.B))
+		}
+		if dp != nil {
+			c.train = append(c.train, s)
+		} else {
+			c.dsegs = append(c.dsegs, s.B)
+		}
+	}
+	switch {
+	case err != nil: // a file region could not be read; nothing was sent
+	case dp == nil:
+		n, err = c.data.WriteGather(c.dsegs...)
+	default:
+		n, err = dp.Deposit(c.train, done)
+	}
+	clear(c.train)
+	clear(c.dsegs)
+	c.train, c.dsegs = c.train[:0], c.dsegs[:0]
+	if err == nil {
+		o.stats.KzcDeposits.Add(ksegs)
+		o.stats.KzcDepositBytes.Add(kbytes)
+	} else if tl != nil && errors.Is(err, transport.ErrZeroCopyUnavailable) {
+		// Nothing was written and done will never fire: drop the leases
+		// here and let the caller degrade to the marshaled path.
+		tl.settle(false, false)
+	}
+	return n, ksegs > 0, err
+}
+
+// trainLeases holds the leases pinning one train's by-reference
+// segments until the plane's done callback settles them. Pooled, with
+// done bound once, so a steady-state train allocates nothing for its
+// completion.
+type trainLeases struct {
+	o    *ORB
+	lids []zcbuf.LeaseID
+	done func(copied bool)
+}
+
+var trainLeasesPool sync.Pool
+
+func newTrainLeases(o *ORB) *trainLeases {
+	t, _ := trainLeasesPool.Get().(*trainLeases)
+	if t == nil {
+		t = new(trainLeases)
+		t.done = func(copied bool) { t.settle(true, copied) }
+	}
+	t.o = o
+	return t
+}
+
+// settle releases the train's leases — completed says whether a kernel
+// completion (rather than a declined send) is doing so — and recycles
+// t. A lease the sweeper already expired is not a completion.
+func (t *trainLeases) settle(completed, copied bool) {
+	o := t.o
+	for _, lid := range t.lids {
+		if o.leases.Settle(lid) && completed {
 			o.stats.KzcCompletions.Add(1)
 			if copied {
 				o.stats.KzcCopiedCompletions.Add(1)
 			}
 		}
-	})
-	if !ok {
-		// Nothing was written and done will never fire: drop the lease
-		// here and let the caller degrade to the marshaled path.
-		o.leases.Settle(lid)
-		if err == nil {
-			err = transport.ErrZeroCopyUnavailable
-		}
-		return err
 	}
-	if err == nil {
-		o.stats.KzcDeposits.Add(1)
-		o.stats.KzcDepositBytes.Add(int64(len(seg.b)))
-	}
-	return err
+	t.o, t.lids = nil, t.lids[:0]
+	trainLeasesPool.Put(t)
 }
 
 // errCompletionExpired is the per-buffer completion outcome when the
@@ -598,96 +588,23 @@ func (c *conn) sendZCSeg(seg *depositSeg) error {
 // completion arrived (the transfer stalled or aborted).
 var errCompletionExpired = errors.New("orb: deposit lease expired before zero-copy completion")
 
-// segNotify builds the lease-release notification for one zero-copy
-// deposit segment: the DebugReuseGuard checksum check, and — for
-// SendBuffers segments — the gather ledger's asyncDone, which drives
-// the per-buffer completion callback. Returns nil when neither
-// applies (GrantNotify accepts a nil notify).
-func (c *conn) segNotify(seg *depositSeg) func(expired bool) {
-	o := c.orb
-	var guard func(expired bool)
-	if o.opts.DebugReuseGuard {
-		sum := crc32.Checksum(seg.b, crcTab)
-		b := seg.buf
-		guard = func(expired bool) {
-			if crc32.Checksum(b.Bytes(), crcTab) != sum {
-				o.stats.KzcReuseWarnings.Add(1)
-				o.logf("orb: kzc reuse guard: deposit buffer modified before "+
-					"zero-copy completion (expired=%v)", expired)
-			}
-		}
-	}
+// segNotify builds the lease-release notification of a SendBuffers
+// segment sent by reference: the gather ledger's asyncDone, which
+// drives the per-buffer completion callback. Ordinary invokes need
+// none (GrantNotify accepts a nil notify).
+func segNotify(seg *depositSeg) func(expired bool) {
 	if seg.g == nil {
-		return guard
+		return nil
 	}
 	g, idx := seg.g, seg.idx
 	g.markAsync(idx)
 	return func(expired bool) {
-		if guard != nil {
-			guard(expired)
-		}
 		var err error
 		if expired {
 			err = errCompletionExpired
 		}
 		g.asyncDone(idx, err)
 	}
-}
-
-// sendZCRunLocked transmits a run of zero-copy-eligible segments as
-// one vectored MSG_ZEROCOPY send (sendMu held): a single sendmsg
-// covers every segment, a single kernel completion settles every
-// lease. Each buffer still gets its own lease (the sweeper backstop
-// stays per-buffer) and its own completion notification.
-func (c *conn) sendZCRunLocked(zgw transport.ZeroCopyGatherWriter, run []depositSeg) (int64, error) {
-	o := c.orb
-	ttl := o.leaseTTL()
-	segs := make([][]byte, len(run))
-	lids := make([]zcbuf.LeaseID, len(run))
-	var total int64
-	exp := time.Now().Add(ttl)
-	for i := range run {
-		seg := &run[i]
-		segs[i] = seg.b
-		total += int64(len(seg.b))
-		lids[i] = o.leases.GrantNotify(seg.buf, exp, c.onLeaseExpire, c.segNotify(seg))
-	}
-	ok, err := zgw.WriteZeroCopyGather(segs, func(copied bool) {
-		for _, lid := range lids {
-			if o.leases.Settle(lid) {
-				o.stats.KzcCompletions.Add(1)
-				if copied {
-					o.stats.KzcCopiedCompletions.Add(1)
-				}
-			}
-		}
-	})
-	if !ok {
-		// Nothing was written and done will never fire: drop the leases
-		// here and let the caller degrade to the marshaled path.
-		for _, lid := range lids {
-			o.leases.Settle(lid)
-		}
-		if err == nil {
-			err = transport.ErrZeroCopyUnavailable
-		}
-		return 0, err
-	}
-	if err == nil {
-		o.stats.KzcDeposits.Add(int64(len(run)))
-		o.stats.KzcDepositBytes.Add(total)
-	}
-	return total, err
-}
-
-// sendFileSeg transmits one file-backed segment disk→wire.
-func (c *conn) sendFileSeg(x *zcbuf.File) (int64, error) {
-	n, err := c.fsend.SendFile(x.OS(), x.Offset(), x.Len())
-	if err == nil {
-		c.orb.stats.KzcDeposits.Add(1)
-		c.orb.stats.KzcDepositBytes.Add(n)
-	}
-	return n, err
 }
 
 // sendFragmented emits body as an initial message plus Fragment
@@ -764,7 +681,19 @@ func (c *conn) readMessage() (giop.Header, []byte, error) {
 			return hdr, nil, &errTooLarge{size: int64(len(body)) + int64(fh.Size), max: max}
 		}
 		off := len(body)
-		body = append(body, make([]byte, fh.Size)...)
+		if total := off + int(fh.Size); total > cap(body) && !fh.MoreFragments() {
+			// Last fragment: the message's size is known now, so grow
+			// once to exactly that instead of append's amortized 1.25x.
+			// A bulk standard-path request then churns buffers of one
+			// size (payload plus headers) whose freed spans fit each
+			// other; the over-allocated body fitted none of them, and
+			// how far the heap grew to place it depended on timing.
+			whole := make([]byte, total)
+			copy(whole, body)
+			body = whole
+		} else {
+			body = append(body, make([]byte, fh.Size)...)
+		}
 		if _, err := io.ReadFull(c.ctrl, body[off:]); err != nil {
 			c.orb.putBody(body)
 			return hdr, nil, fmt.Errorf("orb: reading fragment: %w", err)
@@ -772,6 +701,14 @@ func (c *conn) readMessage() (giop.Header, []byte, error) {
 		more = fh.MoreFragments()
 	}
 	return hdr, body, nil
+}
+
+// setData installs dc as the connection's data channel and discovers —
+// here and nowhere else — what the plane can do beyond transport.Conn.
+func (c *conn) setData(dc transport.Conn, token uint64) {
+	c.data, c.dataToken = dc, token
+	c.dep, _ = dc.(transport.Depositor)
+	c.direct, _ = dc.(transport.DirectReader)
 }
 
 // resolveData returns the data channel carrying deposits referenced by
@@ -795,13 +732,7 @@ func (c *conn) resolveData(token uint64) (transport.Conn, error) {
 	if err != nil {
 		return nil, &errDepositTransfer{err: err}
 	}
-	c.data = dc
-	c.dataToken = token
-	if _, ok := dc.(transport.DirectReader); ok {
-		c.shmData.Store(true)
-	}
-	c.zcw, _ = dc.(transport.ZeroCopyWriter)
-	c.fsend, _ = dc.(transport.FileSender)
+	c.setData(dc, token)
 	return dc, nil
 }
 
@@ -838,7 +769,7 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 		t0 = trace.Now()
 	}
 	ttl := c.orb.leaseTTL()
-	dr, _ := dc.(transport.DirectReader)
+	dr := c.direct
 	direct := false
 	bufs := make([]*zcbuf.Buffer, 0, len(di.Sizes))
 	for _, size := range di.Sizes {

@@ -3,6 +3,7 @@
 package orb
 
 import (
+	"errors"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestSendBuffersKzcGather(t *testing.T) {
 	}
 	releaseBufs(warm)
 	kzc0 := cs.KzcDeposits.Load()
-	waitKzc(t, "warm completions", func() bool {
+	waitFor(t, "warm completions", func() bool {
 		return cs.KzcCompletions.Load() >= kzc0
 	})
 	before := st.Snapshot()
@@ -50,7 +51,7 @@ func TestSendBuffersKzcGather(t *testing.T) {
 	if res.(uint32) != want {
 		t.Fatal("checksum mismatch")
 	}
-	waitKzc(t, "per-buffer completions", func() bool {
+	waitFor(t, "per-buffer completions", func() bool {
 		return cs.GatherCompletions.Load() == comp0+8
 	})
 	for i, e := range log.assertOnce(t, 8) {
@@ -61,7 +62,7 @@ func TestSendBuffersKzcGather(t *testing.T) {
 	if got := cs.KzcDeposits.Load() - kzc0; got != 8 {
 		t.Fatalf("KzcDeposits per train = %d, want 8", got)
 	}
-	waitKzc(t, "kzc completions", func() bool {
+	waitFor(t, "kzc completions", func() bool {
 		return cs.KzcCompletions.Load() == kcomp0+8
 	})
 	if got := cs.GatherDeposits.Load(); got != 2 {
@@ -75,7 +76,7 @@ func TestSendBuffersKzcGather(t *testing.T) {
 	if got := st.Snapshot().Writes - before.Writes; got != 1 {
 		t.Fatalf("data-plane writes per train = %d, want 1", got)
 	}
-	waitKzc(t, "lease settlement", func() bool {
+	waitFor(t, "lease settlement", func() bool {
 		return p.client.leases.Pending() == 0
 	})
 	if got := p.server.Stats().GatherScatters.Load(); got != 2 {
@@ -286,7 +287,7 @@ func testWriteGuardOnPair(t *testing.T, p *pair) {
 	}
 	// Wait for both completions (kzc fires them asynchronously), then
 	// the guard must be lifted: stores land again.
-	waitKzc(t, "guarded completions", func() bool {
+	waitFor(t, "guarded completions", func() bool {
 		return p.client.Stats().GatherCompletions.Load() >= 2
 	})
 	for i, e := range log.assertOnce(t, 2) {
@@ -323,6 +324,68 @@ func TestSendBuffersWriteGuardKzc(t *testing.T) {
 	p := kzcPair(t, &transport.KZC{Threshold: 4096, Faults: inj},
 		func(o *Options) { o.CallTimeout = 5 * time.Second })
 	testWriteGuardOnPair(t, p)
+}
+
+// TestSendBuffersWriteGuardKzcDroppedCompletion: the window the guard
+// protects lasts as long as the kernel may hold the pages, not as long
+// as the call. Here the completion is dropped, so after the invocation
+// has returned the buffer is still leased and a store must still
+// fault; lease expiry then ends the window — the callback reports
+// errCompletionExpired and the buffer is writable again.
+func TestSendBuffersWriteGuardKzcDroppedCompletion(t *testing.T) {
+	inj := transport.NewFaultInjector(404).Add(transport.Rule{
+		Op: transport.OpWrite, Class: transport.ClassKzc,
+		Kind: transport.FaultDropCompletion, Nth: 1,
+	})
+	p := kzcPair(t, &transport.KZC{Threshold: 4096, Faults: inj}, func(o *Options) {
+		o.DepositLeaseTTL = 500 * time.Millisecond
+		o.CallTimeout = 5 * time.Second
+	})
+	var pl zcbuf.Pool
+	bufs, want := gatherBufs(t, &pl, 1, 64<<10)
+	defer releaseBufs(bufs)
+	orig := bufs[0].Bytes()[0]
+	r, err := zcbuf.Register(bufs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.EnableWriteGuard(); err != nil {
+		t.Fatalf("EnableWriteGuard: %v", err)
+	}
+	log := newCompletionLog()
+	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put"], bufs, log.cb)
+	if err != nil {
+		t.Fatalf("SendBuffers: %v", err)
+	}
+	res, _, err := call.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if res.(uint32) != want {
+		t.Fatal("checksum mismatch")
+	}
+	// Scribbling on the buffer now is exactly the bug the guard exists
+	// to catch: the send returned, the kernel's reference did not.
+	if !storeFaults(bufs[0].Bytes()) {
+		t.Fatal("store into a still-leased buffer did not fault")
+	}
+	if bufs[0].Bytes()[0] != orig {
+		t.Fatal("the faulting store landed in a guarded buffer")
+	}
+	waitFor(t, "lease expiry to complete the buffer", func() bool {
+		return p.client.Stats().GatherCompletions.Load() >= 1
+	})
+	if e := log.assertOnce(t, 1)[0]; !errors.Is(e, errCompletionExpired) {
+		t.Fatalf("completion error = %v, want errCompletionExpired", e)
+	}
+	if n := p.client.leases.Pending(); n != 0 {
+		t.Fatalf("leases outstanding after expiry: %d", n)
+	}
+	bufs[0].Bytes()[0] = orig ^ 0xFF
+	if bufs[0].Bytes()[0] != orig^0xFF {
+		t.Fatal("buffer not writable after lease expiry")
+	}
 }
 
 // TestSendBuffersWriteGuardShm: the guard regression on the

@@ -2,9 +2,26 @@ package orb
 
 import (
 	"testing"
+	"time"
 
 	"zcorba/internal/giop"
 )
+
+// waitFor polls cond until it holds or the deadline passes. Anything a
+// peer does after the bytes that complete the caller's own call have
+// left — a kernel zero-copy completion, a server-side counter bumped
+// once its reply write returns, a dispatch slot released after the
+// reply is sent — must be waited for, never spin-checked once.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
 
 func TestSplitEndpointAndDialAddr(t *testing.T) {
 	cases := []struct {

@@ -13,23 +13,23 @@ import (
 
 // These tests cover the kernel zero-copy tier's fallback contract on
 // every platform: a data channel that cannot zero-copy (EOPNOTSUPP, a
-// degraded kernel, or simply no ZeroCopyWriter at all) must deliver
-// the same bytes through the marshaled path, with the degradation
+// degraded kernel, or a plane that holds no references at all) must
+// deliver the same bytes through the marshaled path, with the degradation
 // visible in KzcFallbacks. The Linux-only MSG_ZEROCOPY/sendfile tests
 // live in kzc_linux_test.go.
 
-// zcDenyConn wraps a working stream with a ZeroCopyWriter that always
-// declines — the portable stand-in for a socket whose SO_ZEROCOPY send
-// returns EOPNOTSUPP.
+// zcDenyConn wraps a working stream with a transport.Depositor that
+// always declines — the portable stand-in for a socket whose
+// SO_ZEROCOPY send returns EOPNOTSUPP.
 type zcDenyConn struct {
 	transport.Conn
 }
 
-func (c *zcDenyConn) WriteZeroCopy(p []byte, done func(copied bool)) (bool, error) {
-	return false, transport.ErrZeroCopyUnavailable
+func (c *zcDenyConn) Deposit(train []transport.Segment, done func(copied bool)) (int64, error) {
+	return 0, transport.ErrZeroCopyUnavailable
 }
 
-func (c *zcDenyConn) ZeroCopyThreshold() int { return 1 }
+func (c *zcDenyConn) Threshold() int { return 1 }
 
 // zcDenyTransport wraps every dialed conn in zcDenyConn.
 type zcDenyTransport struct {
@@ -58,7 +58,7 @@ func TestKzcUnavailableFallsBackMarshaled(t *testing.T) {
 	buf := zcbuf.Wrap(pattern(4096))
 	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{buf})
 	if err != nil {
-		t.Fatalf("put with declining zero-copy writer: %v", err)
+		t.Fatalf("put with declining depositor: %v", err)
 	}
 	if res.(uint32) != checksum(buf.Bytes()) {
 		t.Fatal("checksum mismatch on the fallback path")
@@ -141,11 +141,12 @@ func newFileServer(t *testing.T, serverOpts Options, body []byte) (*ORB, *Object
 	return server, ref
 }
 
-// TestKzcFileDepositMaterializesWithoutFileSender: a *zcbuf.File reply
-// on a data channel without a FileSender (plain TCP here) must be
+// TestFileDepositMaterializesOnPlainPlane: a *zcbuf.File reply on a
+// data channel that holds no references (plain TCP here) must be
 // materialized and deposited as plain bytes — same bytes, no error, no
-// kernel-assist accounting.
-func TestKzcFileDepositMaterializesWithoutFileSender(t *testing.T) {
+// kernel-assist accounting, and the lift into user space counted as
+// the payload copy it is.
+func TestFileDepositMaterializesOnPlainPlane(t *testing.T) {
 	body := pattern(96 << 10)
 	server, ref := newFileServer(t, Options{ZeroCopy: true}, body)
 	client, err := New(Options{ZeroCopy: true})
@@ -167,7 +168,10 @@ func TestKzcFileDepositMaterializesWithoutFileSender(t *testing.T) {
 		t.Fatal("file body corrupted on the materialized path")
 	}
 	if n := server.Stats().KzcDeposits.Load(); n != 0 {
-		t.Fatalf("KzcDeposits=%d without a FileSender", n)
+		t.Fatalf("KzcDeposits=%d on a plane without sendfile", n)
+	}
+	if n := server.Stats().PayloadCopyBytes.Load(); n != int64(len(body)) {
+		t.Fatalf("server PayloadCopyBytes=%d, want %d (the materialized region)", n, len(body))
 	}
 }
 

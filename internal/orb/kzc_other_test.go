@@ -17,5 +17,4 @@ func TestKzcFileDeposit(t *testing.T)                      { t.Skip(kzcSkip) }
 func TestChaosKzcDroppedCompletionLeaseSweep(t *testing.T) { t.Skip(kzcSkip) }
 func TestChaosKzcCopiedDegradeFallback(t *testing.T)       { t.Skip(kzcSkip) }
 func TestChaosKzcResetMidDeposit(t *testing.T)             { t.Skip(kzcSkip) }
-func TestKzcReuseGuardFlagsEarlyWrite(t *testing.T)        { t.Skip(kzcSkip) }
 func TestKzcInvokeAllocsGate(t *testing.T)                 { t.Skip(kzcSkip) }

@@ -35,13 +35,13 @@ func bulkBytes(v any) ([]byte, bool) {
 	}
 }
 
-// depositSeg is one data-channel payload segment: plain bytes, or —
-// when the segment should ride a kernel-assist path — the typed value
-// it came from. buf is set for pooled buffers (MSG_ZEROCOPY
-// candidates: the lease pins the pages through the kernel send); file
-// is set for file-backed payloads (sendfile candidates). b always
-// carries the bytes for the copying paths, except for file segments,
-// where it is materialized lazily only if no FileSender is available.
+// depositSeg is one segment of a deposit train, as the marshal split
+// collected it: plain bytes, a pooled buffer, or a file region. buf is
+// set for pooled buffers — the segments conn.writeDepositsLocked may
+// lease and hand to a reference-holding plane as pinned; file is set
+// for file-backed payloads. b always carries the bytes, except for
+// file segments, which stay on disk unless the plane has no sendfile
+// and the region must be materialized.
 type depositSeg struct {
 	b    []byte
 	buf  *zcbuf.Buffer

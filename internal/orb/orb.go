@@ -143,13 +143,6 @@ type Options struct {
 	// OnRequestServed, if set, observes every dispatched request
 	// after the servant returns (a server-side interceptor).
 	OnRequestServed func(op string, d time.Duration, err error)
-	// DebugReuseGuard enables the kernel zero-copy reuse guard: each
-	// MSG_ZEROCOPY deposit is checksummed at send time and re-checked
-	// when its completion (or lease expiry) fires, flagging application
-	// writes to a buffer whose pages the kernel still had pinned
-	// (Stats.KzcReuseWarnings). Debug aid only — the checksum costs a
-	// full pass over the payload, defeating the zero-copy saving.
-	DebugReuseGuard bool
 }
 
 // defaultFragmentThreshold splits very large control bodies so a
@@ -348,9 +341,6 @@ type Stats struct {
 	// zero-copy path to the standard marshaled path (SO_ZEROCOPY
 	// unsupported, or the connection gave up after a copied streak).
 	KzcFallbacks atomic.Int64
-	// KzcReuseWarnings counts deposit buffers the DebugReuseGuard
-	// found modified before their zero-copy completion fired.
-	KzcReuseWarnings atomic.Int64
 	// GatherDeposits counts multi-segment deposit trains (two or more
 	// payload blocks coalesced into one data-plane batch);
 	// GatherSegments counts the segments inside them and
@@ -808,7 +798,6 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"kzc_completions_total", "MSG_ZEROCOPY completions reaped from the error queue.", &s.KzcCompletions},
 		{"kzc_copied_completions_total", "Zero-copy completions the kernel reported as copied.", &s.KzcCopiedCompletions},
 		{"kzc_fallbacks_total", "Invocations degraded from kernel zero-copy to the marshaled path.", &s.KzcFallbacks},
-		{"kzc_reuse_warnings_total", "Deposit buffers modified before their zero-copy completion.", &s.KzcReuseWarnings},
 		{"gather_deposits_total", "Multi-segment deposit trains sent.", &s.GatherDeposits},
 		{"gather_segments_total", "Segments inside multi-segment deposit trains.", &s.GatherSegments},
 		{"payload_gather_bytes_total", "Bytes sent inside multi-segment deposit trains.", &s.PayloadGatherBytes},
@@ -1188,13 +1177,7 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 				_ = dc.Close()
 				o.logf("orb: data preamble write failed, falling back: %v", err)
 			} else {
-				c.data = dc
-				c.dataToken = token
-				if _, ok := dc.(transport.DirectReader); ok {
-					c.shmData.Store(true)
-				}
-				c.zcw, _ = dc.(transport.ZeroCopyWriter)
-				c.fsend, _ = dc.(transport.FileSender)
+				c.setData(dc, token)
 			}
 		}
 	}

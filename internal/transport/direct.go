@@ -32,47 +32,63 @@ const DefaultZeroCopyThreshold = 32 << 10
 // ErrZeroCopyUnavailable reports that a connection cannot perform
 // kernel zero-copy sends — the kernel rejected SO_ZEROCOPY, the
 // connection degraded after copied completions, or the stream never
-// promoted to a data channel. Callers must fall back to a plain write
-// (for the ORB: the standard marshaled path).
+// promoted to a data channel. Callers must fall back to a path that
+// needs no references (for the ORB: the standard marshaled path).
 var ErrZeroCopyUnavailable = errors.New("transport: kernel zero-copy unavailable")
 
 // ErrKernelZCUnsupported reports that the kzc transport is not
 // available on this platform (non-Linux builds).
 var ErrKernelZCUnsupported = errors.New("transport: kzc requires linux (MSG_ZEROCOPY + sendfile)")
 
-// ZeroCopyWriter is implemented by connections that can send a payload
-// with kernel zero-copy (MSG_ZEROCOPY): the kernel pins the pages and
-// transmits them without a user-to-kernel copy, and done fires exactly
-// once when the kernel has released them (the errqueue completion).
-// done(copied=true) means the kernel copied after all (loopback, or a
-// driver without SG support) — the send still succeeded.
+// Segment is one element of a deposit train: plain bytes, pinned pooled
+// bytes, or a file region. A single-buffer deposit is a train of one.
+type Segment struct {
+	// B holds the payload bytes; nil for a file region.
+	B []byte
+	// Pinned marks B as memory the caller keeps unmodified until the
+	// train's done callback (or its own lease backstop) says otherwise,
+	// which is what entitles a plane to send it by reference.
+	Pinned bool
+	// File, when non-nil, makes the segment the region [Off, Off+N) of
+	// an open file; a plane with kernel assist moves it disk→wire.
+	File   *os.File
+	Off, N int64
+}
+
+// ByRef reports whether a plane with the given threshold sends the
+// segment by reference rather than copying it into the socket: below
+// the threshold, pinning and completion bookkeeping cost more than the
+// copy. Caller and plane decide with this one predicate, so they agree
+// on which segments the done callback covers.
+func (s *Segment) ByRef(threshold int) bool {
+	return s.Pinned && s.File == nil && len(s.B) >= threshold
+}
+
+// Depositor is the one optional send capability of a data plane: a
+// connection that can hold references to the caller's payload instead
+// of copying it (kzc: MSG_ZEROCOPY for pinned segments, sendfile for
+// file regions). Planes that hold no references — tcp, shm, inproc and
+// the Copying/Faulty wrappers — do not implement it; Conn.WriteGather
+// is their (and everyone's) floor.
 //
-// ok=false means nothing was written and done will never fire; err is
-// then ErrZeroCopyUnavailable (or wraps it) and the caller must take
-// its fallback path. ok=true with err!=nil means the stream is broken
-// mid-payload; done still fires exactly once (possibly only via the
-// caller's lease sweeper if the kernel never reports).
-type ZeroCopyWriter interface {
-	WriteZeroCopy(p []byte, done func(copied bool)) (ok bool, err error)
-	// ZeroCopyThreshold returns the negotiated minimum payload size for
-	// zero-copy sends on this connection.
-	ZeroCopyThreshold() int
-}
-
-// FileSender is implemented by connections that can transmit a region
-// of an open file directly disk→wire (sendfile/splice), so the bytes
-// never enter user space.
-type FileSender interface {
-	SendFile(f *os.File, off, n int64) (int64, error)
-}
-
-// ZeroCopyGatherWriter is implemented by zero-copy connections that
-// can send a whole scatter/gather train in one vectored MSG_ZEROCOPY
-// sendmsg: the segments share a single completion sequence, so one
-// errqueue range completes the entire train (the caller fans that out
-// to per-buffer callbacks). Semantics of ok/err/done match
-// ZeroCopyWriter, with done firing once for the train.
-type ZeroCopyGatherWriter interface {
-	ZeroCopyWriter
-	WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (ok bool, err error)
+// Deposit sends the train's segments back to back, in order, as one
+// logical message and returns the bytes written. Segments satisfying
+// ByRef(Threshold()) go out by reference; if there is at least one,
+// done fires exactly once — possibly before Deposit returns, possibly
+// on another goroutine — when the plane has dropped every reference,
+// with copied=true when the kernel (or a degraded send) copied after
+// all. A completion the kernel never reports is the caller's lease
+// sweeper's to reclaim. A train without such a segment never fires
+// done.
+//
+// When the train needs by-reference sends the connection cannot do
+// (SO_ZEROCOPY refused, degraded after copied completions, never
+// promoted), Deposit returns ErrZeroCopyUnavailable with nothing
+// written and done never fires. Any other error means the stream broke
+// mid-train; done still fires if references were taken.
+type Depositor interface {
+	Deposit(train []Segment, done func(copied bool)) (int64, error)
+	// Threshold returns the connection's negotiated minimum size for
+	// by-reference sends.
+	Threshold() int
 }

@@ -134,13 +134,14 @@ const (
 	ClassData
 	// ClassShm marks ring operations of the shared-memory data plane.
 	// SHM connections consult their injector directly (wrapping them in
-	// Faulty would hide the DirectReader fast path), classifying ring
-	// deposits/claims as ClassShm and stream bytes as ClassControl.
+	// Faulty would hide the DirectReader claim capability), classifying
+	// ring deposits/claims as ClassShm and stream bytes as ClassControl.
 	ClassShm
-	// ClassKzc marks kernel zero-copy operations (MSG_ZEROCOPY sends
-	// and sendfile transfers) of the kzc transport. Like SHM, kzc
+	// ClassKzc marks the kernel-assisted deposits of the kzc transport:
+	// one event per Deposit train that carries by-reference segments
+	// (MSG_ZEROCOPY) or file regions (sendfile). Like SHM, kzc
 	// connections consult their injector directly — a Faulty wrapper
-	// would hide the ZeroCopyWriter/FileSender fast paths.
+	// holds no references, so it would hide the Depositor capability.
 	ClassKzc
 )
 

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -83,14 +82,14 @@ type KZC struct {
 	CopiedLimit int
 	// Disable treats the kernel as lacking SO_ZEROCOPY (tests of the
 	// degraded-kernel fallback): connections still promote and carry
-	// deposits, but WriteZeroCopy reports ErrZeroCopyUnavailable.
-	// SendFile is unaffected.
+	// deposits, but a Deposit needing by-reference sends reports
+	// ErrZeroCopyUnavailable. File regions (sendfile) are unaffected.
 	Disable bool
 	Stats   *Stats
 	// Faults, if non-nil, is consulted directly by kzc connections:
 	// zero-copy sends and sendfile transfers classify as ClassKzc.
-	// (Wrapping KZC in Faulty would hide the ZeroCopyWriter/FileSender
-	// fast paths, so the injector is embedded instead, like SHM.)
+	// (Wrapping KZC in Faulty would hide the Depositor capability, so
+	// the injector is embedded instead, like SHM.)
 	Faults *FaultInjector
 }
 
@@ -174,10 +173,6 @@ func newKzcConn(t *KZC, tc *net.TCPConn, dialer bool) (*kzcConn, error) {
 		reapWake: make(chan struct{}, 1), closed: make(chan struct{})}
 	c.thresh.Store(int32(t.threshold()))
 	c.sendFn = func(fd uintptr) bool {
-		c.sendN, c.sendErr = syscall.SendmsgN(int(fd), c.sendBuf, nil, nil, msgZeroCopy)
-		return c.sendErr != syscall.EAGAIN
-	}
-	c.sendVecFn = func(fd uintptr) bool {
 		n, _, e := syscall.Syscall(syscall.SYS_SENDMSG, fd,
 			uintptr(unsafe.Pointer(&c.sendMsg)), uintptr(msgZeroCopy))
 		if e != 0 {
@@ -194,7 +189,7 @@ func newKzcConn(t *KZC, tc *net.TCPConn, dialer bool) (*kzcConn, error) {
 	return c, nil
 }
 
-// kzcPending tracks the completion callback of one WriteZeroCopy: the
+// kzcPending tracks the completion callback of one Deposit train: the
 // inclusive sequence range its sendmsgs consumed, how many sequences
 // are still outstanding, and whether any completed as copied. The
 // entry is registered BEFORE the write's first sendmsg and stays open
@@ -215,8 +210,7 @@ type kzcPending struct {
 
 // kzcConn is one connection: a TCP stream that may promote to
 // zero-copy data-channel mode. Plain reads/writes behave exactly like
-// the TCP transport; WriteZeroCopy and SendFile add the kernel-assist
-// paths.
+// the TCP transport; Deposit adds the kernel-assist paths.
 type kzcConn struct {
 	t      *KZC
 	tc     *net.TCPConn
@@ -231,22 +225,18 @@ type kzcConn struct {
 	thresh atomic.Int32
 
 	wmu       sync.Mutex
-	gbufs     net.Buffers // stream gather scratch
+	gbufs     net.Buffers // writev scratch
 	noPromote bool        // dialer: first write was not ZCDC
 	promoted  bool        // dialer: promotion header sent
 
-	// Zero-copy send scratch (wmu held): the raw.Write callback is
+	// Zero-copy send scratch (wmu held): the iovec array and msghdr of
+	// the vectored MSG_ZEROCOPY sendmsg, plus its raw.Write callback —
 	// built once so the per-send fast path allocates nothing.
 	sendFn  func(fd uintptr) bool
-	sendBuf []byte
+	sendVec []syscall.Iovec
+	sendMsg syscall.Msghdr
 	sendN   int
 	sendErr error
-	// Vectored zero-copy scratch (wmu held): the iovec array and
-	// msghdr for WriteZeroCopyGather's sendmsg, plus its prebuilt
-	// callback.
-	sendVecFn func(fd uintptr) bool
-	sendVec   []syscall.Iovec
-	sendMsg   syscall.Msghdr
 
 	rmu      sync.Mutex
 	probed   bool   // acceptor: promotion probe done
@@ -280,8 +270,8 @@ type kzcConn struct {
 	closeErr   error
 }
 
-// ZeroCopyThreshold implements ZeroCopyWriter.
-func (c *kzcConn) ZeroCopyThreshold() int { return int(c.thresh.Load()) }
+// Threshold implements Depositor.
+func (c *kzcConn) Threshold() int { return int(c.thresh.Load()) }
 
 // setZeroCopy enables SO_ZEROCOPY on the socket; failure (EOPNOTSUPP
 // on old kernels, or Disable) leaves the connection on plain writes.
@@ -407,238 +397,229 @@ func (c *kzcConn) Write(p []byte) (int, error) {
 func (c *kzcConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var first []byte
-	for _, s := range segs {
-		if len(s) > 0 {
-			first = s
-			break
-		}
-	}
-	if err := c.maybePromoteLocked(first); err != nil {
+	if err := c.maybePromoteLocked(firstNonEmpty(segs)); err != nil {
 		return 0, err
 	}
-	bufs := c.gbufs[:0]
-	var total int64
-	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		bufs = append(bufs, s)
-		total += int64(len(s))
-	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.tc)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
+	n, err := writev(c.tc, &c.gbufs, segs...)
 	c.countWrite(n, len(segs))
-	if err != nil {
-		return n, fmt.Errorf("transport: kzc gather write: %w", err)
-	}
-	if n != total {
-		return n, fmt.Errorf("transport: kzc gather write short: %d of %d", n, total)
-	}
-	return n, nil
+	return n, err
 }
 
-// plainWriteLocked writes p without zero-copy (wmu held), for the
-// ENOBUFS and fault degradation paths.
-func (c *kzcConn) plainWriteLocked(p []byte) error {
-	n, err := c.tc.Write(p)
-	c.countWrite(int64(n), 0)
-	return err
-}
-
-// WriteZeroCopy implements ZeroCopyWriter: send p with MSG_ZEROCOPY
-// and fire done exactly once when the kernel releases the pages. See
-// the interface contract in direct.go.
-func (c *kzcConn) WriteZeroCopy(p []byte, done func(copied bool)) (bool, error) {
-	if !c.zcOn.Load() || c.zcDown.Load() {
-		return false, ErrZeroCopyUnavailable
+// Deposit implements Depositor: one walk over the train under one wmu
+// hold. Plain segments batch into writevs, each run of by-reference
+// segments goes out as one vectored MSG_ZEROCOPY send (normally a
+// single sendmsg and a single completion sequence for the whole run),
+// and file regions go disk→wire with sendfile. See the interface
+// contract in direct.go.
+func (c *kzcConn) Deposit(train []Segment, done func(copied bool)) (int64, error) {
+	th := c.Threshold()
+	refs, files := false, false
+	for i := range train {
+		refs = refs || train[i].ByRef(th)
+		files = files || train[i].File != nil
+	}
+	if refs && (!c.zcOn.Load() || c.zcDown.Load()) {
+		return 0, ErrZeroCopyUnavailable
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.t.Faults != nil {
+	// A train is never the "ZCDC" preamble: a dialer whose first write
+	// is a deposit stays a plain stream.
+	if err := c.maybePromoteLocked(nil); err != nil {
+		return 0, err
+	}
+	// plain sends by-reference segments as ordinary bytes (ENOBUFS
+	// degradation); short cuts file regions in half (injected).
+	plain, short := false, false
+	if c.t.Faults != nil && (refs || files) {
 		if r := c.t.Faults.decide(OpWrite, ClassKzc); r != nil {
 			switch r.Kind {
 			case FaultENOBUFS:
-				// Kernel can't pin pages: degrade this one send to a
-				// plain copying write, completed immediately.
-				err := c.plainWriteLocked(p)
-				done(true)
-				return true, err
+				// Kernel can't pin pages: the train degrades to plain
+				// copying writes, completed immediately as copied.
+				plain = true
 			case FaultDropCompletion:
 				// Bytes arrive, the completion never does: the caller's
-				// lease sweeper must reclaim the buffer.
-				return true, c.plainWriteLocked(p)
+				// lease sweeper must reclaim the buffers.
+				plain, done = true, nil
+			case FaultShortSplice:
+				short = true
 			case FaultReset, FaultPeerKill:
-				done(true)
+				if refs && done != nil {
+					done(true)
+				}
 				_ = c.Close()
-				return true, fmt.Errorf("kzcconn: injected %s on zero-copy send", r.Kind)
+				return 0, fmt.Errorf("kzcconn: injected %s on deposit", r.Kind)
 			case FaultStall, FaultSlow:
 				time.Sleep(r.Delay)
 			}
 		}
 	}
-	pd := c.reservePending(done)
-	sent := 0
-	for sent < len(p) {
+	// One pending entry, registered before the train's first sendmsg
+	// and closed after its last, so one done covers every run.
+	var pd *kzcPending
+	if refs {
+		pd = c.reservePending(done)
+	}
+	var total, n int64
+	var err error
+	for i := 0; i < len(train) && err == nil; i++ {
+		s := &train[i]
+		byRef := s.ByRef(th) && !plain
+		if s.File == nil && !byRef {
+			if len(s.B) > 0 {
+				c.gbufs = append(c.gbufs, s.B) // rides the next flush
+			}
+			continue
+		}
+		// A kernel-assist send: what is batched goes out first.
+		n, err = c.flushPlainLocked()
+		total += n
+		if err != nil {
+			break
+		}
+		if byRef {
+			j := i + 1
+			for j < len(train) && train[j].ByRef(th) {
+				j++
+			}
+			n, plain, err = c.sendRefsLocked(train[i:j], pd)
+			i = j - 1
+		} else {
+			n, err = c.sendFileLocked(s, short)
+		}
+		total += n
+	}
+	if err == nil {
+		n, err = c.flushPlainLocked()
+		total += n
+	}
+	clear(c.gbufs) // an error may have left batched segments behind
+	c.gbufs = c.gbufs[:0]
+	if pd != nil {
+		// Sequences already consumed complete via the reaper (or the
+		// caller's sweeper) even when the stream broke mid-train.
+		c.closePending(pd, plain || err != nil)
+		c.reapOnce() // opportunistic non-blocking drain
+	}
+	return total, err
+}
+
+// flushPlainLocked writes the plain segments batched in gbufs, if any
+// (wmu held).
+func (c *kzcConn) flushPlainLocked() (int64, error) {
+	if len(c.gbufs) == 0 {
+		return 0, nil
+	}
+	n, err := writev(c.tc, &c.gbufs)
+	c.countWrite(n, 0)
+	return n, err
+}
+
+// sendRefsLocked is the only MSG_ZEROCOPY send (wmu held): it
+// transmits a run of by-reference segments with vectored sendmsgs
+// whose sequences extend pd. copied reports that the kernel refused to
+// pin (ENOBUFS: optmem exhaustion) and the unsent tail went out as a
+// plain copying write instead — the kernel holds no reference beyond
+// the sequences already consumed.
+func (c *kzcConn) sendRefsLocked(run []Segment, pd *kzcPending) (n int64, copied bool, err error) {
+	var total int64
+	for i := range run {
+		total += int64(len(run[i].B))
+	}
+	for n < total {
+		// Rebuild the iovec view of the unsent tail (a partial sendmsg
+		// re-vectors from the new offset).
+		iovs := c.sendVec[:0]
+		skip := n
+		for i := range run {
+			b := run[i].B
+			if skip >= int64(len(b)) {
+				skip -= int64(len(b))
+				continue
+			}
+			b, skip = b[skip:], 0
+			iovs = append(iovs, syscall.Iovec{Base: &b[0], Len: uint64(len(b))})
+		}
+		c.sendVec = iovs
+		c.sendMsg = syscall.Msghdr{Iov: &iovs[0], Iovlen: uint64(len(iovs))}
 		// Reserve the sequence the sendmsg will consume BEFORE issuing
 		// it: the kernel can queue (and the reaper drain) the completion
 		// the moment the syscall returns, so recording the sequence
 		// afterwards would race a merged completion against an
 		// unregistered range.
 		c.reserveSeq(pd)
-		c.sendBuf = p[sent:]
 		werr := c.raw.Write(c.sendFn)
-		n, serr := c.sendN, c.sendErr
-		c.sendBuf = nil
+		sent, serr := c.sendN, c.sendErr
 		if werr != nil && serr == nil {
 			serr = werr
 		}
+		if serr == syscall.ENOBUFS {
+			// The iovec array is exactly the unsent tail.
+			for _, v := range iovs {
+				c.gbufs = append(c.gbufs, unsafe.Slice(v.Base, v.Len))
+			}
+		}
+		c.sendMsg = syscall.Msghdr{}
+		clear(c.sendVec)
+		c.sendVec = c.sendVec[:0]
 		if serr != nil {
 			// A failed sendmsg consumed no kernel sequence (the kernel
 			// aborts the zero-copy id on error), so the reservation
 			// rolls back.
 			c.unreserveSeq(pd)
-			if serr == syscall.ENOBUFS {
-				// Optmem exhaustion: finish with a plain copying write.
-				// The kernel holds no reference beyond the sequences
-				// already consumed.
-				perr := c.plainWriteLocked(p[sent:])
-				c.closePending(pd, true)
-				return true, perr
+			if serr != syscall.ENOBUFS {
+				return n, false, fmt.Errorf("transport: kzc zero-copy send: %w", serr)
 			}
-			// Stream broken mid-payload. Sequences already consumed
-			// complete via the reaper (or the caller's sweeper).
-			c.closePending(pd, true)
-			return true, fmt.Errorf("transport: kzc zero-copy send: %w", serr)
+			m, ferr := c.flushPlainLocked()
+			return n + m, true, ferr
 		}
-		sent += n
+		n += int64(sent)
 	}
-	c.countWrite(int64(len(p)), 0)
-	c.closePending(pd, false)
-	c.reapOnce() // opportunistic non-blocking drain
-	return true, nil
+	c.countWrite(total, len(run))
+	return n, false, nil
 }
 
-// plainWriteVecLocked writes segs without zero-copy (wmu held): the
-// ENOBUFS and fault degradation path of the gather send.
-func (c *kzcConn) plainWriteVecLocked(segs [][]byte) error {
-	bufs := c.gbufs[:0]
-	for _, s := range segs {
-		if len(s) > 0 {
-			bufs = append(bufs, s)
+// sendFileLocked transmits one file region with sendfile (wmu held),
+// disk→wire without entering user space. It works on any kzc
+// connection regardless of SO_ZEROCOPY state.
+func (c *kzcConn) sendFileLocked(s *Segment, short bool) (int64, error) {
+	want := s.N
+	if short {
+		want /= 2
+	}
+	src := int(s.File.Fd())
+	var sent int64
+	for sent < want {
+		chunk := int(min(want-sent, 1<<20))
+		var wn int
+		var serr error
+		pos := s.Off + sent
+		werr := c.raw.Write(func(fd uintptr) bool {
+			wn, serr = syscall.Sendfile(int(fd), src, &pos, chunk)
+			return serr != syscall.EAGAIN
+		})
+		if wn > 0 {
+			sent += int64(wn)
 		}
-	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.tc)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
-	c.countWrite(n, 0)
-	return err
-}
-
-// WriteZeroCopyGather implements ZeroCopyGatherWriter: the whole train
-// goes out in vectored MSG_ZEROCOPY sendmsgs (normally exactly one —
-// one syscall, one completion sequence for N segments), and done fires
-// exactly once when the kernel releases every page. The completion
-// range the reaper sees covers the single shared sequence, which is
-// how per-buffer callbacks stay cheap: the caller fans the one train
-// completion out to its segments.
-func (c *kzcConn) WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (bool, error) {
-	if !c.zcOn.Load() || c.zcDown.Load() {
-		return false, ErrZeroCopyUnavailable
-	}
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	if total == 0 {
-		done(false)
-		return true, nil
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.t.Faults != nil {
-		if r := c.t.Faults.decide(OpWrite, ClassKzc); r != nil {
-			switch r.Kind {
-			case FaultENOBUFS:
-				err := c.plainWriteVecLocked(segs)
-				done(true)
-				return true, err
-			case FaultDropCompletion:
-				return true, c.plainWriteVecLocked(segs)
-			case FaultReset, FaultPeerKill:
-				done(true)
-				_ = c.Close()
-				return true, fmt.Errorf("kzcconn: injected %s on zero-copy gather send", r.Kind)
-			case FaultStall, FaultSlow:
-				time.Sleep(r.Delay)
-			}
-		}
-	}
-	pd := c.reservePending(done)
-	sent := 0
-	for sent < total {
-		// Rebuild the iovec view of the unsent tail (a partial sendmsg
-		// re-vectors from the new offset) and reserve the sequence this
-		// sendmsg will consume before issuing it, as in WriteZeroCopy.
-		iovs := c.sendVec[:0]
-		skip := sent
-		for _, s := range segs {
-			if skip >= len(s) {
-				skip -= len(s)
-				continue
-			}
-			rest := s[skip:]
-			skip = 0
-			iovs = append(iovs, syscall.Iovec{
-				Base: &rest[0], Len: uint64(len(rest)),
-			})
-		}
-		c.sendVec = iovs
-		c.sendMsg = syscall.Msghdr{Iov: &iovs[0], Iovlen: uint64(len(iovs))}
-		c.reserveSeq(pd)
-		werr := c.raw.Write(c.sendVecFn)
-		n, serr := c.sendN, c.sendErr
-		c.sendMsg = syscall.Msghdr{}
-		clear(c.sendVec)
-		c.sendVec = c.sendVec[:0]
 		if werr != nil && serr == nil {
 			serr = werr
 		}
+		if serr == nil && wn == 0 {
+			serr = io.ErrUnexpectedEOF
+		}
 		if serr != nil {
-			c.unreserveSeq(pd)
-			if serr == syscall.ENOBUFS {
-				perr := c.plainWriteVecLocked(tailSegs(segs, sent))
-				c.closePending(pd, true)
-				return true, perr
-			}
-			c.closePending(pd, true)
-			return true, fmt.Errorf("transport: kzc zero-copy gather send: %w", serr)
+			c.countWrite(sent, 0)
+			return sent, fmt.Errorf("transport: kzc sendfile: %w", serr)
 		}
-		sent += n
 	}
-	c.countWrite(int64(total), len(segs))
-	c.closePending(pd, false)
-	c.reapOnce()
-	return true, nil
-}
-
-// tailSegs returns the segment list with the first skip bytes removed.
-func tailSegs(segs [][]byte, skip int) [][]byte {
-	out := make([][]byte, 0, len(segs))
-	for _, s := range segs {
-		if skip >= len(s) {
-			skip -= len(s)
-			continue
-		}
-		out = append(out, s[skip:])
-		skip = 0
+	runtime.KeepAlive(s.File)
+	c.countWrite(sent, 0)
+	if sent < s.N {
+		// Injected short splice: the stream is now desynced by design.
+		return sent, fmt.Errorf("transport: kzc sendfile short: %d of %d", sent, s.N)
 	}
-	return out
+	return sent, nil
 }
 
 // reservePending registers an open pending entry before a write's
@@ -691,7 +672,7 @@ func (c *kzcConn) unreserveSeq(p *kzcPending) {
 	c.cmu.Unlock()
 }
 
-// closePending ends a write's send loop: the entry stops accepting
+// closePending ends a train's send loop: the entry stops accepting
 // sequences and may now fire. If every reserved sequence has already
 // completed (or none were consumed at all), done fires here; otherwise
 // the reaper fires it when the last completion lands. copiedTail marks
@@ -872,61 +853,6 @@ func (c *kzcConn) recyclePending(p *kzcPending) {
 func isRecvErr(level, typ int32) bool {
 	return (level == syscall.SOL_IP && typ == syscall.IP_RECVERR) ||
 		(level == syscall.SOL_IPV6 && typ == syscall.IPV6_RECVERR)
-}
-
-// SendFile implements FileSender: transmit n bytes of f starting at
-// off with sendfile, disk→wire without entering user space. It works
-// on any kzc connection regardless of SO_ZEROCOPY state.
-func (c *kzcConn) SendFile(f *os.File, off, n int64) (int64, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	want := n
-	if c.t.Faults != nil {
-		if r := c.t.Faults.decide(OpWrite, ClassKzc); r != nil {
-			switch r.Kind {
-			case FaultShortSplice:
-				want = n / 2
-			case FaultReset, FaultPeerKill:
-				_ = c.Close()
-				return 0, fmt.Errorf("kzcconn: injected %s on sendfile", r.Kind)
-			case FaultStall, FaultSlow:
-				time.Sleep(r.Delay)
-			}
-		}
-	}
-	src := int(f.Fd())
-	var sent int64
-	for sent < want {
-		chunk := int(min(want-sent, 1<<20))
-		var wn int
-		var serr error
-		pos := off + sent
-		werr := c.raw.Write(func(fd uintptr) bool {
-			wn, serr = syscall.Sendfile(int(fd), src, &pos, chunk)
-			return serr != syscall.EAGAIN
-		})
-		if wn > 0 {
-			sent += int64(wn)
-		}
-		if werr != nil && serr == nil {
-			serr = werr
-		}
-		if serr != nil {
-			c.countWrite(sent, 0)
-			return sent, fmt.Errorf("transport: kzc sendfile: %w", serr)
-		}
-		if wn == 0 {
-			c.countWrite(sent, 0)
-			return sent, fmt.Errorf("transport: kzc sendfile: %w", io.ErrUnexpectedEOF)
-		}
-	}
-	runtime.KeepAlive(f)
-	c.countWrite(sent, 0)
-	if sent < n {
-		// Injected short splice: the stream is now desynced by design.
-		return sent, fmt.Errorf("transport: kzc sendfile short: %d of %d", sent, n)
-	}
-	return sent, nil
 }
 
 func (c *kzcConn) Close() error {

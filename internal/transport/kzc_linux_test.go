@@ -13,38 +13,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
-func kzcPair(t *testing.T, tr *KZC) (Conn, Conn) {
-	t.Helper()
-	l, err := tr.Listen("")
-	if err != nil {
-		t.Fatalf("kzc listen: %v", err)
-	}
-	t.Cleanup(func() { l.Close() })
-	var (
-		srv  Conn
-		aerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv, aerr = l.Accept()
-	}()
-	cli, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatalf("kzc dial: %v", err)
-	}
-	wg.Wait()
-	if aerr != nil {
-		t.Fatalf("kzc accept: %v", aerr)
-	}
-	t.Cleanup(func() { cli.Close(); srv.Close() })
-	return cli, srv
-}
+// pinned is a train of one pinned segment: the single-buffer deposit.
+func pinned(p []byte) []Segment { return []Segment{{B: p, Pinned: true}} }
+
+func kzcPair(t *testing.T, tr *KZC) (Conn, Conn) { return connPair(t, tr, "") }
 
 // TestKZCStreamMode: a connection whose first bytes are not the ZC
 // preamble never promotes (no header on the wire, SO_ZEROCOPY off) and
@@ -75,9 +52,10 @@ func TestKZCStreamMode(t *testing.T) {
 	if cli.(*kzcConn).zcOn.Load() || srv.(*kzcConn).zcOn.Load() {
 		t.Fatal("stream-mode conn enabled SO_ZEROCOPY")
 	}
-	// A zero-copy send on an unpromoted conn must decline cleanly.
-	if ok, err := cli.(*kzcConn).WriteZeroCopy(msg, func(bool) {}); ok || !errors.Is(err, ErrZeroCopyUnavailable) {
-		t.Fatalf("unpromoted WriteZeroCopy: ok=%v err=%v", ok, err)
+	// A by-reference deposit on an unpromoted conn must decline cleanly.
+	big := make([]byte, DefaultZeroCopyThreshold)
+	if n, err := cli.(*kzcConn).Deposit(pinned(big), func(bool) {}); n != 0 || !errors.Is(err, ErrZeroCopyUnavailable) {
+		t.Fatalf("unpromoted Deposit: n=%d err=%v", n, err)
 	}
 }
 
@@ -96,7 +74,7 @@ func TestKZCPromotionThresholdNegotiation(t *testing.T) {
 	if !bytes.Equal(got, preamble(0)) {
 		t.Fatal("preamble corrupted (promotion header leaked into the stream?)")
 	}
-	if th := srv.(*kzcConn).ZeroCopyThreshold(); th != 12345 {
+	if th := srv.(*kzcConn).Threshold(); th != 12345 {
 		t.Fatalf("acceptor threshold = %d, want 12345", th)
 	}
 	if !cli.(*kzcConn).zcOn.Load() {
@@ -107,8 +85,9 @@ func TestKZCPromotionThresholdNegotiation(t *testing.T) {
 	}
 }
 
-// promoteKzc walks a pair through the ZCDC promotion handshake.
-func promoteKzc(t *testing.T, cli, srv Conn) {
+// promoteData walks a pair through the ZCDC promotion handshake (kzc
+// and shm promote on the same preamble).
+func promoteData(t *testing.T, cli, srv Conn) {
 	t.Helper()
 	if _, err := cli.Write(preamble(0)); err != nil {
 		t.Fatalf("preamble: %v", err)
@@ -118,12 +97,13 @@ func promoteKzc(t *testing.T, cli, srv Conn) {
 	}
 }
 
-// TestKZCWriteZeroCopyCompletion: a promoted send delivers the bytes
-// intact and fires the completion callback exactly once (on loopback
-// the kernel reports it as copied, which still counts as completed).
-func TestKZCWriteZeroCopyCompletion(t *testing.T) {
+// TestKZCDepositCompletion: a promoted single-buffer deposit delivers
+// the bytes intact and fires the completion callback exactly once (on
+// loopback the kernel reports it as copied, which still counts as
+// completed).
+func TestKZCDepositCompletion(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	payload := bytes.Repeat([]byte{0xC7}, 64<<10)
 	var fired atomic.Int32
 	got := make([]byte, len(payload))
@@ -132,11 +112,11 @@ func TestKZCWriteZeroCopyCompletion(t *testing.T) {
 		_, err := io.ReadFull(srv, got)
 		rdone <- err
 	}()
-	ok, err := cli.(*kzcConn).WriteZeroCopy(payload, func(copied bool) {
+	n, err := cli.(*kzcConn).Deposit(pinned(payload), func(copied bool) {
 		fired.Add(1)
 	})
-	if !ok || err != nil {
-		t.Fatalf("WriteZeroCopy: ok=%v err=%v", ok, err)
+	if n != int64(len(payload)) || err != nil {
+		t.Fatalf("Deposit: n=%d err=%v", n, err)
 	}
 	if err := <-rdone; err != nil {
 		t.Fatalf("server read: %v", err)
@@ -160,16 +140,16 @@ func TestKZCWriteZeroCopyCompletion(t *testing.T) {
 }
 
 // TestKZCDisableFallsBack: Disable models a kernel without SO_ZEROCOPY.
-// The conn still promotes and carries plain traffic, but WriteZeroCopy
-// reports ErrZeroCopyUnavailable without writing or firing done.
+// The conn still promotes and carries plain traffic, but a by-reference
+// Deposit reports ErrZeroCopyUnavailable without writing or firing done.
 func TestKZCDisableFallsBack(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Disable: true})
-	promoteKzc(t, cli, srv)
-	ok, err := cli.(*kzcConn).WriteZeroCopy(make([]byte, 64<<10), func(bool) {
+	promoteData(t, cli, srv)
+	n, err := cli.(*kzcConn).Deposit(pinned(make([]byte, 64<<10)), func(bool) {
 		t.Error("done fired on a declined send")
 	})
-	if ok || !errors.Is(err, ErrZeroCopyUnavailable) {
-		t.Fatalf("disabled WriteZeroCopy: ok=%v err=%v", ok, err)
+	if n != 0 || !errors.Is(err, ErrZeroCopyUnavailable) {
+		t.Fatalf("disabled Deposit: n=%d err=%v", n, err)
 	}
 	// The plain write path still works end to end.
 	if _, err := cli.Write([]byte("still a stream")); err != nil {
@@ -184,11 +164,12 @@ func TestKZCDisableFallsBack(t *testing.T) {
 	}
 }
 
-// TestKZCSendFile: a file region travels disk→wire byte-identical,
-// including a sub-range with a non-zero offset.
-func TestKZCSendFile(t *testing.T) {
+// TestKZCDepositFile: a file region travels disk→wire byte-identical,
+// including a sub-range with a non-zero offset, and — no reference
+// being held past the call — never fires done.
+func TestKZCDepositFile(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	body := make([]byte, 2<<20)
 	for i := range body {
 		body[i] = byte(i * 13)
@@ -212,9 +193,11 @@ func TestKZCSendFile(t *testing.T) {
 			_, err := io.ReadFull(srv, got)
 			rdone <- err
 		}()
-		sent, err := cli.(*kzcConn).SendFile(f, r.off, r.n)
+		sent, err := cli.(*kzcConn).Deposit([]Segment{{File: f, Off: r.off, N: r.n}}, func(bool) {
+			t.Error("done fired for a file-only train")
+		})
 		if err != nil || sent != r.n {
-			t.Fatalf("SendFile(off=%d,n=%d): sent=%d err=%v", r.off, r.n, sent, err)
+			t.Fatalf("Deposit(file off=%d,n=%d): sent=%d err=%v", r.off, r.n, sent, err)
 		}
 		if err := <-rdone; err != nil {
 			t.Fatalf("server read: %v", err)
@@ -230,21 +213,21 @@ func TestKZCSendFile(t *testing.T) {
 // ErrZeroCopyUnavailable after the first completion is reaped.
 func TestKZCCopiedLimitDegrades(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Threshold: 4096, CopiedLimit: 1})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	go io.Copy(io.Discard, srv)
 	payload := make([]byte, 64<<10)
 	kc := cli.(*kzcConn)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok, err := kc.WriteZeroCopy(payload, func(bool) {})
-		if !ok {
+		n, err := kc.Deposit(pinned(payload), func(bool) {})
+		if n == 0 && err != nil {
 			if !errors.Is(err, ErrZeroCopyUnavailable) {
 				t.Fatalf("degraded error = %v, want ErrZeroCopyUnavailable", err)
 			}
 			return // degraded, as required
 		}
 		if err != nil {
-			t.Fatalf("WriteZeroCopy: %v", err)
+			t.Fatalf("Deposit: %v", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("connection never degraded despite copied completions")
@@ -258,7 +241,7 @@ func TestKZCFaultInjection(t *testing.T) {
 	t.Run("enobufs", func(t *testing.T) {
 		inj := NewFaultInjector(1).Add(Rule{Op: OpWrite, Class: ClassKzc, Kind: FaultENOBUFS, Nth: 1})
 		cli, srv := kzcPair(t, &KZC{Threshold: 4096, Faults: inj})
-		promoteKzc(t, cli, srv)
+		promoteData(t, cli, srv)
 		payload := bytes.Repeat([]byte{0x11}, 32<<10)
 		var fired atomic.Int32
 		got := make([]byte, len(payload))
@@ -267,14 +250,14 @@ func TestKZCFaultInjection(t *testing.T) {
 			_, err := io.ReadFull(srv, got)
 			rdone <- err
 		}()
-		ok, err := cli.(*kzcConn).WriteZeroCopy(payload, func(copied bool) {
+		n, err := cli.(*kzcConn).Deposit(pinned(payload), func(copied bool) {
 			if !copied {
 				t.Error("ENOBUFS degradation must complete as copied")
 			}
 			fired.Add(1)
 		})
-		if !ok || err != nil {
-			t.Fatalf("ENOBUFS send: ok=%v err=%v", ok, err)
+		if n != int64(len(payload)) || err != nil {
+			t.Fatalf("ENOBUFS send: n=%d err=%v", n, err)
 		}
 		if fired.Load() != 1 {
 			t.Fatal("ENOBUFS degradation must complete immediately")
@@ -289,7 +272,7 @@ func TestKZCFaultInjection(t *testing.T) {
 	t.Run("drop-completion", func(t *testing.T) {
 		inj := NewFaultInjector(1).Add(Rule{Op: OpWrite, Class: ClassKzc, Kind: FaultDropCompletion, Nth: 1})
 		cli, srv := kzcPair(t, &KZC{Threshold: 4096, Faults: inj})
-		promoteKzc(t, cli, srv)
+		promoteData(t, cli, srv)
 		payload := bytes.Repeat([]byte{0x22}, 32<<10)
 		var fired atomic.Int32
 		got := make([]byte, len(payload))
@@ -298,9 +281,9 @@ func TestKZCFaultInjection(t *testing.T) {
 			_, err := io.ReadFull(srv, got)
 			rdone <- err
 		}()
-		ok, err := cli.(*kzcConn).WriteZeroCopy(payload, func(bool) { fired.Add(1) })
-		if !ok || err != nil {
-			t.Fatalf("dropped-completion send: ok=%v err=%v", ok, err)
+		n, err := cli.(*kzcConn).Deposit(pinned(payload), func(bool) { fired.Add(1) })
+		if n != int64(len(payload)) || err != nil {
+			t.Fatalf("dropped-completion send: n=%d err=%v", n, err)
 		}
 		if err := <-rdone; err != nil {
 			t.Fatalf("read: %v", err)
@@ -318,7 +301,7 @@ func TestKZCFaultInjection(t *testing.T) {
 	t.Run("short-splice", func(t *testing.T) {
 		inj := NewFaultInjector(1).Add(Rule{Op: OpWrite, Class: ClassKzc, Kind: FaultShortSplice, Nth: 1})
 		cli, srv := kzcPair(t, &KZC{Faults: inj})
-		promoteKzc(t, cli, srv)
+		promoteData(t, cli, srv)
 		go io.Copy(io.Discard, srv)
 		body := make([]byte, 1<<20)
 		path := filepath.Join(t.TempDir(), "f.bin")
@@ -330,7 +313,7 @@ func TestKZCFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		sent, err := cli.(*kzcConn).SendFile(f, 0, int64(len(body)))
+		sent, err := cli.(*kzcConn).Deposit([]Segment{{File: f, N: int64(len(body))}}, nil)
 		if err == nil || !strings.Contains(err.Error(), "short") {
 			t.Fatalf("short splice: err=%v", err)
 		}
@@ -341,16 +324,67 @@ func TestKZCFaultInjection(t *testing.T) {
 	t.Run("reset", func(t *testing.T) {
 		inj := NewFaultInjector(1).Add(Rule{Op: OpWrite, Class: ClassKzc, Kind: FaultReset, Nth: 1})
 		cli, srv := kzcPair(t, &KZC{Threshold: 4096, Faults: inj})
-		promoteKzc(t, cli, srv)
+		promoteData(t, cli, srv)
 		var fired atomic.Int32
-		ok, err := cli.(*kzcConn).WriteZeroCopy(make([]byte, 32<<10), func(bool) { fired.Add(1) })
-		if !ok || err == nil {
-			t.Fatalf("reset send: ok=%v err=%v, want ok with error", ok, err)
+		_, err := cli.(*kzcConn).Deposit(pinned(make([]byte, 32<<10)), func(bool) { fired.Add(1) })
+		if err == nil || errors.Is(err, ErrZeroCopyUnavailable) {
+			t.Fatalf("reset send: err=%v, want a broken-stream error", err)
 		}
 		if fired.Load() != 1 {
 			t.Fatal("reset must still complete the callback (stream torn down)")
 		}
 	})
+}
+
+// TestKZCSendmsgENOBUFSFinishesPlain: when the kernel itself refuses to
+// pin (sendmsg returns ENOBUFS, here forced on the first attempt), the
+// unsent tail of the run goes out as a plain write, nothing is lost or
+// reordered, and the train completes at once as copied.
+func TestKZCSendmsgENOBUFSFinishesPlain(t *testing.T) {
+	cli, srv := kzcPair(t, &KZC{Threshold: 4096})
+	promoteData(t, cli, srv)
+	kc := cli.(*kzcConn)
+	sendmsg := kc.sendFn
+	kc.sendFn = func(fd uintptr) bool {
+		kc.sendFn = sendmsg
+		kc.sendN, kc.sendErr = 0, syscall.ENOBUFS
+		return true
+	}
+	train := []Segment{
+		{B: bytes.Repeat([]byte{0x41}, 16<<10), Pinned: true},
+		{B: bytes.Repeat([]byte{0x42}, 8<<10), Pinned: true},
+		{B: []byte("tail")},
+	}
+	want := trainBytes(t, train)
+	got := make([]byte, len(want))
+	rdone := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(srv, got)
+		rdone <- err
+	}()
+	var fired, copied atomic.Int32
+	n, err := kc.Deposit(train, func(c bool) {
+		fired.Add(1)
+		if c {
+			copied.Add(1)
+		}
+	})
+	if n != int64(len(want)) || err != nil {
+		t.Fatalf("Deposit: n=%d err=%v", n, err)
+	}
+	if fired.Load() != 1 || copied.Load() != 1 {
+		t.Fatalf("done fired=%d copied=%d, want one immediate copied completion",
+			fired.Load(), copied.Load())
+	}
+	if err := <-rdone; err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("train corrupted on the ENOBUFS plain-write tail")
+	}
+	if n := kc.outstanding.Load(); n != 0 {
+		t.Fatalf("outstanding = %d after a train that consumed no sequence", n)
+	}
 }
 
 // TestKZCSchemeDispatch: FromAddr resolves kzc:// URIs to the KZC
@@ -387,7 +421,7 @@ func TestKZCSchemeDispatch(t *testing.T) {
 // its callback held until the loop closes the entry.
 func TestKZCMergedCompletionSpanningOpenWrite(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	c := cli.(*kzcConn)
 	fireAll := func(fired []*kzcPending) {
 		for _, p := range fired {
@@ -448,7 +482,7 @@ func TestKZCMergedCompletionSpanningOpenWrite(t *testing.T) {
 // roll back so the next send reuses the sequence.
 func TestKZCUnreserveSeqRollsBack(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	c := cli.(*kzcConn)
 	var fired atomic.Int32
 	p := c.reservePending(func(bool) { fired.Add(1) })
@@ -517,7 +551,7 @@ func TestKZCThresholdClampsHostileValue(t *testing.T) {
 	if _, err := io.ReadFull(srv, got); err != nil {
 		t.Fatalf("server read: %v", err)
 	}
-	if th := srv.(*kzcConn).ZeroCopyThreshold(); th != DefaultZeroCopyThreshold {
+	if th := srv.(*kzcConn).Threshold(); th != DefaultZeroCopyThreshold {
 		t.Fatalf("threshold = %d after hostile header, want default %d",
 			th, DefaultZeroCopyThreshold)
 	}
@@ -531,7 +565,7 @@ func TestKZCThresholdClampsHostileValue(t *testing.T) {
 func TestKZCCloseAbortsWhileCompletionsOutstanding(t *testing.T) {
 	t.Run("outstanding-rst", func(t *testing.T) {
 		cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-		promoteKzc(t, cli, srv)
+		promoteData(t, cli, srv)
 		c := cli.(*kzcConn)
 		p := c.reservePending(func(bool) {})
 		c.reserveSeq(p) // a completion that will never settle
@@ -545,7 +579,7 @@ func TestKZCCloseAbortsWhileCompletionsOutstanding(t *testing.T) {
 	})
 	t.Run("idle-graceful", func(t *testing.T) {
 		cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-		promoteKzc(t, cli, srv)
+		promoteData(t, cli, srv)
 		if err := cli.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -560,15 +594,15 @@ func TestKZCCloseAbortsWhileCompletionsOutstanding(t *testing.T) {
 // and still get its completion callback.
 func TestKZCReaperWakesAfterIdle(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	go io.Copy(io.Discard, srv)
 	kc := cli.(*kzcConn)
 	payload := make([]byte, 64<<10)
 	for round := 0; round < 2; round++ {
 		var fired atomic.Int32
-		ok, err := kc.WriteZeroCopy(payload, func(bool) { fired.Add(1) })
-		if !ok || err != nil {
-			t.Fatalf("round %d WriteZeroCopy: ok=%v err=%v", round, ok, err)
+		n, err := kc.Deposit(pinned(payload), func(bool) { fired.Add(1) })
+		if n != int64(len(payload)) || err != nil {
+			t.Fatalf("round %d Deposit: n=%d err=%v", round, n, err)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for fired.Load() == 0 {
@@ -585,12 +619,13 @@ func TestKZCReaperWakesAfterIdle(t *testing.T) {
 	}
 }
 
-// TestKZCWriteZeroCopyGather: a vectored train goes out in one
-// MSG_ZEROCOPY sendmsg, arrives byte-identical and in order, and the
-// single train completion fires exactly once.
-func TestKZCWriteZeroCopyGather(t *testing.T) {
+// TestKZCDepositGather: a train of pinned segments — two above the
+// threshold around one below it and an empty one — arrives
+// byte-identical and in order, and the single train completion fires
+// exactly once.
+func TestKZCDepositGather(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Threshold: 4096})
-	promoteKzc(t, cli, srv)
+	promoteData(t, cli, srv)
 	segs := [][]byte{
 		bytes.Repeat([]byte{0x11}, 64<<10),
 		bytes.Repeat([]byte{0x22}, 7),
@@ -608,19 +643,23 @@ func TestKZCWriteZeroCopyGather(t *testing.T) {
 		_, err := io.ReadFull(srv, got)
 		rdone <- err
 	}()
-	zgw, okIface := Conn(cli).(ZeroCopyGatherWriter)
+	dp, okIface := Conn(cli).(Depositor)
 	if !okIface {
-		t.Fatal("kzc conn does not implement ZeroCopyGatherWriter")
+		t.Fatal("kzc conn does not implement Depositor")
 	}
-	ok, err := zgw.WriteZeroCopyGather(segs, func(copied bool) { fired.Add(1) })
-	if !ok || err != nil {
-		t.Fatalf("WriteZeroCopyGather: ok=%v err=%v", ok, err)
+	train := make([]Segment, len(segs))
+	for i, s := range segs {
+		train[i] = Segment{B: s, Pinned: true}
+	}
+	n, err := dp.Deposit(train, func(copied bool) { fired.Add(1) })
+	if n != int64(len(want)) || err != nil {
+		t.Fatalf("Deposit: n=%d err=%v", n, err)
 	}
 	if err := <-rdone; err != nil {
 		t.Fatalf("server read: %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("train corrupted through vectored MSG_ZEROCOPY")
+		t.Fatal("train corrupted through the mixed zero-copy/plain walk")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for fired.Load() == 0 {

@@ -520,15 +520,8 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 	defer c.wmu.Unlock()
 	rp := c.rings.Load()
 	if rp == nil {
-		var first []byte
-		for _, s := range segs {
-			if len(s) > 0 {
-				first = s
-				break
-			}
-		}
 		if c.dialer && !c.noPromote {
-			if len(first) >= 4 && string(first[:4]) == "ZCDC" {
+			if first := firstNonEmpty(segs); len(first) >= 4 && string(first[:4]) == "ZCDC" {
 				c.promoteLocked()
 				rp = c.rings.Load()
 			} else {
@@ -536,7 +529,9 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 			}
 		}
 		if rp == nil {
-			return c.streamGatherLocked(segs)
+			n, err := writev(c.uc, &c.gbufs, segs...)
+			c.countWrite(n, len(segs))
+			return n, err
 		}
 	}
 	if err := c.faultWrite(); err != nil {
@@ -558,31 +553,6 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.gbufs = c.gbufs[:0]
 	c.countWrite(total, len(segs))
 	return total, err
-}
-
-func (c *shmConn) streamGatherLocked(segs [][]byte) (int64, error) {
-	bufs := c.gbufs[:0]
-	var total int64
-	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		bufs = append(bufs, s)
-		total += int64(len(s))
-	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.uc)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
-	c.countWrite(n, len(segs))
-	if err != nil {
-		return n, fmt.Errorf("transport: shm gather write: %w", err)
-	}
-	if n != total {
-		return n, fmt.Errorf("transport: shm gather write short: %d of %d", n, total)
-	}
-	return n, nil
 }
 
 func (c *shmConn) Close() error {

@@ -6,41 +6,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
 	"zcorba/internal/shmem"
 )
 
-func shmPair(t *testing.T, tr *SHM) (Conn, Conn) {
-	t.Helper()
-	l, err := tr.Listen("")
-	if err != nil {
-		t.Fatalf("shm listen: %v", err)
-	}
-	t.Cleanup(func() { l.Close() })
-	var (
-		srv  Conn
-		aerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv, aerr = l.Accept()
-	}()
-	cli, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatalf("shm dial: %v", err)
-	}
-	wg.Wait()
-	if aerr != nil {
-		t.Fatalf("shm accept: %v", aerr)
-	}
-	t.Cleanup(func() { cli.Close(); srv.Close() })
-	return cli, srv
-}
+func shmPair(t *testing.T, tr *SHM) (Conn, Conn) { return connPair(t, tr, "") }
 
 func preamble(extra int) []byte {
 	b := append([]byte("ZCDC"), make([]byte, 8+extra)...)

@@ -174,10 +174,8 @@ func (l *tcpListener) Addr() string { return l.l.Addr().String() }
 type tcpConn struct {
 	c     net.Conn
 	stats *Stats
-	wmu   sync.Mutex // serializes writes so gathers stay contiguous
-	// gbufs is the gather scratch, guarded by wmu; reusing it keeps
-	// steady-state gather writes from allocating a net.Buffers per call.
-	gbufs net.Buffers
+	wmu   sync.Mutex  // serializes writes so gathers stay contiguous
+	gbufs net.Buffers // writev scratch, guarded by wmu
 }
 
 func (c *tcpConn) Read(p []byte) (int, error) {
@@ -202,28 +200,36 @@ func (c *tcpConn) Write(p []byte) (int, error) {
 
 func (c *tcpConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.wmu.Lock()
-	bufs := c.gbufs[:0]
-	var total int64
-	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		bufs = append(bufs, s)
-		total += int64(len(s))
-	}
-	c.gbufs = bufs // retain the (possibly grown) scratch array
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.c)
-	// WriteTo consumed the local copy; drop the scratch's references so
-	// it does not pin caller buffers until the next write.
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
+	n, err := writev(c.c, &c.gbufs, segs...)
 	c.wmu.Unlock()
 	if c.stats != nil {
 		c.stats.BytesSent.Add(n)
 		c.stats.Writes.Add(1)
 		c.stats.GatherSegments.Add(int64(len(segs)))
 	}
+	return n, err
+}
+
+// writev appends the non-empty segs to the batch already in *scratch
+// and writes the whole batch to w back to back (one writev on a
+// socket). scratch is the connection's reusable gather array, guarded
+// by its write lock: reusing it keeps steady-state gather writes from
+// allocating a net.Buffers per call. It is left empty, holding no
+// reference that would pin caller buffers until the next write.
+func writev(w io.Writer, scratch *net.Buffers, segs ...[]byte) (int64, error) {
+	for _, s := range segs {
+		if len(s) > 0 {
+			*scratch = append(*scratch, s)
+		}
+	}
+	var total int64
+	for _, s := range *scratch {
+		total += int64(len(s))
+	}
+	bufs := *scratch // WriteTo consumes this copy of the slice header
+	n, err := bufs.WriteTo(w)
+	clear(*scratch)
+	*scratch = (*scratch)[:0]
 	if err != nil {
 		return n, fmt.Errorf("transport: gather write: %w", err)
 	}
@@ -231,6 +237,17 @@ func (c *tcpConn) WriteGather(segs ...[]byte) (int64, error) {
 		return n, fmt.Errorf("transport: gather write short: %d of %d", n, total)
 	}
 	return n, nil
+}
+
+// firstNonEmpty returns the first segment with any bytes: what a
+// promoting transport inspects for the "ZCDC" data-channel preamble.
+func firstNonEmpty(segs [][]byte) []byte {
+	for _, s := range segs {
+		if len(s) > 0 {
+			return s
+		}
+	}
+	return nil
 }
 
 func (c *tcpConn) Close() error       { return c.c.Close() }

@@ -7,6 +7,35 @@ import (
 	"testing"
 )
 
+// connPair returns the two ends of one fresh connection over tr.
+func connPair(t *testing.T, tr Transport, addr string) (cli, srv Conn) {
+	t.Helper()
+	l, err := tr.Listen(addr)
+	if err != nil {
+		t.Fatalf("%s listen: %v", tr.Name(), err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var (
+		aerr error
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		srv, aerr = l.Accept()
+	}()
+	cli, err = tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatalf("%s dial: %v", tr.Name(), err)
+	}
+	wg.Wait()
+	if aerr != nil {
+		t.Fatalf("%s accept: %v", tr.Name(), aerr)
+	}
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+	return cli, srv
+}
+
 // exerciseTransport runs a generic send/receive conversation over t.
 func exerciseTransport(t *testing.T, tr Transport, addr string) {
 	t.Helper()

@@ -10,9 +10,10 @@ import (
 // kernel-assisted transport can deposit disk→wire with sendfile, so
 // the bytes never enter user space. It is the file analogue of Buffer
 // for the ZC octet-stream parameter slots — a servant returns a File
-// where it would otherwise return a Buffer, and the ORB routes it
-// through the transport's FileSender when one is available, falling
-// back to reading the region into the marshaled stream otherwise.
+// where it would otherwise return a Buffer, and the ORB hands it to the
+// data plane as a file-region segment when the plane can hold
+// references (transport.Depositor), reading the region into memory
+// otherwise.
 //
 // Unlike Buffer, File is not reference counted: Release closes the
 // file descriptor, and the ORB releases reply values it transmitted on
@@ -50,8 +51,8 @@ func (x *File) Offset() int64 { return x.off }
 // region directly (sendfile).
 func (x *File) OS() *os.File { return x.f }
 
-// Bytes reads the region into memory — the fallback when the transport
-// has no FileSender (or the data channel degraded to the marshaled
+// Bytes reads the region into memory — the fallback when the data
+// plane has no sendfile (or the data channel degraded to the marshaled
 // path). The read does not disturb the file offset.
 func (x *File) Bytes() ([]byte, error) {
 	p := make([]byte, x.n)

@@ -62,9 +62,9 @@ type lease struct {
 	// notify, if set, fires exactly once when the lease leaves the
 	// table: notify(false) on Settle (before the buffer reference is
 	// released), notify(true) on Sweep expiry (after onExpire, before
-	// the release). Kernel zero-copy sends use it to observe the
-	// buffer while its pages are still pinned — the reuse guard's
-	// checksum-on-completion hook.
+	// the release). SendBuffers uses it to learn when the kernel has
+	// let go of a buffer sent by reference, which is when the buffer's
+	// completion callback may fire.
 	notify func(expired bool)
 }
 
