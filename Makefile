@@ -24,10 +24,10 @@ ifeq ($(UNAME_S),Linux)
 endif
 
 # Both build-tag sides must stay healthy: the native side and the
-# !linux skip stubs (shm/kzc data planes are linux-gated).
+# !linux skip stubs (the shm data plane and tcp sendfile are linux-gated).
 vet:
 	$(GO) vet ./...
-	GOOS=darwin $(GO) vet ./internal/transport/ ./internal/orb/ ./internal/zcbuf/ ./internal/shmem/ ./internal/events/ ./internal/naming/ ./internal/group/
+	GOOS=darwin $(GO) vet ./internal/transport/ ./internal/orb/ ./internal/zcbuf/ ./internal/shmem/ ./internal/events/ ./internal/naming/
 
 # Golden wire-vector suite (internal/giop/testdata): regenerate
 # deliberately with `go test ./internal/giop -run TestWireVectors -update`.
@@ -48,6 +48,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConnReadLoop -fuzztime $(FUZZTIME) ./internal/orb/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCDR -fuzztime $(FUZZTIME) ./internal/gentest/
 	$(GO) test -run '^$$' -fuzz FuzzBroadcastRingHeader -fuzztime $(FUZZTIME) ./internal/shmem/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/idl/
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/mpeg/
+	$(GO) test -run '^$$' -fuzz FuzzFeedWire -fuzztime $(FUZZTIME) ./internal/specdefrag/
 
 # Deterministic fault-injection suite (docs/FAULTS.md): the seeded
 # chaos scenarios run under -race with three fixed schedules, then once
@@ -59,14 +62,14 @@ chaos:
 	CHAOS_SEED=303 $(GO) test -race -count=1 -run 'Chaos' ./internal/orb/
 	$(GO) test -race -count=1 -v -run 'TestChaosRandomSeeded' ./internal/orb/
 	$(GO) test -race -count=1 -run 'TestBcastCrossProcess' ./internal/shmem/
-	$(GO) test -race -count=1 -run 'Chaos|Failover|ReplicaDrain|MemberKill' ./internal/naming/ ./internal/group/ ./internal/orb/
+	$(GO) test -race -count=1 -run 'Chaos|Failover|ReplicaDrain' ./internal/naming/ ./internal/orb/
 
 # Race-checks the concurrent request engine (shared-connection
 # invokers, pipelining, pending-table striping) and the layers under
-# it whose send paths run concurrently with completion reaping and
-# lease sweeping (transport, zcbuf).
+# it whose send paths run concurrently with lease sweeping (transport,
+# zcbuf).
 race:
-	$(GO) test -race ./internal/orb/... ./internal/transport/... ./internal/zcbuf/... ./internal/ttcp/... ./internal/shmem/... ./internal/events/... ./internal/naming/... ./internal/group/...
+	$(GO) test -race ./internal/orb/... ./internal/transport/... ./internal/zcbuf/... ./internal/ttcp/... ./internal/shmem/... ./internal/events/... ./internal/naming/...
 
 race-all:
 	$(GO) test -race ./...
@@ -74,7 +77,7 @@ race-all:
 # Regenerates bench_output.txt and the machine-readable BENCH_orb.json
 # (name -> ns/op, MB/s, B/op, allocs/op) used as the perf gate record.
 bench:
-	$(GO) test -run '^$$' -bench 'Fig5|Fig6|RequestRate|Shm|Kzc|Gather' -benchmem . 2>&1 | tee bench_output.txt
+	$(GO) test -run '^$$' -bench 'Fig5|Fig6|RequestRate|Shm|FileTransfer|Gather' -benchmem . 2>&1 | tee bench_output.txt
 	$(GO) test -run '^$$' -bench 'Generated|Interpreter|StructMarshal|StructDemarshal|GeneralMarshal|GeneralDemarshal' -benchmem ./internal/gentest/ ./internal/typecode/ 2>&1 | tee -a bench_output.txt
 	$(GO) test -run '^$$' -bench 'EventsFanout' -benchmem ./internal/events/ 2>&1 | tee -a bench_output.txt
 	$(GO) test -run '^$$' -bench 'Resolve' -benchmem ./internal/naming/ 2>&1 | tee -a bench_output.txt
@@ -116,7 +119,6 @@ generate:
 	$(GO) run ./cmd/idlgen -pkg media -o internal/media/media_gen.go internal/media/media.idl
 	$(GO) run ./cmd/idlgen -pkg gentest -o internal/gentest/kitchen_gen.go internal/gentest/kitchen.idl
 	$(GO) run ./cmd/idlgen -pkg main -zerocopy -o examples/matrix/matrix_gen.go examples/matrix/matrix.idl
-	gofmt -w internal/media/media_gen.go internal/gentest/kitchen_gen.go examples/matrix/matrix_gen.go
 
 # Codegen drift check: regenerate every idlgen output into a scratch
 # directory and fail if it differs from what is committed. Keeps the
@@ -126,7 +128,6 @@ gencheck:
 	$(GO) run ./cmd/idlgen -pkg media -o $$tmp/media_gen.go internal/media/media.idl && \
 	$(GO) run ./cmd/idlgen -pkg gentest -o $$tmp/kitchen_gen.go internal/gentest/kitchen.idl && \
 	$(GO) run ./cmd/idlgen -pkg main -zerocopy -o $$tmp/matrix_gen.go examples/matrix/matrix.idl && \
-	gofmt -w $$tmp/media_gen.go $$tmp/kitchen_gen.go $$tmp/matrix_gen.go && \
 	{ diff -u internal/media/media_gen.go $$tmp/media_gen.go && \
 	  diff -u internal/gentest/kitchen_gen.go $$tmp/kitchen_gen.go && \
 	  diff -u examples/matrix/matrix_gen.go $$tmp/matrix_gen.go || \

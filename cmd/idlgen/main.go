@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/format"
 	"os"
 
 	"zcorba/internal/idl"
@@ -39,6 +40,9 @@ func main() {
 		os.Exit(1)
 	}
 	code, err := idl.Generate(spec, idl.GenOptions{Package: *pkg, ZeroCopy: *zerocopy})
+	if err == nil {
+		code, err = format.Source(code)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "idlgen:", err)
 		os.Exit(1)

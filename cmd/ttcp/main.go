@@ -17,13 +17,6 @@
 //	ttcp -server -corba -shm -ior-file /tmp/sink.ior
 //	ttcp -corba -shm -ior "$(cat /tmp/sink.ior)" -size 1M -blocks 64
 //
-// Kernel zero-copy mode (docs/ZEROCOPY.md, Linux) keeps both streams
-// on TCP but sends large deposits with MSG_ZEROCOPY, releasing the
-// payload buffers only when the kernel's completions arrive:
-//
-//	ttcp -server -corba -kzc -ior-file /tmp/sink.ior
-//	ttcp -corba -kzc -ior "$(cat /tmp/sink.ior)" -size 1M -blocks 64
-//
 // Flags -stack copying emulates the standard (copying) kernel stack;
 // -zerocopy selects the zero-copy ORB path (direct deposit) in CORBA
 // mode (-shm implies it). Addresses everywhere accept scheme URIs
@@ -77,7 +70,6 @@ func main() {
 	zerocopy := flag.Bool("zerocopy", false, "CORBA mode: use the zero-copy ORB (direct deposit)")
 	shm := flag.Bool("shm", false, "CORBA mode: shared-memory data plane for co-located endpoints (implies -zerocopy)")
 	shmPath := flag.String("shm-path", "", "CORBA server: shm data-plane socket path (default under the temp dir)")
-	kzc := flag.Bool("kzc", false, "CORBA mode: kernel zero-copy data plane (MSG_ZEROCOPY + sendfile, Linux; implies -zerocopy)")
 	stack := flag.String("stack", "plain", "TCP stack model: plain (zero user-space copies) or copying (standard-stack emulation)")
 	addr := flag.String("addr", "127.0.0.1:5001", "socket mode: listen/connect address (tcp://, inproc://, shm:// accepted)")
 	iorStr := flag.String("ior", "", "CORBA client: stringified IOR of the sink")
@@ -99,10 +91,7 @@ func main() {
 	traceFile := flag.String("trace", "", "CORBA mode: write a replayable span log (NDJSON) to this file on exit")
 	debugAddr := flag.String("debug", "", "serve /metrics, /spans, /debug/vars and /debug/pprof on this address")
 	flag.Parse()
-	if *shm && *kzc {
-		fatal(fmt.Errorf("-shm and -kzc are mutually exclusive"))
-	}
-	if *shm || *kzc || *segs > 0 {
+	if *shm || *segs > 0 {
 		*zerocopy = true // these tiers are the zero-copy path by construction
 	}
 
@@ -149,15 +138,12 @@ func main() {
 
 	case *server && *corba:
 		dataAddr := ""
-		switch {
-		case *shm:
+		if *shm {
 			p := *shmPath
 			if p == "" {
 				p = filepath.Join(os.TempDir(), fmt.Sprintf("ttcp-shm-%d.sock", os.Getpid()))
 			}
 			dataAddr = "shm://" + p
-		case *kzc:
-			dataAddr = "kzc://127.0.0.1:0"
 		}
 		sink, err := ttcp.NewCorbaSinkConfig(ttcp.SinkConfig{
 			Transport:   tr,
@@ -186,7 +172,7 @@ func main() {
 			if err := os.WriteFile(*iorFile, []byte(ior), 0o644); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("ttcp: CORBA sink up (zerocopy=%v shm=%v kzc=%v engine=%v segs=%d), IOR written to %s\n", *zerocopy, *shm, *kzc, *engine, *segs, *iorFile)
+			fmt.Printf("ttcp: CORBA sink up (zerocopy=%v shm=%v engine=%v segs=%d), IOR written to %s\n", *zerocopy, *shm, *engine, *segs, *iorFile)
 		} else {
 			fmt.Println(ior)
 		}
@@ -244,8 +230,6 @@ func main() {
 				switch {
 				case *shm:
 					mode = ttcp.ModeShmCorba
-				case *kzc:
-					mode = ttcp.ModeKzcCorba
 				case *zerocopy:
 					mode = ttcp.ModeZCCorba
 				}
@@ -269,12 +253,6 @@ func main() {
 			fmt.Printf("ttcp: shm deposits=%d (%d bytes), claims=%d, misses=%d\n",
 				st.ShmDeposits.Load(), st.ShmDepositBytes.Load(),
 				st.ShmClaims.Load(), st.ShmMisses.Load())
-		}
-		if *kzc {
-			fmt.Printf("ttcp: kzc deposits=%d (%d bytes), completions=%d (copied=%d), kzc fallbacks=%d\n",
-				st.KzcDeposits.Load(), st.KzcDepositBytes.Load(),
-				st.KzcCompletions.Load(), st.KzcCopiedCompletions.Load(),
-				st.KzcFallbacks.Load())
 		}
 		if inj != nil {
 			fmt.Printf("ttcp: chaos faults fired=%d, retries=%d, timeouts=%d, data-chan fallbacks=%d\n",

@@ -90,10 +90,10 @@ func (f *fileStore) Invoke(op string, args []any) (any, []any, error) {
 			_ = fh.Close()
 			return nil, nil, &orb.SystemException{Name: "OBJECT_NOT_EXIST"}
 		}
-		// The open file itself becomes the deposit payload: on a kernel
-		// zero-copy data plane the ORB transmits it disk→wire with
-		// sendfile, so the body never enters this process's user space.
-		// The ORB closes the file after the reply is written.
+		// The open file itself becomes the deposit payload: on the tcp
+		// data plane the ORB transmits it disk→wire with sendfile, so
+		// the body never enters this process's user space. The ORB
+		// closes the file after the reply is written.
 		payload, err := zcbuf.WrapFile(fh, 0, st.Size())
 		if err != nil {
 			_ = fh.Close()
@@ -128,15 +128,8 @@ func main() {
 	}
 
 	// --- server: naming service + file store ------------------------------
-	// Prefer the kernel zero-copy data plane (sendfile for the file
-	// bodies); fall back to plain TCP where kzc is unsupported.
-	server, err := orb.New(orb.Options{
-		Transport: &transport.TCP{}, ZeroCopy: true,
-		DataListenAddr: "kzc://127.0.0.1:0",
-	})
-	if err != nil {
-		server, err = orb.New(orb.Options{Transport: &transport.TCP{}, ZeroCopy: true})
-	}
+	// The default data plane is tcp, which sends file bodies by sendfile.
+	server, err := orb.New(orb.Options{Transport: &transport.TCP{}, ZeroCopy: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -179,6 +172,7 @@ func main() {
 	}
 	fmt.Printf("client: remote directory: %v\n", listRes)
 
+	failed := false
 	for _, item := range listRes.([]any) {
 		name := item.(string)
 		szRes, _, err := store.Invoke(fileStoreIface.Ops["size"], []any{name})
@@ -197,6 +191,7 @@ func main() {
 		status := "OK"
 		if sum != sums[name] {
 			status = "CORRUPT"
+			failed = true
 		}
 		mbps := float64(buf.Len()) * 8 / elapsed.Seconds() / 1e6
 		fmt.Printf("client: read %-10s %9d bytes (size op said %d) sha256/8=%s %s  %7.0f Mbit/s, aligned=%v\n",
@@ -208,6 +203,15 @@ func main() {
 	fmt.Printf("\nclient ORB: %d deposits received (%d bytes), payload copies=%d\n",
 		st.DepositsReceived.Load(), st.DepositBytesRecv.Load(), st.PayloadCopies.Load())
 	sst := server.Stats()
-	fmt.Printf("server ORB: %d kernel-assist deposits (%d bytes via sendfile/MSG_ZEROCOPY)\n",
-		sst.KzcDeposits.Load(), sst.KzcDepositBytes.Load())
+	fmt.Printf("server ORB: %d deposits sent (%d bytes), payload copies=%d (%d bytes)\n",
+		sst.DepositsSent.Load(), sst.DepositBytesSent.Load(),
+		sst.PayloadCopies.Load(), sst.PayloadCopyBytes.Load())
+	// The file bodies went disk→wire: any server-side payload copy means
+	// the sendfile path was not taken.
+	if n := sst.PayloadCopyBytes.Load(); n != 0 {
+		log.Fatalf("server copied %d payload bytes; want 0 (sendfile)", n)
+	}
+	if failed {
+		log.Fatal("a file arrived corrupted")
+	}
 }

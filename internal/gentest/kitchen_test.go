@@ -329,7 +329,7 @@ func TestGeneratedFileIsCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stripWS(code), stripWS(committed)) {
-		t.Fatal("kitchen_gen.go is stale; rerun idlgen and gofmt")
+		t.Fatal("kitchen_gen.go is stale; rerun: make generate")
 	}
 }
 

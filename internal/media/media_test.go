@@ -222,7 +222,7 @@ func TestGeneratedFileIsCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(normalize(code), normalize(committed)) {
-		t.Fatal("media_gen.go is stale; rerun: go run ./cmd/idlgen -pkg media -o internal/media/media_gen.go internal/media/media.idl && gofmt -w internal/media/media_gen.go")
+		t.Fatal("media_gen.go is stale; rerun: make generate")
 	}
 }
 

@@ -458,6 +458,17 @@ func TestChaosReplicaFailover(t *testing.T) {
 	if inj.Fired() == 0 {
 		t.Fatal("fault injector never fired")
 	}
+	// Replication pushes are asynchronous: the rebind is acknowledged
+	// before it reaches the peers. Wait until both survivors hold it, so
+	// the kill below tests failover rather than a write lost with its
+	// only holder.
+	for _, n := range nodes[1:] {
+		cn := clientFor(t, n.addr)
+		waitFor(t, 3*time.Second, func() bool {
+			_, err := cn.Resolve("svc/worker")
+			return err == nil
+		}, "svc/worker replicated before the kill")
+	}
 
 	// Hard-kill the replica the client is pinned to.
 	nodes[0].orb.Shutdown()

@@ -2,7 +2,6 @@ package orb
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -360,15 +359,6 @@ func (r *ObjectRef) doneCall(op *Operation, result any, outs []any, err error,
 // GIOP service context so the server's spans join the same trace.
 func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	tc trace.Context, attempt uint16) *Call {
-	return r.startCtxG(ctx, op, args, tc, attempt, nil)
-}
-
-// startCtxG is startCtx with an optional gather-completion ledger
-// attached (orb.SendBuffers): deposit segments carry g so the data
-// plane can report per-buffer completion; the terminal outcome is
-// reported by the SendBuffers caller via g.finish.
-func (r *ObjectRef) startCtxG(ctx context.Context, op *Operation, args []any,
-	tc trace.Context, attempt uint16, g *gatherState) *Call {
 	o := r.orb
 	start := int64(0)
 	if tc.Valid() {
@@ -440,7 +430,7 @@ func (r *ObjectRef) startCtxG(ctx context.Context, op *Operation, args []any,
 		Operation:        op.Name,
 		Principal:        []byte{},
 	}
-	var deposits []depositSeg
+	var deposits []transport.Segment
 	skipZC := false
 	if useZC {
 		var sizes []uint32
@@ -453,12 +443,6 @@ func (r *ObjectRef) startCtxG(ctx context.Context, op *Operation, args []any,
 		// protocol forbids zero-length deposit blocks): the whole call
 		// takes the marshaled path, keeping the empty announcement.
 		skipZC = zcOK
-		if g != nil {
-			for i := range deposits {
-				deposits[i].idx = i
-				deposits[i].g = g
-			}
-		}
 		// Announce the data channel on every request (even with no ZC
 		// parameters) so the server can deposit zero-copy replies.
 		req.ServiceContexts = append(req.ServiceContexts, giop.DepositInfo{
@@ -498,9 +482,6 @@ func (r *ObjectRef) startCtxG(ctx context.Context, op *Operation, args []any,
 		cdr.PutEncoder(e)
 		var dw *errDataWrite
 		if asErr(err, &dw) && c.healthy() {
-			if errors.Is(err, transport.ErrZeroCopyUnavailable) {
-				o.stats.KzcFallbacks.Add(1)
-			}
 			// Only the deposit write failed; the control stream already
 			// carried the request (the server's deposit read will fail
 			// fast once the channel closes, and its TRANSIENT reply to
@@ -520,7 +501,7 @@ func (r *ObjectRef) startCtxG(ctx context.Context, op *Operation, args []any,
 			if ch != nil {
 				r.dropAbandoned(c, req.RequestID, ch)
 			}
-			return r.startCtxG(ctx, op, args, tc, attempt, g)
+			return r.startCtx(ctx, op, args, tc, attempt)
 		}
 		if ch != nil {
 			c.unregister(req.RequestID)

@@ -29,8 +29,9 @@ import (
 //
 // A deposit is a train of segments, on every plane: the payloads of one
 // message leave through writeDepositsLocked in one call to the data
-// plane, and a single-buffer deposit is a train of one. What the plane
-// can do beyond transport.Conn is discovered once, in setData.
+// plane, and a single-buffer deposit is a train of one. No plane keeps
+// a reference to a segment once that call returns. What the plane can
+// do on the receive side is discovered once, in setData.
 //
 // The pending-reply table is striped across pendingShards independent
 // locks so concurrent invokers sharing the connection do not serialize
@@ -47,10 +48,8 @@ type conn struct {
 	// stays usable: the graceful-degradation state in which deposits
 	// fall back to the standard marshaled path (docs/FAULTS.md).
 	dataDown atomic.Bool
-	// dep and direct are the data channel's optional capabilities,
-	// discovered once by setData: by-reference sends (kzc) and ring-view
-	// claims (shm). Both nil on plain channels.
-	dep    transport.Depositor
+	// direct is the data channel's ring-view claim capability (shm),
+	// discovered once by setData; nil on stream channels.
 	direct transport.DirectReader
 	// onLeaseExpire is the deposit-lease expiry hook, built once so
 	// granting a lease does not allocate a closure per transfer.
@@ -61,9 +60,7 @@ type conn struct {
 	// and gather segment list keeps steady-state sends allocation-free.
 	hdrBuf [giop.HeaderSize]byte
 	segs   [2][]byte
-	// Deposit train scratch (guarded by sendMu): typed segments for a
-	// Depositor plane, bare byte slices for the WriteGather floor.
-	train []transport.Segment
+	// dsegs is the byte-only deposit train scratch (guarded by sendMu).
 	dsegs [][]byte
 
 	// rhdr is the header read scratch, owned by the read loop.
@@ -356,7 +353,7 @@ func (e *errTooLarge) Error() string {
 // the send mutex so control and data streams stay ordered. Request and
 // Reply bodies larger than the ORB's fragment threshold are split into
 // GIOP 1.1-style Fragment messages.
-func (c *conn) sendMessage(t giop.MsgType, body []byte, deposits []depositSeg) error {
+func (c *conn) sendMessage(t giop.MsgType, body []byte, deposits []transport.Segment) error {
 	return c.send(t, body, deposits, trace.Context{}, "", 0)
 }
 
@@ -377,7 +374,7 @@ func (c *conn) traceCtx(scs []giop.ServiceContext) trace.Context {
 // control write is recorded as a span of the given kind (control_send
 // client-side, reply_send server-side) and the deposit write as a
 // deposit_send span, both parented on tc's span.
-func (c *conn) send(t giop.MsgType, body []byte, deposits []depositSeg,
+func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 	tc trace.Context, op string, kind trace.Kind) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -425,20 +422,17 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []depositSeg,
 		if tc.Valid() {
 			t0 = trace.Now()
 		}
-		n, kzcUsed, err := c.writeDepositsLocked(deposits)
+		n, err := c.writeDepositsLocked(deposits)
 		if err != nil {
 			return &errDataWrite{err: err}
 		}
 		c.orb.stats.DepositsSent.Add(1)
 		c.orb.stats.DepositBytesSent.Add(n)
 		kind := trace.KindDepositSend
-		switch {
-		case c.direct != nil:
+		if c.direct != nil {
 			kind = trace.KindShmDeposit
 			c.orb.stats.ShmDeposits.Add(1)
 			c.orb.stats.ShmDepositBytes.Add(n)
-		case kzcUsed:
-			kind = trace.KindKzcDeposit
 		}
 		if len(deposits) >= 2 {
 			// A multi-segment train: one data-plane batch carried N
@@ -465,146 +459,33 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []depositSeg,
 }
 
 // writeDepositsLocked is the one deposit send (sendMu held): every
-// train, of one segment or thirty-two, on every plane. A plane that can
-// hold references (transport.Depositor) gets the train as typed
-// segments in a single Deposit call: file regions stay on disk, and
-// each pooled buffer the plane will send by reference is leased first,
-// so its pages stay pinned until the plane's done callback settles the
-// lease — release-on-completion, not on write-return — with the lease
-// sweeper as the backstop when a completion is lost or slower than the
-// TTL. Expiry runs onLeaseExpire (markDataDown → data.Close) BEFORE
-// the sweeper releases the buffer, and the kzc transport turns that
-// close into an abort (RST) while completions are outstanding, purging
-// the send queue so the kernel holds no reference to the pages by the
-// time they return to the pool. Without leases (TTL <= 0) nothing is
-// sent by reference. A plane that declines with
-// transport.ErrZeroCopyUnavailable wrote nothing; the caller's
-// errDataWrite handling turns that into the marshaled-path fallback.
-//
-// Every other plane gets the segments' bytes in one gather write, file
-// regions lifted into user space first (a payload copy, counted as
-// one). kzc reports whether any kernel-assist path was taken.
-func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, err error) {
-	o := c.orb
-	dp := c.dep
-	var th int
-	var ttl time.Duration
-	if dp != nil {
-		th, ttl = dp.Threshold(), o.leaseTTL()
-	}
-	var tl *trainLeases
-	var done func(copied bool)
-	var exp time.Time
-	var ksegs, kbytes int64
-	for i := 0; i < len(deposits) && err == nil; i++ {
-		seg := &deposits[i]
-		s := transport.Segment{B: seg.b, Pinned: seg.buf != nil && ttl > 0}
-		switch {
-		case seg.file != nil && dp != nil:
-			s = transport.Segment{File: seg.file.OS(), Off: seg.file.Offset(), N: seg.file.Len()}
-			ksegs, kbytes = ksegs+1, kbytes+s.N
-		case seg.file != nil:
-			if s.B, err = seg.file.Bytes(); err == nil {
-				o.stats.PayloadCopies.Add(1)
-				o.stats.PayloadCopyBytes.Add(int64(len(s.B)))
-			}
-		case s.ByRef(th):
-			if tl == nil {
-				tl = newTrainLeases(o)
-				done, exp = tl.done, time.Now().Add(ttl)
-			}
-			tl.lids = append(tl.lids,
-				o.leases.GrantNotify(seg.buf, exp, c.onLeaseExpire, segNotify(seg)))
-			ksegs, kbytes = ksegs+1, kbytes+int64(len(s.B))
-		}
-		if dp != nil {
-			c.train = append(c.train, s)
-		} else {
-			c.dsegs = append(c.dsegs, s.B)
+// train, of one segment or thirty-two, on every plane, in one call to
+// the data plane. A byte-only train is one gather write. A train with
+// file regions goes through transport.WriteTrain, which sends them by
+// sendfile on tcp and reads them into memory everywhere else — a
+// payload copy, counted as one per region.
+func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) {
+	files := 0
+	for i := range deposits {
+		if deposits[i].File != nil {
+			files++
 		}
 	}
-	switch {
-	case err != nil: // a file region could not be read; nothing was sent
-	case dp == nil:
-		n, err = c.data.WriteGather(c.dsegs...)
-	default:
-		n, err = dp.Deposit(c.train, done)
+	if files > 0 {
+		n, copied, err := transport.WriteTrain(c.data, deposits)
+		if copied > 0 {
+			c.orb.stats.PayloadCopies.Add(int64(files))
+			c.orb.stats.PayloadCopyBytes.Add(copied)
+		}
+		return n, err
 	}
-	clear(c.train)
+	for i := range deposits {
+		c.dsegs = append(c.dsegs, deposits[i].B)
+	}
+	n, err := c.data.WriteGather(c.dsegs...)
 	clear(c.dsegs)
-	c.train, c.dsegs = c.train[:0], c.dsegs[:0]
-	if err == nil {
-		o.stats.KzcDeposits.Add(ksegs)
-		o.stats.KzcDepositBytes.Add(kbytes)
-	} else if tl != nil && errors.Is(err, transport.ErrZeroCopyUnavailable) {
-		// Nothing was written and done will never fire: drop the leases
-		// here and let the caller degrade to the marshaled path.
-		tl.settle(false, false)
-	}
-	return n, ksegs > 0, err
-}
-
-// trainLeases holds the leases pinning one train's by-reference
-// segments until the plane's done callback settles them. Pooled, with
-// done bound once, so a steady-state train allocates nothing for its
-// completion.
-type trainLeases struct {
-	o    *ORB
-	lids []zcbuf.LeaseID
-	done func(copied bool)
-}
-
-var trainLeasesPool sync.Pool
-
-func newTrainLeases(o *ORB) *trainLeases {
-	t, _ := trainLeasesPool.Get().(*trainLeases)
-	if t == nil {
-		t = new(trainLeases)
-		t.done = func(copied bool) { t.settle(true, copied) }
-	}
-	t.o = o
-	return t
-}
-
-// settle releases the train's leases — completed says whether a kernel
-// completion (rather than a declined send) is doing so — and recycles
-// t. A lease the sweeper already expired is not a completion.
-func (t *trainLeases) settle(completed, copied bool) {
-	o := t.o
-	for _, lid := range t.lids {
-		if o.leases.Settle(lid) && completed {
-			o.stats.KzcCompletions.Add(1)
-			if copied {
-				o.stats.KzcCopiedCompletions.Add(1)
-			}
-		}
-	}
-	t.o, t.lids = nil, t.lids[:0]
-	trainLeasesPool.Put(t)
-}
-
-// errCompletionExpired is the per-buffer completion outcome when the
-// lease sweeper reclaimed a deposit buffer before its zero-copy
-// completion arrived (the transfer stalled or aborted).
-var errCompletionExpired = errors.New("orb: deposit lease expired before zero-copy completion")
-
-// segNotify builds the lease-release notification of a SendBuffers
-// segment sent by reference: the gather ledger's asyncDone, which
-// drives the per-buffer completion callback. Ordinary invokes need
-// none (GrantNotify accepts a nil notify).
-func segNotify(seg *depositSeg) func(expired bool) {
-	if seg.g == nil {
-		return nil
-	}
-	g, idx := seg.g, seg.idx
-	g.markAsync(idx)
-	return func(expired bool) {
-		var err error
-		if expired {
-			err = errCompletionExpired
-		}
-		g.asyncDone(idx, err)
-	}
+	c.dsegs = c.dsegs[:0]
+	return n, err
 }
 
 // sendFragmented emits body as an initial message plus Fragment
@@ -704,10 +585,9 @@ func (c *conn) readMessage() (giop.Header, []byte, error) {
 }
 
 // setData installs dc as the connection's data channel and discovers —
-// here and nowhere else — what the plane can do beyond transport.Conn.
+// here and nowhere else — whether it can claim deposits in place.
 func (c *conn) setData(dc transport.Conn, token uint64) {
 	c.data, c.dataToken = dc, token
-	c.dep, _ = dc.(transport.Depositor)
 	c.direct, _ = dc.(transport.DirectReader)
 }
 

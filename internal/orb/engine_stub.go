@@ -7,7 +7,7 @@ import "errors"
 // engine is the event-driven connection tier (engine_linux.go). On
 // platforms without epoll it never constructs: Options.Engine degrades
 // to the goroutine-per-connection loop, the same stub discipline the
-// shm and kzc transports use.
+// shm transport uses.
 type engine struct{}
 
 func newEngine(*ORB) (*engine, error) {

@@ -3,7 +3,6 @@
 package orb
 
 import (
-	"errors"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -11,87 +10,6 @@ import (
 	"zcorba/internal/transport"
 	"zcorba/internal/zcbuf"
 )
-
-// TestSendBuffersKzcGather sends an 8-segment train through the
-// kernel zero-copy plane: one vectored MSG_ZEROCOPY sendmsg covers
-// every segment (one transport write), one kernel completion settles
-// all eight leases, and each buffer's callback fires when its pages
-// are released.
-func TestSendBuffersKzcGather(t *testing.T) {
-	st := &transport.Stats{}
-	p := kzcPair(t, &transport.KZC{Threshold: 4096, Stats: st}, nil)
-	cs := p.client.Stats()
-	var pl zcbuf.Pool
-
-	// Warm: channel promotion and token registration write on the
-	// first call; measure the steady-state second call as deltas.
-	warm, _ := gatherBufs(t, &pl, 8, 32<<10)
-	if _, _, err := p.ref.Invoke(storeIface.Ops["put8"], toAnys(warm)); err != nil {
-		t.Fatalf("warm put8: %v", err)
-	}
-	releaseBufs(warm)
-	kzc0 := cs.KzcDeposits.Load()
-	waitFor(t, "warm completions", func() bool {
-		return cs.KzcCompletions.Load() >= kzc0
-	})
-	before := st.Snapshot()
-	comp0, kcomp0 := cs.GatherCompletions.Load(), cs.KzcCompletions.Load()
-
-	bufs, want := gatherBufs(t, &pl, 8, 32<<10)
-	defer releaseBufs(bufs)
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put8"], bufs, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	res, _, err := call.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if res.(uint32) != want {
-		t.Fatal("checksum mismatch")
-	}
-	waitFor(t, "per-buffer completions", func() bool {
-		return cs.GatherCompletions.Load() == comp0+8
-	})
-	for i, e := range log.assertOnce(t, 8) {
-		if e != nil {
-			t.Fatalf("buffer %d completion error: %v", i, e)
-		}
-	}
-	if got := cs.KzcDeposits.Load() - kzc0; got != 8 {
-		t.Fatalf("KzcDeposits per train = %d, want 8", got)
-	}
-	waitFor(t, "kzc completions", func() bool {
-		return cs.KzcCompletions.Load() == kcomp0+8
-	})
-	if got := cs.GatherDeposits.Load(); got != 2 {
-		t.Fatalf("GatherDeposits = %d, want 2", got)
-	}
-	if got := cs.GatherSegments.Load(); got != 16 {
-		t.Fatalf("GatherSegments = %d, want 16", got)
-	}
-	// The whole train rode one vectored zero-copy send on the data
-	// plane (the kzc transport counts one write per gather call).
-	if got := st.Snapshot().Writes - before.Writes; got != 1 {
-		t.Fatalf("data-plane writes per train = %d, want 1", got)
-	}
-	waitFor(t, "lease settlement", func() bool {
-		return p.client.leases.Pending() == 0
-	})
-	if got := p.server.Stats().GatherScatters.Load(); got != 2 {
-		t.Fatalf("server GatherScatters = %d, want 2", got)
-	}
-}
-
-// toAnys widens a buffer list into an Invoke argument list.
-func toAnys(bufs []*zcbuf.Buffer) []any {
-	out := make([]any, len(bufs))
-	for i, b := range bufs {
-		out[i] = b
-	}
-	return out
-}
 
 // TestSendBuffersShmGather sends a 4-segment train through the
 // shared-memory ring: one ring reservation publishes all four records
@@ -285,11 +203,8 @@ func testWriteGuardOnPair(t *testing.T, p *pair) {
 	if res.(uint32) != want {
 		t.Fatal("payload corrupted despite the write guard")
 	}
-	// Wait for both completions (kzc fires them asynchronously), then
-	// the guard must be lifted: stores land again.
-	waitFor(t, "guarded completions", func() bool {
-		return p.client.Stats().GatherCompletions.Load() >= 2
-	})
+	// Both completions fired before SendBuffers returned, so the guard
+	// is lifted: stores land again.
 	for i, e := range log.assertOnce(t, 2) {
 		if e != nil {
 			t.Fatalf("buffer %d completion error: %v", i, e)
@@ -312,80 +227,6 @@ func TestSendBuffersWriteGuardTCP(t *testing.T) {
 		Options{ZeroCopy: true},
 		Options{ZeroCopy: true, CallTimeout: 5 * time.Second})
 	testWriteGuardOnPair(t, p)
-}
-
-// TestSendBuffersWriteGuardKzc: the guard regression on the kernel
-// zero-copy plane (the vectored MSG_ZEROCOPY send is stalled).
-func TestSendBuffersWriteGuardKzc(t *testing.T) {
-	inj := transport.NewFaultInjector(22).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassKzc,
-		Kind: transport.FaultStall, Nth: 1, Delay: 400 * time.Millisecond,
-	})
-	p := kzcPair(t, &transport.KZC{Threshold: 4096, Faults: inj},
-		func(o *Options) { o.CallTimeout = 5 * time.Second })
-	testWriteGuardOnPair(t, p)
-}
-
-// TestSendBuffersWriteGuardKzcDroppedCompletion: the window the guard
-// protects lasts as long as the kernel may hold the pages, not as long
-// as the call. Here the completion is dropped, so after the invocation
-// has returned the buffer is still leased and a store must still
-// fault; lease expiry then ends the window — the callback reports
-// errCompletionExpired and the buffer is writable again.
-func TestSendBuffersWriteGuardKzcDroppedCompletion(t *testing.T) {
-	inj := transport.NewFaultInjector(404).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassKzc,
-		Kind: transport.FaultDropCompletion, Nth: 1,
-	})
-	p := kzcPair(t, &transport.KZC{Threshold: 4096, Faults: inj}, func(o *Options) {
-		o.DepositLeaseTTL = 500 * time.Millisecond
-		o.CallTimeout = 5 * time.Second
-	})
-	var pl zcbuf.Pool
-	bufs, want := gatherBufs(t, &pl, 1, 64<<10)
-	defer releaseBufs(bufs)
-	orig := bufs[0].Bytes()[0]
-	r, err := zcbuf.Register(bufs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.EnableWriteGuard(); err != nil {
-		t.Fatalf("EnableWriteGuard: %v", err)
-	}
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put"], bufs, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	res, _, err := call.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if res.(uint32) != want {
-		t.Fatal("checksum mismatch")
-	}
-	// Scribbling on the buffer now is exactly the bug the guard exists
-	// to catch: the send returned, the kernel's reference did not.
-	if !storeFaults(bufs[0].Bytes()) {
-		t.Fatal("store into a still-leased buffer did not fault")
-	}
-	if bufs[0].Bytes()[0] != orig {
-		t.Fatal("the faulting store landed in a guarded buffer")
-	}
-	waitFor(t, "lease expiry to complete the buffer", func() bool {
-		return p.client.Stats().GatherCompletions.Load() >= 1
-	})
-	if e := log.assertOnce(t, 1)[0]; !errors.Is(e, errCompletionExpired) {
-		t.Fatalf("completion error = %v, want errCompletionExpired", e)
-	}
-	if n := p.client.leases.Pending(); n != 0 {
-		t.Fatalf("leases outstanding after expiry: %d", n)
-	}
-	bufs[0].Bytes()[0] = orig ^ 0xFF
-	if bufs[0].Bytes()[0] != orig^0xFF {
-		t.Fatal("buffer not writable after lease expiry")
-	}
 }
 
 // TestSendBuffersWriteGuardShm: the guard regression on the

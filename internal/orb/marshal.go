@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zcorba/internal/cdr"
+	"zcorba/internal/transport"
 	"zcorba/internal/typecode"
 	"zcorba/internal/zcbuf"
 )
@@ -35,25 +36,6 @@ func bulkBytes(v any) ([]byte, bool) {
 	}
 }
 
-// depositSeg is one segment of a deposit train, as the marshal split
-// collected it: plain bytes, a pooled buffer, or a file region. buf is
-// set for pooled buffers — the segments conn.writeDepositsLocked may
-// lease and hand to a reference-holding plane as pinned; file is set
-// for file-backed payloads. b always carries the bytes, except for
-// file segments, which stay on disk unless the plane has no sendfile
-// and the region must be materialized.
-type depositSeg struct {
-	b    []byte
-	buf  *zcbuf.Buffer
-	file *zcbuf.File
-	// idx/g carry the per-buffer completion plumbing of SendBuffers:
-	// g.complete(idx, err) fires the application callback exactly once
-	// when this segment's bytes are safe to reuse. Both are zero for
-	// ordinary invokes.
-	idx int
-	g   *gatherState
-}
-
 // collectDeposits gathers the payload segments for every ZC octet
 // stream among vals — by reference, never copying (the marshaling
 // bypass of §4.4). It performs no CDR work at all; file-backed
@@ -61,7 +43,7 @@ type depositSeg struct {
 // deposit-eligible: a zero-length ZC value returns ok=false (segs and
 // sizes nil), because the wire protocol forbids zero-length deposit
 // blocks — the caller must marshal the whole call instead.
-func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []depositSeg, sizes []uint32, ok bool, err error) {
+func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []transport.Segment, sizes []uint32, ok bool, err error) {
 	nzc := 0
 	for _, tc := range types {
 		if tc.IsZCOctetSeq() {
@@ -71,7 +53,7 @@ func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []depositSeg,
 	if nzc == 0 {
 		return nil, nil, true, nil
 	}
-	segs = make([]depositSeg, 0, nzc)
+	segs = make([]transport.Segment, 0, nzc)
 	sizes = make([]uint32, 0, nzc)
 	for i, tc := range types {
 		if !tc.IsZCOctetSeq() {
@@ -79,13 +61,13 @@ func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []depositSeg,
 		}
 		switch x := vals[i].(type) {
 		case *zcbuf.Buffer:
-			segs = append(segs, depositSeg{b: x.Bytes(), buf: x})
+			segs = append(segs, transport.Segment{B: x.Bytes()})
 			sizes = append(sizes, uint32(x.Len()))
 		case []byte:
-			segs = append(segs, depositSeg{b: x})
+			segs = append(segs, transport.Segment{B: x})
 			sizes = append(sizes, uint32(len(x)))
 		case *zcbuf.File:
-			segs = append(segs, depositSeg{file: x})
+			segs = append(segs, transport.Segment{File: x.OS(), Off: x.Offset(), N: x.Len()})
 			sizes = append(sizes, uint32(x.Len()))
 		default:
 			return nil, nil, false, fmt.Errorf("orb: parameter %d: %T is not a ZC octet stream", i, vals[i])
@@ -98,14 +80,10 @@ func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []depositSeg,
 }
 
 // depositBytes totals the payload bytes of a deposit list.
-func depositBytes(segs []depositSeg) int {
+func depositBytes(segs []transport.Segment) int {
 	n := 0
 	for i := range segs {
-		if segs[i].file != nil {
-			n += int(segs[i].file.Len())
-		} else {
-			n += len(segs[i].b)
-		}
+		n += int(segs[i].Len())
 	}
 	return n
 }

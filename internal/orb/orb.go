@@ -325,22 +325,6 @@ type Stats struct {
 	// client could not use (host or architecture mismatch, or shared
 	// memory unsupported on this platform).
 	ShmMisses atomic.Int64
-	// KzcDeposits/KzcDepositBytes count payloads sent through a
-	// kernel-assist path (MSG_ZEROCOPY or sendfile) on the data
-	// channel — the subset of DepositsSent whose bytes the ORB never
-	// copied into the socket.
-	KzcDeposits     atomic.Int64
-	KzcDepositBytes atomic.Int64
-	// KzcCompletions counts MSG_ZEROCOPY completions reaped from the
-	// error queue (each settles a deposit lease);
-	// KzcCopiedCompletions is the subset the kernel reported as
-	// copied-after-all (loopback, or a NIC without scatter-gather).
-	KzcCompletions       atomic.Int64
-	KzcCopiedCompletions atomic.Int64
-	// KzcFallbacks counts invocations that degraded from the kernel
-	// zero-copy path to the standard marshaled path (SO_ZEROCOPY
-	// unsupported, or the connection gave up after a copied streak).
-	KzcFallbacks atomic.Int64
 	// GatherDeposits counts multi-segment deposit trains (two or more
 	// payload blocks coalesced into one data-plane batch);
 	// GatherSegments counts the segments inside them and
@@ -793,11 +777,6 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"shm_deposit_bytes_total", "Bytes deposited through the shared-memory plane.", &s.ShmDepositBytes},
 		{"shm_claims_total", "Zero-copy shared-memory claims on the receive side.", &s.ShmClaims},
 		{"shm_misses_total", "ZC-SHM profiles unusable by this client.", &s.ShmMisses},
-		{"kzc_deposits_total", "Payloads sent through a kernel-assist path.", &s.KzcDeposits},
-		{"kzc_deposit_bytes_total", "Bytes sent through a kernel-assist path.", &s.KzcDepositBytes},
-		{"kzc_completions_total", "MSG_ZEROCOPY completions reaped from the error queue.", &s.KzcCompletions},
-		{"kzc_copied_completions_total", "Zero-copy completions the kernel reported as copied.", &s.KzcCopiedCompletions},
-		{"kzc_fallbacks_total", "Invocations degraded from kernel zero-copy to the marshaled path.", &s.KzcFallbacks},
 		{"gather_deposits_total", "Multi-segment deposit trains sent.", &s.GatherDeposits},
 		{"gather_segments_total", "Segments inside multi-segment deposit trains.", &s.GatherSegments},
 		{"payload_gather_bytes_total", "Bytes sent inside multi-segment deposit trains.", &s.PayloadGatherBytes},
@@ -911,14 +890,6 @@ func (o *ORB) refForLocked(key, repoID string) *ObjectRef {
 			// everyone else falls back to standard marshaling.
 			comps = append(comps, ior.ZCShm{
 				Arch: o.arch, HostID: o.hostID, Path: addr,
-			}.Encode())
-		} else if strings.HasPrefix(addr, "kzc://") {
-			// Kernel zero-copy data plane: the full kzc:// address rides
-			// in the host slot (port 0), so dialAddr hands it back intact
-			// and dialData picks the kzc transport from the scheme — no
-			// wire-format change, mirroring the shm:// fold.
-			comps = append(comps, ior.ZCDeposit{
-				Arch: o.arch, Host: addr, Port: 0,
 			}.Encode())
 		} else {
 			comps = append(comps, ior.ZCDeposit{
@@ -1183,6 +1154,14 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 	}
 
 	o.mu.Lock()
+	if o.closed {
+		// Shutdown ran while this dial was in flight and has already
+		// snapshotted the connections it closes; registering c now would
+		// leave its reader running and Shutdown waiting on it forever.
+		o.mu.Unlock()
+		c.close(fmt.Errorf("orb: shut down"))
+		return nil, fmt.Errorf("orb: shut down")
+	}
 	if exist, ok := o.clientConns[key]; ok {
 		// Lost a race; keep the established one.
 		o.mu.Unlock()

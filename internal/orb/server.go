@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"errors"
 	"time"
 
 	"zcorba/internal/cdr"
@@ -184,7 +183,7 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 	rep := giop.ReplyHeader{RequestID: req.RequestID, Status: giop.ReplyNoException}
 	useZC := c.usableData()
 
-	var deposits []depositSeg
+	var deposits []transport.Segment
 	skipZC := false
 	if useZC {
 		var sizes []uint32
@@ -226,9 +225,6 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 			// but keep the connection: the client's deposit read fails
 			// fast (its TRANSIENT error drives the retry), and future
 			// replies marshal standard.
-			if errors.Is(err, transport.ErrZeroCopyUnavailable) {
-				o.stats.KzcFallbacks.Add(1)
-			}
 			c.markDataDown()
 			o.logf("orb: reply deposit write failed, degrading: %v", err)
 		} else {

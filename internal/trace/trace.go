@@ -69,9 +69,6 @@ const (
 	// ring; KindShmClaim the matching zero-copy claim on the receiver.
 	KindShmDeposit
 	KindShmClaim
-	// KindKzcDeposit covers one deposit transfer that used a
-	// kernel-assist path (MSG_ZEROCOPY or sendfile).
-	KindKzcDeposit
 	// KindShed marks one request rejected by server admission control
 	// (TRANSIENT shed) instead of being dispatched.
 	KindShed
@@ -89,7 +86,7 @@ const (
 var kindNames = [numKinds]string{
 	"invoke", "marshal", "control_send", "deposit_send", "deposit_recv",
 	"unmarshal", "dispatch", "reply_send", "retry", "fallback", "lease",
-	"frame", "shm.deposit", "shm.claim", "kzc.deposit", "shed", "failover",
+	"frame", "shm.deposit", "shm.claim", "shed", "failover",
 	"gather_send",
 }
 

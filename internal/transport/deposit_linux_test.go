@@ -8,33 +8,23 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // The send-side deposit contract, checked once for every data plane:
-// the same trains travel over tcp, inproc, shm and kzc, through the
-// plane's Depositor when it has one and over the WriteGather floor
-// when it does not.
+// the same trains travel over tcp, inproc and shm through WriteTrain.
+// tcp sends file regions with sendfile; the others read them into
+// memory first and report the copy.
 
-// depositOn sends train on c the way the ORB does.
-func depositOn(c Conn, train []Segment, done func(copied bool)) (int64, error) {
-	if dp, ok := c.(Depositor); ok {
-		return dp.Deposit(train, done)
+// promoteData walks a pair through the ZCDC promotion handshake.
+func promoteData(t *testing.T, cli, srv Conn) {
+	t.Helper()
+	if _, err := cli.Write(preamble(0)); err != nil {
+		t.Fatalf("preamble: %v", err)
 	}
-	segs := make([][]byte, len(train))
-	for i := range train {
-		s := &train[i]
-		segs[i] = s.B
-		if s.File != nil {
-			segs[i] = make([]byte, s.N)
-			if _, err := s.File.ReadAt(segs[i], s.Off); err != nil {
-				return 0, err
-			}
-		}
+	if _, err := io.ReadFull(srv, make([]byte, 12)); err != nil {
+		t.Fatalf("server preamble: %v", err)
 	}
-	return c.WriteGather(segs...)
 }
 
 // trainBytes is what the receiver must see: the segments in train order.
@@ -64,51 +54,56 @@ func fill(n int, seed byte) []byte {
 	return b
 }
 
-func TestDepositContract(t *testing.T) {
-	const th = 4096
+// regionFile writes n patterned bytes to a fresh file and opens it.
+func regionFile(t *testing.T, n int) *os.File {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "region.bin")
-	if err := os.WriteFile(path, fill(256<<10, 0x5A), 0o644); err != nil {
+	if err := os.WriteFile(path, fill(n, 0x5A), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	t.Cleanup(func() { f.Close() })
+	return f
+}
 
+func TestDepositContract(t *testing.T) {
+	f := regionFile(t, 256<<10)
 	trains := []struct {
-		name  string
-		train []Segment
+		name   string
+		train  []Segment
+		writes int64 // tcp writes: one per byte run, one per file region
 	}{
-		{"one", []Segment{{B: fill(64<<10, 1), Pinned: true}}},
+		{"one", []Segment{{B: fill(64<<10, 1)}}, 1},
 		{"many", []Segment{
-			{B: fill(64<<10, 2), Pinned: true},
-			{B: fill(16<<10, 3), Pinned: true},
-			{B: fill(8<<10, 4), Pinned: true},
-		}},
+			{B: fill(64<<10, 2)},
+			{B: fill(16<<10, 3)},
+			{B: fill(8<<10, 4)},
+		}, 1},
 		{"mixed", []Segment{
 			{B: fill(100, 5)},
-			{B: fill(64<<10, 6), Pinned: true},
 			{File: f, Off: 4096, N: 100_000},
-			{B: fill(1<<10, 7), Pinned: true}, // below the threshold
-			{B: fill(32<<10, 8), Pinned: true},
-		}},
-		{"no-reference", []Segment{
-			{B: fill(300, 9)},
-			{B: fill(1<<10, 10), Pinned: true},
+			{B: fill(32<<10, 6)},
+		}, 3},
+		{"file-last", []Segment{
+			{B: fill(300, 7)},
+			{B: fill(1<<10, 8)},
 			{File: f, N: 50_000},
-		}},
+		}, 2},
 	}
 	planes := []struct {
-		name    string
-		pair    func(t *testing.T) (Conn, Conn)
-		promote bool
-		refs    bool // the plane is a Depositor
+		name     string
+		pair     func(t *testing.T) (Conn, Conn)
+		promote  bool
+		sendfile bool
 	}{
-		{"tcp", func(t *testing.T) (Conn, Conn) { return connPair(t, &TCP{}, "127.0.0.1:0") }, false, false},
+		{"tcp", func(t *testing.T) (Conn, Conn) {
+			return connPair(t, &TCP{Stats: &Stats{}}, "127.0.0.1:0")
+		}, false, true},
 		{"inproc", func(t *testing.T) (Conn, Conn) { return connPair(t, &InProc{}, "") }, false, false},
 		{"shm", func(t *testing.T) (Conn, Conn) { return connPair(t, &SHM{}, "") }, true, false},
-		{"kzc", func(t *testing.T) (Conn, Conn) { return connPair(t, &KZC{Threshold: th}, "") }, true, true},
 	}
 	for _, pl := range planes {
 		for _, tn := range trains {
@@ -117,20 +112,26 @@ func TestDepositContract(t *testing.T) {
 				if pl.promote {
 					promoteData(t, cli, srv)
 				}
-				if _, ok := cli.(Depositor); ok != pl.refs {
-					t.Fatalf("Depositor implemented = %v, want %v", ok, pl.refs)
-				}
 				want := trainBytes(t, tn.train)
+				var wantFile int64
+				for i := range tn.train {
+					if tn.train[i].File != nil {
+						wantFile += tn.train[i].N
+					}
+				}
 				got := make([]byte, len(want))
 				rdone := make(chan error, 1)
 				go func() {
 					_, err := io.ReadFull(srv, got)
 					rdone <- err
 				}()
-				var fired atomic.Int32
-				n, err := depositOn(cli, tn.train, func(bool) { fired.Add(1) })
+				var before StatsSnapshot
+				if tc, ok := cli.(*tcpConn); ok {
+					before = tc.stats.Snapshot()
+				}
+				n, copied, err := WriteTrain(cli, tn.train)
 				if err != nil || n != int64(len(want)) {
-					t.Fatalf("deposit: n=%d err=%v, want %d bytes", n, err, len(want))
+					t.Fatalf("WriteTrain: n=%d err=%v, want %d bytes", n, err, len(want))
 				}
 				if err := <-rdone; err != nil {
 					t.Fatalf("read: %v", err)
@@ -138,65 +139,58 @@ func TestDepositContract(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatal("bytes did not arrive in train order")
 				}
-				// done fires exactly once iff the plane took a reference.
-				wantFired := int32(0)
-				for i := range tn.train {
-					if pl.refs && tn.train[i].ByRef(th) {
-						wantFired = 1
+				if !pl.sendfile {
+					if copied != wantFile {
+						t.Fatalf("copied=%d, want the %d file-region bytes", copied, wantFile)
 					}
+					return
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for fired.Load() < wantFired && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
+				// File regions never enter user space on tcp: no
+				// materializing read, and each region is its own
+				// sendfile write between the writevs around it.
+				if copied != 0 {
+					t.Fatalf("tcp materialized %d file-region bytes", copied)
 				}
-				time.Sleep(20 * time.Millisecond)
-				if n := fired.Load(); n != wantFired {
-					t.Fatalf("done fired %d times, want %d", n, wantFired)
+				after := cli.(*tcpConn).stats.Snapshot()
+				if w := after.Writes - before.Writes; w != tn.writes {
+					t.Fatalf("tcp writes per train = %d, want %d", w, tn.writes)
+				}
+				if b := after.BytesSent - before.BytesSent; b != int64(len(want)) {
+					t.Fatalf("tcp BytesSent = %d, want %d", b, len(want))
 				}
 			})
 		}
 	}
+}
 
-	// Zero-copy off — refused by the kernel, or the stream never
-	// promoted: a train needing references is declined whole, with
-	// nothing on the wire, while a train needing none still travels.
-	for _, off := range []struct {
-		name    string
-		tr      *KZC
-		promote bool
-	}{
-		{"kzc-disabled", &KZC{Threshold: th, Disable: true}, true},
-		{"kzc-unpromoted", &KZC{Threshold: th}, false},
-	} {
-		t.Run(off.name, func(t *testing.T) {
-			cli, srv := connPair(t, off.tr, "")
-			if off.promote {
-				promoteData(t, cli, srv)
-			}
-			done := func(bool) { t.Error("done fired on a plane that took no reference") }
-			n, err := depositOn(cli, trains[2].train, done)
-			if n != 0 || !errors.Is(err, ErrZeroCopyUnavailable) {
-				t.Fatalf("mixed train: n=%d err=%v, want ErrZeroCopyUnavailable", n, err)
-			}
-			// The first bytes the peer sees are the second train's: the
-			// declined one left nothing behind.
-			want := trainBytes(t, trains[3].train)
-			got := make([]byte, len(want))
-			rdone := make(chan error, 1)
-			go func() {
-				_, err := io.ReadFull(srv, got)
-				rdone <- err
-			}()
-			if n, err := depositOn(cli, trains[3].train, done); err != nil || n != int64(len(want)) {
-				t.Fatalf("no-reference train: n=%d err=%v", n, err)
-			}
-			if err := <-rdone; err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("declined train left bytes on the wire")
-			}
-			time.Sleep(20 * time.Millisecond) // let a stray done surface
-		})
+// TestWriteTrainFilePastEOF: a file region reaching past the end of
+// its file fails at once, puts nothing on the wire, and leaves the
+// stream framed for the next train.
+func TestWriteTrainFilePastEOF(t *testing.T) {
+	f := regionFile(t, 64<<10)
+	cli, srv := connPair(t, &TCP{}, "127.0.0.1:0")
+	bad := []Segment{{B: fill(10, 1)}, {File: f, Off: 32 << 10, N: 64 << 10}}
+	if n, _, err := WriteTrain(cli, bad); err == nil || n != 0 {
+		t.Fatalf("past-EOF region: n=%d err=%v, want an error with nothing written", n, err)
+	}
+	good := []Segment{{B: fill(10, 2)}, {File: f, Off: 1000, N: 5000}}
+	want := trainBytes(t, good)
+	got := make([]byte, len(want))
+	rdone := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(srv, got)
+		rdone <- err
+	}()
+	if n, _, err := WriteTrain(cli, good); err != nil || n != int64(len(want)) {
+		t.Fatalf("next train: n=%d err=%v", n, err)
+	}
+	if err := <-rdone; err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the refused train desynced the stream")
+	}
+	if _, _, err := WriteTrain(cli, []Segment{{File: f, Off: -1, N: 1}}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("negative offset: err=%v", err)
 	}
 }

@@ -54,18 +54,6 @@ const (
 	// published record carries a wrong sequence tag and the consumer
 	// reports it as corrupt.
 	FaultSlotCorrupt
-	// FaultENOBUFS simulates the kernel refusing to pin pages for a
-	// MSG_ZEROCOPY send (optmem exhaustion): the transport degrades
-	// that one send to a plain copying write and completes it
-	// immediately as copied.
-	FaultENOBUFS
-	// FaultShortSplice simulates a sendfile/splice transferring only
-	// part of the requested file region before failing.
-	FaultShortSplice
-	// FaultDropCompletion delivers a zero-copy send's bytes but
-	// suppresses its errqueue completion notification, so the sender's
-	// lease is never settled — the lease sweeper must reclaim it.
-	FaultDropCompletion
 )
 
 func (k FaultKind) String() string {
@@ -86,12 +74,6 @@ func (k FaultKind) String() string {
 		return "ring-stall"
 	case FaultSlotCorrupt:
 		return "slot-corrupt"
-	case FaultENOBUFS:
-		return "enobufs"
-	case FaultShortSplice:
-		return "short-splice"
-	case FaultDropCompletion:
-		return "drop-completion"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -137,12 +119,6 @@ const (
 	// Faulty would hide the DirectReader claim capability), classifying
 	// ring deposits/claims as ClassShm and stream bytes as ClassControl.
 	ClassShm
-	// ClassKzc marks the kernel-assisted deposits of the kzc transport:
-	// one event per Deposit train that carries by-reference segments
-	// (MSG_ZEROCOPY) or file regions (sendfile). Like SHM, kzc
-	// connections consult their injector directly — a Faulty wrapper
-	// holds no references, so it would hide the Depositor capability.
-	ClassKzc
 )
 
 func (c ConnClass) String() string {
@@ -155,8 +131,6 @@ func (c ConnClass) String() string {
 		return "data"
 	case ClassShm:
 		return "shm"
-	case ClassKzc:
-		return "kzc"
 	default:
 		return fmt.Sprintf("ConnClass(%d)", int(c))
 	}

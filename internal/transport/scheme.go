@@ -25,7 +25,7 @@ var DefaultInProc = &InProc{}
 
 // FromAddr maps an endpoint URI to the transport it implies plus the
 // address to pass to that transport's Listen/Dial. Recognized schemes
-// are tcp://, inproc://, shm://, and kzc://; a bare address defaults to TCP
+// are tcp://, inproc:// and shm://; a bare address defaults to TCP
 // (the historical behavior of every dial path in the repo). The stats
 // sink, when non-nil, is attached to freshly created transports
 // (DefaultInProc keeps its own).
@@ -38,8 +38,6 @@ func FromAddr(addr string, stats *Stats) (Transport, string, error) {
 		return DefaultInProc, rest, nil
 	case "shm":
 		return &SHM{Stats: stats}, rest, nil
-	case "kzc":
-		return &KZC{Stats: stats}, rest, nil
 	default:
 		return nil, "", fmt.Errorf("transport: unknown endpoint scheme %q in %q", scheme, addr)
 	}

@@ -191,10 +191,7 @@ func (c *tcpConn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	n, err := c.c.Write(p)
 	c.wmu.Unlock()
-	if c.stats != nil && n > 0 {
-		c.stats.BytesSent.Add(int64(n))
-		c.stats.Writes.Add(1)
-	}
+	c.countWrite(int64(n))
 	return n, err
 }
 
@@ -208,6 +205,50 @@ func (c *tcpConn) WriteGather(segs ...[]byte) (int64, error) {
 		c.stats.GatherSegments.Add(int64(len(segs)))
 	}
 	return n, err
+}
+
+// writeTrain is WriteTrain on tcp, under one wmu hold so the train
+// stays contiguous: each run of byte segments goes out in one writev
+// and each file region by sendfile, each counted as one write.
+func (c *tcpConn) writeTrain(train []Segment) (int64, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var total int64
+	flush := func() error {
+		if len(c.gbufs) == 0 {
+			return nil
+		}
+		n, err := writev(c.c, &c.gbufs)
+		total += n
+		c.countWrite(n)
+		return err
+	}
+	for i := range train {
+		s := &train[i]
+		if s.File == nil {
+			if len(s.B) > 0 {
+				c.gbufs = append(c.gbufs, s.B)
+			}
+			continue
+		}
+		if err := flush(); err != nil {
+			return total, err
+		}
+		n, err := c.sendFileLocked(s)
+		total += n
+		c.countWrite(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, flush()
+}
+
+func (c *tcpConn) countWrite(n int64) {
+	if c.stats != nil && n > 0 {
+		c.stats.BytesSent.Add(n)
+		c.stats.Writes.Add(1)
+	}
 }
 
 // writev appends the non-empty segs to the batch already in *scratch

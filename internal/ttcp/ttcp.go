@@ -41,11 +41,6 @@ const (
 	// ModeShmCorba is the CORBA TTCP with the shared-memory data plane:
 	// zero-copy deposits straight into a ring mapped by both processes.
 	ModeShmCorba Mode = "shm-corba"
-	// ModeKzcCorba is the CORBA TTCP with the kernel zero-copy data
-	// plane: blocks at or above the negotiated threshold are sent with
-	// MSG_ZEROCOPY (pages pinned until the errqueue completion), the
-	// rest plain-written on the same channel.
-	ModeKzcCorba Mode = "kzc-corba"
 	// ModeGatherCorba is the CORBA TTCP using gathered deposits: each
 	// request carries N registered buffers as one deposit train
 	// (orb.ObjectRef.SendBuffers — a single vectored write per train,

@@ -6,14 +6,13 @@ import (
 	"os"
 )
 
-// File is a file-backed bulk payload: a region of an open file that a
-// kernel-assisted transport can deposit disk→wire with sendfile, so
-// the bytes never enter user space. It is the file analogue of Buffer
-// for the ZC octet-stream parameter slots — a servant returns a File
-// where it would otherwise return a Buffer, and the ORB hands it to the
-// data plane as a file-region segment when the plane can hold
-// references (transport.Depositor), reading the region into memory
-// otherwise.
+// File is a file-backed bulk payload: a region of an open file that
+// the tcp data plane deposits disk→wire with sendfile, so the bytes
+// never enter user space. It is the file analogue of Buffer for the ZC
+// octet-stream parameter slots — a servant returns a File where it
+// would otherwise return a Buffer, and the ORB hands it to the data
+// plane as a file-region segment; planes without sendfile read the
+// region into memory.
 //
 // Unlike Buffer, File is not reference counted: Release closes the
 // file descriptor, and the ORB releases reply values it transmitted on

@@ -56,24 +56,9 @@ func (t *LeaseTable) observe(ev LeaseEvent, n int) {
 
 type lease struct {
 	buf      *Buffer // nil for buffer-less (GrantFunc) leases
-	bytes    int     // observed size for buffer-less leases
+	bytes    int     // size reported to the Observer
 	deadline time.Time
 	onExpire func()
-	// notify, if set, fires exactly once when the lease leaves the
-	// table: notify(false) on Settle (before the buffer reference is
-	// released), notify(true) on Sweep expiry (after onExpire, before
-	// the release). SendBuffers uses it to learn when the kernel has
-	// let go of a buffer sent by reference, which is when the buffer's
-	// completion callback may fire.
-	notify func(expired bool)
-}
-
-// size returns the byte count to report to the Observer.
-func (l *lease) size() int {
-	if l.buf != nil {
-		return l.buf.Len()
-	}
-	return l.bytes
 }
 
 // maxFreeLeases bounds the lease free list.
@@ -83,54 +68,7 @@ const maxFreeLeases = 32
 // onExpire (optional) runs when the sweeper reclaims the lease.
 func (t *LeaseTable) Grant(b *Buffer, deadline time.Time, onExpire func()) LeaseID {
 	b.Retain()
-	t.mu.Lock()
-	if t.leases == nil {
-		t.leases = make(map[LeaseID]*lease)
-	}
-	t.next++
-	id := LeaseID(t.next)
-	var l *lease
-	if n := len(t.free); n > 0 {
-		l = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		l = new(lease)
-	}
-	l.buf, l.deadline, l.onExpire = b, deadline, onExpire
-	t.leases[id] = l
-	t.mu.Unlock()
-	t.observe(LeaseGranted, b.Len())
-	return id
-}
-
-// GrantNotify is Grant with a completion hook: notify fires exactly
-// once when the lease leaves the table — notify(false) from Settle,
-// notify(true) from Sweep — in both cases while the lease's buffer
-// reference is still held. The kernel zero-copy send path grants its
-// deposit buffers this way: the lease pins the pages until the
-// MSG_ZEROCOPY completion settles it, and the sweeper is the backstop
-// when a completion never arrives. This is the first step toward the
-// registered-buffer API on the roadmap.
-func (t *LeaseTable) GrantNotify(b *Buffer, deadline time.Time, onExpire func(), notify func(expired bool)) LeaseID {
-	b.Retain()
-	t.mu.Lock()
-	if t.leases == nil {
-		t.leases = make(map[LeaseID]*lease)
-	}
-	t.next++
-	id := LeaseID(t.next)
-	var l *lease
-	if n := len(t.free); n > 0 {
-		l = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		l = new(lease)
-	}
-	l.buf, l.deadline, l.onExpire, l.notify = b, deadline, onExpire, notify
-	t.leases[id] = l
-	t.mu.Unlock()
-	t.observe(LeaseGranted, b.Len())
-	return id
+	return t.grant(b, b.Len(), deadline, onExpire)
 }
 
 // GrantFunc registers a buffer-less lease covering an in-progress
@@ -140,6 +78,12 @@ func (t *LeaseTable) GrantNotify(b *Buffer, deadline time.Time, onExpire func(),
 // (which must unblock the claimer, e.g. by closing the data channel);
 // there is no buffer reference to drop.
 func (t *LeaseTable) GrantFunc(bytes int, deadline time.Time, onExpire func()) LeaseID {
+	return t.grant(nil, bytes, deadline, onExpire)
+}
+
+// grant registers a lease over buf (nil for a buffer-less lease) that
+// the Observer sees as bytes long.
+func (t *LeaseTable) grant(buf *Buffer, bytes int, deadline time.Time, onExpire func()) LeaseID {
 	t.mu.Lock()
 	if t.leases == nil {
 		t.leases = make(map[LeaseID]*lease)
@@ -153,7 +97,7 @@ func (t *LeaseTable) GrantFunc(bytes int, deadline time.Time, onExpire func()) L
 	} else {
 		l = new(lease)
 	}
-	l.buf, l.bytes, l.deadline, l.onExpire = nil, bytes, deadline, onExpire
+	l.buf, l.bytes, l.deadline, l.onExpire = buf, bytes, deadline, onExpire
 	t.leases[id] = l
 	t.mu.Unlock()
 	t.observe(LeaseGranted, bytes)
@@ -174,10 +118,7 @@ func (t *LeaseTable) Settle(id LeaseID) bool {
 	if l == nil {
 		return false
 	}
-	if l.notify != nil {
-		l.notify(false)
-	}
-	buf, size := l.buf, l.size()
+	buf, size := l.buf, l.bytes
 	t.recycle(l)
 	t.observe(LeaseSettled, size)
 	if buf != nil {
@@ -203,10 +144,7 @@ func (t *LeaseTable) Sweep(now time.Time) int {
 		if l.onExpire != nil {
 			l.onExpire()
 		}
-		if l.notify != nil {
-			l.notify(true)
-		}
-		buf, size := l.buf, l.size()
+		buf, size := l.buf, l.bytes
 		t.recycle(l)
 		t.observe(LeaseExpired, size)
 		if buf != nil {
