@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet conformance fuzz chaos race race-all bench bench-all scale figures measure examples generate gencheck clean
+.PHONY: all build test vet conformance fuzz chaos race bench bench-all scale figures measure examples generate gencheck clean
 
 UNAME_S := $(shell uname -s)
 
@@ -12,8 +12,8 @@ build:
 	$(GO) build ./...
 
 # The tier-1 gate: vet, the full unit suite (which includes the
-# wire-conformance golden vectors), the race-checked request engine,
-# the chaos schedules, and (on Linux) the connection-scale tier.
+# wire-conformance golden vectors), the same suite under -race, the
+# chaos schedules, and (on Linux) the connection-scale tier.
 test: vet gencheck
 	$(GO) test ./...
 	$(MAKE) conformance
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeComponents -fuzztime $(FUZZTIME) ./internal/ior/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/cdr/
 	$(GO) test -run '^$$' -fuzz FuzzConnReadLoop -fuzztime $(FUZZTIME) ./internal/orb/
+	$(GO) test -run '^$$' -fuzz FuzzFramer -fuzztime $(FUZZTIME) ./internal/orb/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCDR -fuzztime $(FUZZTIME) ./internal/gentest/
 	$(GO) test -run '^$$' -fuzz FuzzBroadcastRingHeader -fuzztime $(FUZZTIME) ./internal/shmem/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/idl/
@@ -64,14 +65,11 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestBcastCrossProcess' ./internal/shmem/
 	$(GO) test -race -count=1 -run 'Chaos|Failover|ReplicaDrain' ./internal/naming/ ./internal/orb/
 
-# Race-checks the concurrent request engine (shared-connection
-# invokers, pipelining, pending-table striping) and the layers under
-# it whose send paths run concurrently with lease sweeping (transport,
-# zcbuf).
+# The whole suite under the race detector, the concurrent request
+# engine (shared-connection invokers, pipelining, pending-table
+# striping) first among it. Allocation gates skip under -race, which
+# adds allocations of its own.
 race:
-	$(GO) test -race ./internal/orb/... ./internal/transport/... ./internal/zcbuf/... ./internal/ttcp/... ./internal/shmem/... ./internal/events/... ./internal/naming/...
-
-race-all:
 	$(GO) test -race ./...
 
 # Regenerates bench_output.txt and the machine-readable BENCH_orb.json

@@ -132,17 +132,10 @@ func DecodeHeader(src []byte) (Header, error) {
 // ReadHeader reads and parses a header from r.
 func ReadHeader(r io.Reader) (Header, error) {
 	var buf [HeaderSize]byte
-	return ReadHeaderBuf(r, buf[:])
-}
-
-// ReadHeaderBuf reads and parses a header from r using the supplied
-// scratch buffer (len >= HeaderSize), avoiding a per-message
-// allocation on the receive path.
-func ReadHeaderBuf(r io.Reader, buf []byte) (Header, error) {
-	if _, err := io.ReadFull(r, buf[:HeaderSize]); err != nil {
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return Header{}, err
 	}
-	return DecodeHeader(buf[:HeaderSize])
+	return DecodeHeader(buf[:])
 }
 
 // ServiceContext is an entry of a GIOP service context list.

@@ -63,8 +63,10 @@ type conn struct {
 	// dsegs is the byte-only deposit train scratch (guarded by sendMu).
 	dsegs [][]byte
 
-	// rhdr is the header read scratch, owned by the read loop.
-	rhdr [giop.HeaderSize]byte
+	// frame assembles the inbound control stream. It belongs to the
+	// one loop reading the connection: readLoop, or the event engine's
+	// service pass.
+	frame framer
 
 	closed atomic.Bool
 
@@ -166,6 +168,7 @@ func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 	for i := range c.pending {
 		c.pending[i].m = make(map[uint32]chan *replyMsg)
 	}
+	c.frame.orb = o
 	c.onLeaseExpire = c.markDataDown
 	return c
 }
@@ -337,15 +340,9 @@ func (c *conn) deliver(msg *replyMsg) {
 	ch <- msg
 }
 
-// errTooLarge marks messages rejected by the configured size bound; the
-// read loop answers them with a GIOP MessageError.
-type errTooLarge struct {
-	size int64
-	max  int
-}
-
-func (e *errTooLarge) Error() string {
-	return fmt.Sprintf("message size %d exceeds limit %d", e.size, e.max)
+// tooLarge reports a message over the configured size bound.
+func tooLarge(size, max int) error {
+	return fmt.Errorf("message size %d exceeds limit %d", size, max)
 }
 
 // sendMessage writes a GIOP message (header gather-joined with body)
@@ -391,7 +388,7 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 		}
 	} else {
 		if len(body) > max {
-			return &errTooLarge{size: int64(len(body)), max: max}
+			return tooLarge(len(body), max)
 		}
 		giop.EncodeHeader(c.hdrBuf[:], giop.Header{
 			Major: 1, Minor: 0,
@@ -493,7 +490,7 @@ func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) 
 // caller holds sendMu.
 func (c *conn) sendFragmented(t giop.MsgType, body []byte, thresh, max int) error {
 	if len(body) > max {
-		return &errTooLarge{size: int64(len(body)), max: max}
+		return tooLarge(len(body), max)
 	}
 	first := true
 	for len(body) > 0 {
@@ -524,64 +521,6 @@ func (c *conn) sendFragmented(t giop.MsgType, body []byte, thresh, max int) erro
 		first = false
 	}
 	return nil
-}
-
-// readMessage reads one logical GIOP message into a pooled body
-// buffer, reassembling 1.1-style fragments. Every declared size is
-// checked against the ORB's configured bound before any allocation, so
-// a corrupt or hostile header cannot drive an arbitrary allocation;
-// violations surface as *errTooLarge, which the read loop converts
-// into a GIOP MessageError.
-func (c *conn) readMessage() (giop.Header, []byte, error) {
-	hdr, err := giop.ReadHeaderBuf(c.ctrl, c.rhdr[:])
-	if err != nil {
-		return hdr, nil, err
-	}
-	max := c.orb.maxMessageSize()
-	if int64(hdr.Size) > int64(max) {
-		return hdr, nil, &errTooLarge{size: int64(hdr.Size), max: max}
-	}
-	body := c.orb.getBody(int(hdr.Size))
-	if _, err := io.ReadFull(c.ctrl, body); err != nil {
-		c.orb.putBody(body)
-		return hdr, nil, fmt.Errorf("orb: reading %v body: %w", hdr.Type, err)
-	}
-	more := hdr.MoreFragments()
-	for more {
-		fh, err := giop.ReadHeaderBuf(c.ctrl, c.rhdr[:])
-		if err != nil {
-			c.orb.putBody(body)
-			return hdr, nil, err
-		}
-		if fh.Type != giop.MsgFragment {
-			c.orb.putBody(body)
-			return hdr, nil, fmt.Errorf("orb: expected Fragment, got %v", fh.Type)
-		}
-		if int64(len(body))+int64(fh.Size) > int64(max) {
-			c.orb.putBody(body)
-			return hdr, nil, &errTooLarge{size: int64(len(body)) + int64(fh.Size), max: max}
-		}
-		off := len(body)
-		if total := off + int(fh.Size); total > cap(body) && !fh.MoreFragments() {
-			// Last fragment: the message's size is known now, so grow
-			// once to exactly that instead of append's amortized 1.25x.
-			// A bulk standard-path request then churns buffers of one
-			// size (payload plus headers) whose freed spans fit each
-			// other; the over-allocated body fitted none of them, and
-			// how far the heap grew to place it depended on timing.
-			whole := make([]byte, total)
-			copy(whole, body)
-			body = whole
-		} else {
-			body = append(body, make([]byte, fh.Size)...)
-		}
-		if _, err := io.ReadFull(c.ctrl, body[off:]); err != nil {
-			c.orb.putBody(body)
-			return hdr, nil, fmt.Errorf("orb: reading fragment: %w", err)
-		}
-		more = fh.MoreFragments()
-	}
-	return hdr, body, nil
 }
 
 // setData installs dc as the connection's data channel and discovers —
@@ -759,21 +698,24 @@ func releaseAll(bufs []*zcbuf.Buffer) {
 }
 
 // readLoop processes inbound messages until the connection dies — the
-// goroutine-per-connection tier. The event engine feeds the same
-// handleMessage from its dispatcher pool instead.
+// goroutine-per-connection tier, and every client. It fills the
+// framer with blocking reads, one for a frame's header and one for its
+// payload; the event engine drives the same framer with nonblocking
+// reads and feeds the same handleMessage from its dispatcher pool.
 func (c *conn) readLoop() {
+	f := &c.frame
 	for {
-		hdr, body, err := c.readMessage()
+		n, err := io.ReadFull(c.ctrl, f.next())
 		if err != nil {
-			var tl *errTooLarge
-			if errors.As(err, &tl) {
-				c.protocolError("%v", tl)
-				return
-			}
 			c.close(err)
 			return
 		}
-		if !c.handleMessage(hdr, body, false) {
+		hdr, body, ok, err := f.advance(n)
+		if err != nil {
+			c.protocolError("%v", err)
+			return
+		}
+		if ok && !c.handleMessage(hdr, body, false) {
 			return
 		}
 	}
@@ -937,11 +879,6 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 	case giop.MsgMessageError:
 		c.freeInline(dec, body)
 		c.close(errors.New("orb: peer reported message error"))
-		return false
-
-	case giop.MsgFragment:
-		c.freeInline(dec, body)
-		c.protocolError("unexpected Fragment")
 		return false
 
 	default:

@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -262,52 +261,6 @@ func TestFragmentReassemblyWireLevel(t *testing.T) {
 	ok, err := dec.ReadBoolean()
 	if err != nil || !ok {
 		t.Fatalf("_is_a result %v %v", ok, err)
-	}
-}
-
-// streamConn serves Read from a byte stream; readMessage calls nothing
-// else on its control connection.
-type streamConn struct {
-	transport.Conn
-	r io.Reader
-}
-
-func (s streamConn) Read(p []byte) (int, error) { return s.r.Read(p) }
-
-// TestReassemblySizesLastFragmentExactly: the last fragment tells the
-// message's size, so reassembly grows to it once. append's amortized
-// quarter made the body of a threshold-sized payload plus headers the
-// one odd-sized buffer of every bulk standard-path request.
-func TestReassemblySizesLastFragmentExactly(t *testing.T) {
-	const first, tail = 1 << 20, 100
-	want := pattern(first + tail)
-	var stream bytes.Buffer
-	frame := func(typ giop.MsgType, chunk []byte, more bool) {
-		h := giop.Header{Major: 1, Minor: 1, Flags: byte(cdr.NativeOrder),
-			Type: typ, Size: uint32(len(chunk))}
-		if more {
-			h.Flags |= giop.FlagMoreFragments
-		}
-		var hdr [giop.HeaderSize]byte
-		giop.EncodeHeader(hdr[:], h)
-		stream.Write(hdr[:])
-		stream.Write(chunk)
-	}
-	frame(giop.MsgRequest, want[:first], true)
-	frame(giop.MsgFragment, want[first:], false)
-
-	c := newConn(&ORB{}, streamConn{r: &stream}, true)
-	hdr, body, err := c.readMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Type != giop.MsgRequest || !bytes.Equal(body, want) {
-		t.Fatalf("reassembled %v of %d bytes, want the %d sent", hdr.Type, len(body), len(want))
-	}
-	// The allocator rounds a large buffer up to whole pages, not by a
-	// fraction of its size.
-	if slack := cap(body) - len(body); slack >= len(body)/8 {
-		t.Fatalf("body of %d bytes holds %d spare: grown by append, not to size", len(body), slack)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"syscall"
 
-	"zcorba/internal/giop"
 	"zcorba/internal/transport"
 )
 
@@ -35,23 +34,22 @@ const (
 // shared epoll set. The dispatcher pool waits on the set directly — the
 // worker the kernel wakes is the worker that services the connection,
 // with no intermediate poller goroutine or queue hop — so an idle
-// connection costs one epoll registration plus ~200 bytes of assembler
-// state, not an 8 KiB goroutine stack, and servant concurrency is
-// capped by the pool instead of growing with the connection count.
+// connection costs one epoll registration plus the connection's framer,
+// not an 8 KiB goroutine stack, and servant concurrency is capped by
+// the pool instead of growing with the connection count.
 //
 // Ownership discipline: the per-connection state machine (see the
 // state constants) guarantees at most one dispatcher services a
-// connection at a time, so the assembler state needs no lock — the
+// connection at a time, so the framer needs no lock — the
 // idle↔running CASes order the handoff between dispatchers. The
 // connection's close hook deregisters the fd while it is still open,
 // which makes a misdirected deregistration of a reused fd number
 // impossible; a *delivered* event for a reused fd number is fenced by
 // the registration generation carried in the event payload.
 type engine struct {
-	o     *ORB
-	epfd  int
-	batch int
-	wg    sync.WaitGroup
+	o    *ORB
+	epfd int
+	wg   sync.WaitGroup
 
 	// epFile wraps the epoll fd as a pollable file: epoll sets are
 	// themselves pollable (readable while their ready list is
@@ -78,11 +76,15 @@ type engine struct {
 	closed  bool
 }
 
-// engineConn is one registered connection plus its incremental GIOP
-// assembler: reads are nonblocking, so a header or body may arrive
-// across many service passes, and the partial state lives here between
-// them. body accumulates the logical message — fragment continuation
-// frames append to it, mirroring readMessage's reassembly.
+// engineWakeupBatch bounds both the epoll events harvested per wakeup
+// and the messages one connection may consume per service pass before
+// it is requeued behind other ready connections (per-connection
+// fairness).
+const engineWakeupBatch = 64
+
+// engineConn is one registered connection. Reads are nonblocking, so a
+// header or body may arrive across many service passes; the partial
+// message waits between them in the connection's framer.
 type engineConn struct {
 	c     *conn
 	raw   syscall.RawConn
@@ -93,18 +95,6 @@ type engineConn struct {
 	// current occupant of its fd number belongs to an earlier, closed
 	// connection and is discarded.
 	gen int32
-
-	hdrBuf  [giop.HeaderSize]byte
-	hdrFill int
-	// cur is the wire frame currently being read (valid when haveCur).
-	cur     giop.Header
-	haveCur bool
-	// msg/body accumulate the logical message; fill is how much of body
-	// has been read so far. assembling marks an open fragment train.
-	msg        giop.Header
-	body       []byte
-	fill       int
-	assembling bool
 
 	// readFn/kickFn are the RawConn callbacks, built once at
 	// registration: a fresh closure per read would put an allocation on
@@ -117,17 +107,6 @@ type engineConn struct {
 	readN     int
 	readAgain bool
 	readErr   error
-}
-
-// recycle returns the assembler's pooled buffer after a drop. Only the
-// servicing dispatcher may call it (service exclusivity); buffers of
-// connections closed while idle-parked are left to the GC.
-func (ec *engineConn) recycle() {
-	if ec.body != nil {
-		ec.c.orb.putBody(ec.body)
-		ec.body = nil
-	}
-	ec.fill, ec.haveCur, ec.assembling, ec.hdrFill = 0, false, false, 0
 }
 
 // newEngine creates the epoll set and starts the dispatcher pool.
@@ -151,7 +130,6 @@ func newEngine(o *ORB) (*engine, error) {
 	e := &engine{
 		o:      o,
 		epfd:   epfd,
-		batch:  o.engineWakeupBatch(),
 		epFile: epFile,
 		rawEp:  rawEp,
 		conns:  make(map[int32]*engineConn),
@@ -285,7 +263,7 @@ func (e *engine) stop() {
 // busy, they wait as ordinary parked goroutines.
 func (e *engine) dispatcher() {
 	defer e.wg.Done()
-	events := make([]syscall.EpollEvent, e.batch)
+	events := make([]syscall.EpollEvent, engineWakeupBatch)
 	for {
 		e.pollMu.Lock()
 		var n int
@@ -331,7 +309,7 @@ func (e *engine) dispatcher() {
 // wake runs the event side of the exclusivity protocol: start
 // servicing an idle connection, or leave a note for the dispatcher
 // already on it. The CAS pair (idle→running here, running→idle in
-// service) also orders the assembler-state handoff between dispatchers.
+// service) also orders the framer handoff between dispatchers.
 func (e *engine) wake(ec *engineConn) {
 	for {
 		switch ec.state.Load() {
@@ -351,7 +329,7 @@ func (e *engine) wake(ec *engineConn) {
 }
 
 // service runs one pass over a ready connection: nonblocking reads
-// feed the incremental assembler and each completed logical message is
+// feed the connection's framer and each completed logical message is
 // handled inline. The pass ends by parking the connection back to idle
 // (socket drained to EAGAIN — unless an edge arrived mid-pass, in
 // which case the note is consumed and the pass continues), by yielding
@@ -362,64 +340,28 @@ func (e *engine) wake(ec *engineConn) {
 // running so late events are no-ops.
 func (e *engine) service(ec *engineConn) {
 	c := ec.c
-	budget := e.batch
-	for {
-		if !c.healthy() {
-			ec.recycle()
+	f := &c.frame
+	budget := engineWakeupBatch
+	for c.healthy() {
+		n, again, err := e.rawRead(ec, f.next())
+		if err != nil {
+			c.close(err)
 			return
 		}
-		// Assemble the current wire frame's header.
-		if !ec.haveCur {
-			if ec.hdrFill < giop.HeaderSize {
-				n, again, err := e.rawRead(ec, ec.hdrBuf[ec.hdrFill:])
-				if err != nil {
-					c.close(err)
-					ec.recycle()
-					return
-				}
-				ec.hdrFill += n
-				if again {
-					if e.park(ec) {
-						return
-					}
-					continue
-				}
-				if ec.hdrFill < giop.HeaderSize {
-					continue
-				}
-			}
-			if !e.beginFrame(ec) {
-				ec.recycle()
+		if again {
+			if e.park(ec) {
 				return
 			}
-		}
-		// Assemble the frame's payload into the logical body.
-		if ec.fill < len(ec.body) {
-			n, again, err := e.rawRead(ec, ec.body[ec.fill:])
-			if err != nil {
-				c.close(err)
-				ec.recycle()
-				return
-			}
-			ec.fill += n
-			if again {
-				if e.park(ec) {
-					return
-				}
-				continue
-			}
-			if ec.fill < len(ec.body) {
-				continue
-			}
-		}
-		// Frame complete.
-		ec.haveCur = false
-		if ec.cur.MoreFragments() {
-			ec.assembling = true
 			continue
 		}
-		hdr, body := ec.msg, ec.body
-		ec.body, ec.fill, ec.assembling = nil, 0, false
+		hdr, body, ok, err := f.advance(n)
+		if err != nil {
+			c.protocolError("%v", err)
+			return
+		}
+		if !ok {
+			continue
+		}
 		if !c.handleMessage(hdr, body, true) {
 			// handleMessage closed the connection (its hook already
 			// deregistered the fd) and consumed body.
@@ -451,46 +393,6 @@ func (e *engine) park(ec *engineConn) bool {
 			return false
 		}
 	}
-}
-
-// beginFrame decodes a completed wire header and prepares the body
-// region, enforcing the same size bounds and fragment rules as
-// readMessage. It reports false after answering a protocol violation.
-func (e *engine) beginFrame(ec *engineConn) bool {
-	c := ec.c
-	hdr, err := giop.DecodeHeader(ec.hdrBuf[:])
-	ec.hdrFill = 0
-	if err != nil {
-		c.protocolError("%v", err)
-		return false
-	}
-	max := c.orb.maxMessageSize()
-	if ec.assembling {
-		if hdr.Type != giop.MsgFragment {
-			c.protocolError("expected Fragment, got %v", hdr.Type)
-			return false
-		}
-		if int64(len(ec.body))+int64(hdr.Size) > int64(max) {
-			c.protocolError("%v", &errTooLarge{
-				size: int64(len(ec.body)) + int64(hdr.Size), max: max})
-			return false
-		}
-		ec.body = append(ec.body, make([]byte, hdr.Size)...)
-	} else {
-		if hdr.Type == giop.MsgFragment {
-			c.protocolError("unexpected Fragment")
-			return false
-		}
-		if int64(hdr.Size) > int64(max) {
-			c.protocolError("%v", &errTooLarge{size: int64(hdr.Size), max: max})
-			return false
-		}
-		ec.msg = hdr
-		ec.body = c.orb.getBody(int(hdr.Size))
-		ec.fill = 0
-	}
-	ec.cur, ec.haveCur = hdr, true
-	return true
 }
 
 // rawRead performs one nonblocking read on the connection's socket via

@@ -21,12 +21,12 @@ func (fuzzServant) Invoke(string, []any) (any, []any, error) {
 	return nil, nil, &SystemException{Name: "NO_IMPLEMENT", Completed: CompletedNo}
 }
 
-// FuzzConnReadLoop feeds arbitrary byte streams to a live server
-// connection: truncated headers, oversized sizes, garbage frames, and
-// mutations of a valid request. The read loop must never panic or hang
-// — it answers with well-formed GIOP (typically MessageError) or closes
-// the connection.
-func FuzzConnReadLoop(f *testing.F) {
+// controlStreamSeeds are the seed control streams of both wire fuzz
+// targets: a valid request, its truncations and hostile mutations,
+// garbage, and deposit-train announcements.
+func controlStreamSeeds() [][]byte {
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, b) }
 	// Valid request frame.
 	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
 	req := giop.RequestHeader{
@@ -38,28 +38,28 @@ func FuzzConnReadLoop(f *testing.F) {
 	giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
 		Type: giop.MsgRequest, Size: uint32(len(e.Bytes()))})
 	valid := append(append([]byte{}, hdr[:]...), e.Bytes()...)
-	f.Add(valid)
+	add(valid)
 	// Truncated header.
-	f.Add(valid[:7])
+	add(valid[:7])
 	// Header promising more body than ever arrives.
 	short := append([]byte{}, valid...)
 	binary.BigEndian.PutUint32(short[8:], 1<<20)
-	f.Add(short)
+	add(short)
 	// Oversized message size.
 	over := append([]byte{}, hdr[:]...)
 	binary.BigEndian.PutUint32(over[8:], giop.MaxMessageSize+1)
-	f.Add(over)
+	add(over)
 	// Garbage, wrong magic, empty.
-	f.Add([]byte("this is not GIOP at all, not even close........"))
-	f.Add([]byte("GIOP\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte{})
+	add([]byte("this is not GIOP at all, not even close........"))
+	add([]byte("GIOP\xff\xff\xff\xff\xff\xff\xff\xff"))
+	add([]byte{})
 	// CloseConnection and a fragment with no initial message.
 	var cc [giop.HeaderSize]byte
 	giop.EncodeHeader(cc[:], giop.Header{Major: 1, Type: giop.MsgCloseConnection})
-	f.Add(append([]byte{}, cc[:]...))
+	add(append([]byte{}, cc[:]...))
 	var frag [giop.HeaderSize]byte
 	giop.EncodeHeader(frag[:], giop.Header{Major: 1, Type: giop.MsgFragment, Size: 4})
-	f.Add(append(frag[:], 0xDE, 0xAD, 0xBE, 0xEF))
+	add(append(frag[:], 0xDE, 0xAD, 0xBE, 0xEF))
 	// Request announcing a multi-segment deposit train: a DepositInfo
 	// service context with several size-vector entries. The server must
 	// route it through the scatter path (or reject it cleanly) without
@@ -79,13 +79,25 @@ func FuzzConnReadLoop(f *testing.F) {
 			Type: giop.MsgRequest, Size: uint32(len(te.Bytes()))})
 		return append(append([]byte{}, th[:]...), te.Bytes()...)
 	}
-	f.Add(train([]uint32{4096, 4096, 4096, 4096, 4096, 4096, 4096, 4096}))
+	add(train([]uint32{4096, 4096, 4096, 4096, 4096, 4096, 4096, 4096}))
 	// Zero-length entry inside the vector: decode must reject, never
 	// panic or leak a partial claim.
-	f.Add(train([]uint32{4096, 0, 4096}))
+	add(train([]uint32{4096, 0, 4096}))
 	// Hostile sizes: huge entries and a long vector.
-	f.Add(train([]uint32{1 << 31, 1, 1 << 30}))
-	f.Add(train(make([]uint32, 255)))
+	add(train([]uint32{1 << 31, 1, 1 << 30}))
+	add(train(make([]uint32, 255)))
+	return seeds
+}
+
+// FuzzConnReadLoop feeds arbitrary byte streams to a live server
+// connection: truncated headers, oversized sizes, garbage frames, and
+// mutations of a valid request. The read loop must never panic or hang
+// — it answers with well-formed GIOP (typically MessageError) or closes
+// the connection.
+func FuzzConnReadLoop(f *testing.F) {
+	for _, s := range controlStreamSeeds() {
+		f.Add(s)
+	}
 
 	tr := &transport.InProc{}
 	o, err := New(Options{Transport: tr, ZeroCopy: true,
@@ -143,6 +155,48 @@ func FuzzConnReadLoop(f *testing.F) {
 				break // partial trailing frame, cut by our Close
 			}
 			all = all[frame:]
+		}
+	})
+}
+
+// FuzzFramer checks that framing does not depend on how the stream is
+// cut: the legacy loop fills each region with one blocking read, while
+// the event engine sees whatever a nonblocking read returned. One
+// stream is fed whole and again in chunks whose sizes the fuzzer picks
+// (cuts[i]+1 bytes, cycling; no cuts means byte by byte); both feeds
+// must yield the same messages, byte for byte, and the same violation.
+func FuzzFramer(f *testing.F) {
+	for i, s := range controlStreamSeeds() {
+		f.Add(s, []byte{byte(i), 0, 200})
+	}
+	// A 64 KiB bound keeps hostile sizes from allocating per input.
+	o := &ORB{opts: Options{MaxMessageSize: 64 << 10}}
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		whole, wholeErr := feedFramer(o, data, func() int { return len(data) })
+		i := 0
+		chunked, chunkedErr := feedFramer(o, data, func() int {
+			if len(cuts) == 0 {
+				return 1
+			}
+			i++
+			return int(cuts[(i-1)%len(cuts)]) + 1
+		})
+		if (wholeErr == nil) != (chunkedErr == nil) ||
+			wholeErr != nil && wholeErr.Error() != chunkedErr.Error() {
+			t.Fatalf("violation depends on the cut: whole %v, chunked %v", wholeErr, chunkedErr)
+		}
+		if len(whole) != len(chunked) {
+			t.Fatalf("whole feed framed %d messages, chunked %d", len(whole), len(chunked))
+		}
+		for k := range whole {
+			if whole[k].hdr != chunked[k].hdr || !bytes.Equal(whole[k].body, chunked[k].body) {
+				t.Fatalf("message %d differs: %+v (%d bytes) vs %+v (%d bytes)", k,
+					whole[k].hdr, len(whole[k].body), chunked[k].hdr, len(chunked[k].body))
+			}
+			if whole[k].hdr.Type == giop.MsgFragment || len(whole[k].body) > 64<<10 {
+				t.Fatalf("message %d: %v of %d bytes passed the framer",
+					k, whole[k].hdr.Type, len(whole[k].body))
+			}
 		}
 	})
 }

@@ -113,11 +113,6 @@ type Options struct {
 	// of goroutines that drain ready connections and run servant
 	// dispatch). 0 picks max(4, 2*GOMAXPROCS).
 	EngineDispatchers int
-	// EngineWakeupBatch bounds both the epoll events harvested per
-	// wakeup and the messages one connection may consume per service
-	// pass before it is requeued behind other ready connections
-	// (per-connection fairness). 0 uses 64.
-	EngineWakeupBatch int
 	// MaxInFlight caps concurrently dispatched requests across all
 	// server connections. Requests beyond the cap are shed with a
 	// TRANSIENT system exception (minor code shedMinor) instead of
@@ -188,14 +183,6 @@ func (o *ORB) engineDispatchers() int {
 		n = 4
 	}
 	return n
-}
-
-// engineWakeupBatch resolves the wakeup/fairness batch size.
-func (o *ORB) engineWakeupBatch() int {
-	if o.opts.EngineWakeupBatch > 0 {
-		return o.opts.EngineWakeupBatch
-	}
-	return 64
 }
 
 // shedMinor is the TRANSIENT minor code carried by admission-control

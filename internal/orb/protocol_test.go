@@ -39,38 +39,87 @@ func startServer(t *testing.T, opts Options) *ORB {
 	return o
 }
 
-func TestGarbageGetsMessageError(t *testing.T) {
-	o := startServer(t, Options{})
-	c := dialRaw(t, o)
-	if _, err := c.Write([]byte("this is not GIOP at all....")); err != nil {
-		t.Fatal(err)
+// TestFramingViolations: every server tier runs the one framer, so a
+// framing violation gets one answer everywhere — a MessageError, then
+// EOF — and an orderly CloseConnection gets EOF alone. Each stream ends
+// where the framer gives its verdict: bytes left unread at close would
+// make the kernel answer with a reset instead of EOF.
+func TestFramingViolations(t *testing.T) {
+	header := func(h giop.Header) []byte {
+		b := make([]byte, giop.HeaderSize)
+		giop.EncodeHeader(b, h)
+		return b
 	}
-	// The server closes the connection; with bad magic it cannot even
-	// trust the framing, so a MessageError may or may not precede EOF.
-	buf := make([]byte, 64)
-	_ = readDeadline(t, c, buf)
-	// Connection must be dead: subsequent reads fail.
-	if _, err := c.Write(make([]byte, 4)); err == nil {
-		// A write may buffer; the follow-up read must fail.
-		if _, err := readFullDeadline(c, make([]byte, 1)); err == nil {
-			t.Fatal("connection survived garbage")
-		}
+	// openTrain is the initial frame of a fragment train, payload and all.
+	openTrain := func(size int) []byte {
+		return append(header(giop.Header{Major: 1, Minor: 1, Flags: giop.FlagMoreFragments,
+			Type: giop.MsgRequest, Size: uint32(size)}), make([]byte, size)...)
+	}
+	oversize := header(giop.Header{Major: 1, Type: giop.MsgRequest})
+	binary.BigEndian.PutUint32(oversize[8:], giop.MaxMessageSize+1)
+	rows := []struct {
+		name     string
+		max      int // Options.MaxMessageSize
+		stream   []byte
+		msgError bool
+	}{
+		{"bad_magic", 0, []byte("this is not GIOP at all....")[:giop.HeaderSize], true},
+		{"oversize_header", 0, oversize, true},
+		{"orphan_fragment", 0, header(giop.Header{Major: 1, Minor: 1, Type: giop.MsgFragment}), true},
+		{"request_inside_train", 0, append(openTrain(8),
+			header(giop.Header{Major: 1, Type: giop.MsgRequest})...), true},
+		{"train_over_limit", 64, append(openTrain(40),
+			header(giop.Header{Major: 1, Minor: 1, Type: giop.MsgFragment, Size: 40})...), true},
+		{"close_connection", 0, header(giop.Header{Major: 1, Type: giop.MsgCloseConnection}), false},
+	}
+	for _, tier := range serverTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					o := startServer(t, Options{Engine: tier.engine, MaxMessageSize: row.max})
+					c := dialRaw(t, o)
+					if _, err := c.Write(row.stream); err != nil {
+						t.Fatal(err)
+					}
+					got, err := readAllDeadline(c)
+					if err != nil {
+						t.Fatalf("connection survived or was reset: %v (after % x)", err, got)
+					}
+					if !row.msgError {
+						if len(got) != 0 {
+							t.Fatalf("got % x before EOF, want nothing", got)
+						}
+						return
+					}
+					if len(got) != giop.HeaderSize {
+						t.Fatalf("got % x before EOF, want one MessageError header", got)
+					}
+					rh, err := giop.DecodeHeader(got)
+					if err != nil || rh.Type != giop.MsgMessageError || rh.Size != 0 {
+						t.Fatalf("answer %+v (%v), want an empty MessageError", rh, err)
+					}
+				})
+			}
+		})
 	}
 }
 
-func readDeadline(t *testing.T, c transport.Conn, buf []byte) int {
-	t.Helper()
-	done := make(chan int, 1)
+// readAllDeadline reads c to EOF; a nil error means the peer closed.
+func readAllDeadline(c transport.Conn) ([]byte, error) {
+	type res struct {
+		b   []byte
+		err error
+	}
+	done := make(chan res, 1)
 	go func() {
-		n, _ := c.Read(buf)
-		done <- n
+		b, err := io.ReadAll(c)
+		done <- res{b, err}
 	}()
 	select {
-	case n := <-done:
-		return n
+	case r := <-done:
+		return r.b, r.err
 	case <-time.After(5 * time.Second):
-		t.Fatal("read hung")
-		return 0
+		return nil, errors.New("timeout")
 	}
 }
 
@@ -107,22 +156,6 @@ func TestMalformedRequestHeaderGetsMessageError(t *testing.T) {
 	}
 	if rh.Type != giop.MsgMessageError {
 		t.Fatalf("expected MessageError, got %v", rh.Type)
-	}
-}
-
-func TestOversizeMessageRejected(t *testing.T) {
-	o := startServer(t, Options{})
-	c := dialRaw(t, o)
-	var hdr [giop.HeaderSize]byte
-	giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Type: giop.MsgRequest, Size: giop.MaxMessageSize})
-	// Size field over the limit must be encodable only by hand:
-	binary.BigEndian.PutUint32(hdr[8:], giop.MaxMessageSize+1)
-	if _, err := c.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	// Server drops the connection.
-	if _, err := readFullDeadline(c, make([]byte, giop.HeaderSize)); err == nil {
-		t.Fatal("server accepted an oversized message")
 	}
 }
 
