@@ -25,8 +25,11 @@ endif
 
 # Both build-tag sides must stay healthy: the native side and the
 # !linux skip stubs (the shm data plane and tcp sendfile are linux-gated).
+# The benchmark is a nested module that ./... does not reach, so it is
+# vetted on its own: a change that breaks its build fails here.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/transport/ ./internal/orb/ ./internal/zcbuf/ ./internal/shmem/ ./internal/events/ ./internal/naming/
 
 # Golden wire-vector suite (internal/giop/testdata): regenerate

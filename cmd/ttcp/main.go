@@ -41,9 +41,9 @@
 //
 // The CORBA server can swap its connection tier with -engine
 // (docs/PERF.md, Linux): idle connections are held as epoll
-// registrations instead of parked goroutines, -dispatchers bounds the
-// servicing pool, -max-inflight sheds excess requests with TRANSIENT,
-// and -max-conns pauses the accept loop at a connection ceiling.
+// registrations instead of parked goroutines, -max-inflight sheds
+// excess requests with TRANSIENT, and -max-conns pauses the accept loop
+// at a connection ceiling.
 //
 // Observability (docs/OBSERVABILITY.md): -trace FILE records every
 // CORBA-mode span (client and sink side alike, correlated by trace ID)
@@ -86,7 +86,6 @@ func main() {
 	eventsBcast := flag.Bool("events-bcast", false, "fan-out mode: back the channel with the ZC-SHM-BCAST broadcast ring")
 	engine := flag.Bool("engine", false, "CORBA server: event-driven connection engine (Linux; idle conns cost an epoll registration, not a goroutine)")
 	maxInFlight := flag.Int("max-inflight", 0, "CORBA server: admission cap; requests beyond it are shed with TRANSIENT (0 = unlimited)")
-	dispatchers := flag.Int("dispatchers", 0, "CORBA server: engine dispatcher pool size (0 = 2×GOMAXPROCS, min 4)")
 	maxConns := flag.Int("max-conns", 0, "CORBA server: pause accepting beyond this many connections (0 = unlimited)")
 	traceFile := flag.String("trace", "", "CORBA mode: write a replayable span log (NDJSON) to this file on exit")
 	debugAddr := flag.String("debug", "", "serve /metrics, /spans, /debug/vars and /debug/pprof on this address")
@@ -152,7 +151,6 @@ func main() {
 			DataAddr:    dataAddr,
 			Engine:      *engine,
 			MaxInFlight: *maxInFlight,
-			Dispatchers: *dispatchers,
 			MaxConns:    *maxConns,
 			GatherSegs:  *segs,
 		})
@@ -245,9 +243,8 @@ func main() {
 			st.PayloadCopies.Load(), st.PayloadCopyBytes.Load(),
 			st.DepositsSent.Load(), st.DepositBytesSent.Load(), st.ZCFallbacks.Load())
 		if *segs > 0 {
-			fmt.Printf("ttcp: gather trains=%d (%d segments, %d gathered bytes), completions=%d\n",
-				st.GatherDeposits.Load(), st.GatherSegments.Load(),
-				st.PayloadGatherBytes.Load(), st.GatherCompletions.Load())
+			fmt.Printf("ttcp: gather trains=%d (%d segments), completions=%d\n",
+				st.GatherDeposits.Load(), st.GatherSegments.Load(), st.GatherCompletions.Load())
 		}
 		if *shm {
 			fmt.Printf("ttcp: shm deposits=%d (%d bytes), claims=%d, misses=%d\n",

@@ -127,9 +127,8 @@ func main() {
 		ms.DepositsSent.Load(), ms.DepositBytesSent.Load(),
 		ms.PayloadCopies.Load(), ms.PayloadCopyBytes.Load(), ms.ZCFallbacks.Load())
 	if *gather {
-		fmt.Printf("master ORB: gather trains=%d (%d segments, %d gathered bytes), completions=%d\n",
-			ms.GatherDeposits.Load(), ms.GatherSegments.Load(),
-			ms.PayloadGatherBytes.Load(), ms.GatherCompletions.Load())
+		fmt.Printf("master ORB: gather trains=%d (%d segments), completions=%d\n",
+			ms.GatherDeposits.Load(), ms.GatherSegments.Load(), ms.GatherCompletions.Load())
 	}
 	if zc && ms.PayloadCopyBytes.Load() == 0 {
 		fmt.Println("zero-copy regime held: no user-space payload copies end to end")

@@ -6,7 +6,6 @@ import (
 
 	"zcorba/internal/ior"
 	"zcorba/internal/transport"
-	"zcorba/internal/typecode"
 )
 
 func TestActivateAutoUniqueKeys(t *testing.T) {
@@ -48,11 +47,6 @@ func TestActivateWithComponents(t *testing.T) {
 	if !ok || got != bc {
 		t.Fatalf("component on minted ref: %+v ok=%v", got, ok)
 	}
-	// Re-minting through RefFor carries the component too (clients that
-	// receive the reference indirectly still see the profile).
-	if _, ok := o.RefFor("events/0", "IDL:test/Store:1.0").IOR().ZCShmBcast(); !ok {
-		t.Fatal("RefFor dropped the registered component")
-	}
 	// Other keys are unaffected.
 	plain, err := o.Activate("plain", newStoreServant())
 	if err != nil {
@@ -64,84 +58,11 @@ func TestActivateWithComponents(t *testing.T) {
 	// Deactivate clears the registration; a reactivated key mints
 	// plain references again.
 	o.Deactivate("events/0")
-	if _, err := o.Activate("events/0", newStoreServant()); err != nil {
+	again, err := o.Activate("events/0", newStoreServant())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := o.RefFor("events/0", "IDL:test/Store:1.0").IOR().ZCShmBcast(); ok {
+	if _, ok := again.IOR().ZCShmBcast(); ok {
 		t.Fatal("component survived Deactivate")
-	}
-}
-
-// echoAll is a default servant answering any key with the key itself.
-type echoAll struct{}
-
-var echoIface = NewInterface("IDL:test/Echo:1.0", "Echo",
-	&Operation{Name: "whoami", Result: typecode.TCString})
-
-func (echoAll) Interface() *Interface { return echoIface }
-func (echoAll) Invoke(op string, args []any) (any, []any, error) {
-	if op != "whoami" {
-		return nil, nil, &SystemException{Name: "BAD_OPERATION"}
-	}
-	return "default-servant", nil, nil
-}
-
-func TestDefaultServantServesAnyKey(t *testing.T) {
-	server, err := New(Options{Transport: &transport.TCP{}, DefaultServant: echoAll{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Shutdown)
-	client, err := New(Options{Transport: &transport.TCP{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Shutdown)
-	for _, key := range []string{"minted/1", "minted/2", "whatever"} {
-		ref := server.RefFor(key, "IDL:test/Echo:1.0")
-		cref, err := client.StringToObject(ref.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := cref.Invoke(echoIface.Ops["whoami"], nil)
-		if err != nil {
-			t.Fatalf("key %q: %v", key, err)
-		}
-		if res.(string) != "default-servant" {
-			t.Fatalf("key %q: %v", key, res)
-		}
-		// Locate also sees the default servant.
-		status, err := cref.Locate()
-		if err != nil || status != LocateObjectHere {
-			t.Fatalf("locate %q: %v %v", key, status, err)
-		}
-	}
-}
-
-func TestExplicitActivationShadowsDefaultServant(t *testing.T) {
-	server, err := New(Options{Transport: &transport.TCP{}, DefaultServant: echoAll{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Shutdown)
-	ref, err := server.Activate("store", newStoreServant())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := New(Options{Transport: &transport.TCP{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Shutdown)
-	cref, err := client.StringToObject(ref.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := cref.Invoke(storeIface.Ops["put_std"], []any{[]byte{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.(uint32) != 3 {
-		t.Fatalf("explicit servant not used: %v", res)
 	}
 }

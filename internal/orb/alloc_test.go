@@ -134,7 +134,7 @@ func TestGatherAllocsGate(t *testing.T) {
 		t.Logf("steady-state 8-segment gather send: %d allocs/op, %d B/op (budget %d)",
 			allocs, res.AllocedBytesPerOp(), gatherAllocBudget)
 	}
-	if ct.SpanCount(trace.KindGatherSend) == 0 {
-		t.Fatal("alloc gate measured without gather_send spans")
+	if ct.SpanCount(trace.KindDepositSend) == 0 {
+		t.Fatal("alloc gate measured without deposit_send spans")
 	}
 }

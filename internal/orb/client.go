@@ -171,9 +171,6 @@ func (r *ObjectRef) invokeTraced(ctx context.Context, op *Operation, args []any,
 			return res, outs, err
 		}
 		o.stats.Retries.Add(1)
-		if policy.OnRetry != nil {
-			policy.OnRetry(op.Name, attempt, err)
-		}
 		r.invalidate()
 		// Multi-profile references fail over before re-sending: the
 		// retryable failure classes (COMM_FAILURE/TRANSIENT) are exactly
@@ -265,12 +262,6 @@ func freeCall(c *Call) {
 // fully written before it returns).
 func (r *ObjectRef) InvokeAsync(op *Operation, args []any) *Call {
 	return r.startCtx(context.Background(), op, args, r.orb.tracer.NewTrace(), 1)
-}
-
-// InvokeAsyncCtx is InvokeAsync with a per-call context: Wait returns
-// ctx.Err() as soon as ctx is done.
-func (r *ObjectRef) InvokeAsyncCtx(ctx context.Context, op *Operation, args []any) *Call {
-	return r.startCtx(ctx, op, args, r.orb.tracer.NewTrace(), 1)
 }
 
 // Wait completes the invocation, blocking for the reply if it has not
@@ -510,9 +501,6 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe}, tc, start, attempt)
 	}
 	cdr.PutEncoder(e)
-	if o.opts.OnRequestSent != nil {
-		o.opts.OnRequestSent(op.Name, depositBytes(deposits))
-	}
 	if op.Oneway {
 		return r.doneCall(op, nil, nil, nil, tc, start, attempt)
 	}

@@ -348,7 +348,7 @@ func tooLarge(size, max int) error {
 // sendMessage writes a GIOP message (header gather-joined with body)
 // and then the deposit payload segments on the data channel, all under
 // the send mutex so control and data streams stay ordered. Request and
-// Reply bodies larger than the ORB's fragment threshold are split into
+// Reply bodies larger than fragmentThreshold are split into
 // GIOP 1.1-style Fragment messages.
 func (c *conn) sendMessage(t giop.MsgType, body []byte, deposits []transport.Segment) error {
 	return c.send(t, body, deposits, trace.Context{}, "", 0)
@@ -381,9 +381,8 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 		t0 = trace.Now()
 	}
 	max := c.orb.maxMessageSize()
-	thresh := c.orb.fragmentThreshold()
-	if (t == giop.MsgRequest || t == giop.MsgReply) && thresh > 0 && len(body) > thresh {
-		if err := c.sendFragmented(t, body, thresh, max); err != nil {
+	if (t == giop.MsgRequest || t == giop.MsgReply) && len(body) > fragmentThreshold {
+		if err := c.sendFragmented(t, body, max); err != nil {
 			return err
 		}
 	} else {
@@ -436,13 +435,6 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 			// payload blocks (the scatter/gather coalescing win).
 			c.orb.stats.GatherDeposits.Add(1)
 			c.orb.stats.GatherSegments.Add(int64(len(deposits)))
-			c.orb.stats.PayloadGatherBytes.Add(n)
-			if tc.Valid() {
-				tr.Record(trace.Span{
-					Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindGatherSend,
-					Op: op, Bytes: n, Start: t0, Dur: trace.Now() - t0,
-				})
-			}
 		}
 		if tc.Valid() {
 			tr.Record(trace.Span{
@@ -486,17 +478,17 @@ func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) 
 }
 
 // sendFragmented emits body as an initial message plus Fragment
-// continuations, chunked at thresh bytes and bounded by max. The
-// caller holds sendMu.
-func (c *conn) sendFragmented(t giop.MsgType, body []byte, thresh, max int) error {
+// continuations, chunked at fragmentThreshold bytes and bounded by max.
+// The caller holds sendMu.
+func (c *conn) sendFragmented(t giop.MsgType, body []byte, max int) error {
 	if len(body) > max {
 		return tooLarge(len(body), max)
 	}
 	first := true
 	for len(body) > 0 {
 		chunk := body
-		if len(chunk) > thresh {
-			chunk = chunk[:thresh]
+		if len(chunk) > fragmentThreshold {
+			chunk = chunk[:fragmentThreshold]
 		}
 		body = body[len(chunk):]
 		h := giop.Header{

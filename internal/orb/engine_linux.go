@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -134,7 +135,8 @@ func newEngine(o *ORB) (*engine, error) {
 		rawEp:  rawEp,
 		conns:  make(map[int32]*engineConn),
 	}
-	n := o.engineDispatchers()
+	// The dispatcher pool bounds inline servant concurrency.
+	n := max(4, 2*runtime.GOMAXPROCS(0))
 	e.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go e.dispatcher()
@@ -290,9 +292,7 @@ func (e *engine) dispatcher() {
 			continue
 		}
 		e.o.stats.EngineWakeups.Add(1)
-		e.o.stats.DispatchQueueDepth.Add(int64(n))
 		for i := 0; i < n; i++ {
-			e.o.stats.DispatchQueueDepth.Add(-1)
 			e.mu.Lock()
 			ec := e.conns[events[i].Fd]
 			if ec != nil && ec.gen != events[i].Pad {

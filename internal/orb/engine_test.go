@@ -45,12 +45,11 @@ func enginePair(t *testing.T, serverOpts Options) *pair {
 func TestEngineRoundTrip(t *testing.T) {
 	p := newPair(t,
 		Options{Transport: &transport.TCP{}, Engine: true, ZeroCopy: true},
-		Options{Transport: &transport.TCP{}, ZeroCopy: true,
-			// A small threshold fragments the bulk request below, so the
-			// engine's incremental reassembly sees a real fragment train.
-			FragmentThreshold: 4096})
+		Options{Transport: &transport.TCP{}, ZeroCopy: true})
 
-	data := pattern(64 << 10)
+	// A body above the fragment threshold, so the engine's incremental
+	// reassembly sees a real fragment train.
+	data := pattern(fragmentThreshold + 64<<10)
 	res, _, err := p.ref.Invoke(storeIface.Ops["put_std"], []any{data})
 	if err != nil {
 		t.Fatalf("fragmented put_std: %v", err)

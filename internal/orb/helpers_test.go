@@ -68,22 +68,6 @@ func TestSysexName(t *testing.T) {
 	}
 }
 
-func TestFragmentThresholdResolution(t *testing.T) {
-	for _, c := range []struct {
-		opt  int
-		want int
-	}{
-		{0, defaultFragmentThreshold},
-		{-1, 0},
-		{4096, 4096},
-	} {
-		o := &ORB{opts: Options{FragmentThreshold: c.opt}}
-		if got := o.fragmentThreshold(); got != c.want {
-			t.Fatalf("threshold(%d)=%d want %d", c.opt, got, c.want)
-		}
-	}
-}
-
 func TestOperationParamProjections(t *testing.T) {
 	op := storeIface.Ops["swap"]
 	ins := op.InParams()

@@ -79,15 +79,6 @@ func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []transport.S
 	return segs, sizes, true, nil
 }
 
-// depositBytes totals the payload bytes of a deposit list.
-func depositBytes(segs []transport.Segment) int {
-	n := 0
-	for i := range segs {
-		n += int(segs[i].Len())
-	}
-	return n
-}
-
 // marshalValues writes vals (described by types) onto e. When skipZC
 // is true, ZC octet streams are omitted from the body (they travel as
 // deposits); when false they fall back to the standard copying path
@@ -124,7 +115,6 @@ func (o *ORB) marshalValues(e *cdr.Encoder, types []*typecode.TypeCode, vals []a
 			if err := m.MarshalCDR(e); err != nil {
 				return fmt.Errorf("orb: parameter %d: %w", i, err)
 			}
-			o.stats.GeneratedMarshals.Add(1)
 			continue
 		}
 		if err := typecode.MarshalValue(e, tc, v); err != nil {
@@ -168,7 +158,6 @@ func (o *ORB) unmarshalValues(dec *cdr.Decoder, types []*typecode.TypeCode,
 			if err != nil {
 				return nil, deposits[di:], fmt.Errorf("orb: parameter %d: %w", i, err)
 			}
-			o.stats.GeneratedDemarshals.Add(1)
 			vals[i] = v
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,8 +67,6 @@ type Options struct {
 	// profiles and compared during co-location discovery (tests only).
 	// Empty derives it from the OS (machine-id, boot-id, hostname).
 	HostID string
-	// Pool supplies deposit buffers; defaults to a private pool.
-	Pool *zcbuf.Pool
 	// CallTimeout bounds synchronous invocations; default 30s.
 	CallTimeout time.Duration
 	// Retry configures automatic re-invocation of calls that fail with
@@ -80,10 +79,6 @@ type Options struct {
 	// leasing (an aborted sender can then stall a read loop until the
 	// connection dies).
 	DepositLeaseTTL time.Duration
-	// FragmentThreshold splits Request/Reply bodies larger than this
-	// many bytes into GIOP Fragment messages (0 uses the 1 MiB
-	// default; negative disables fragmentation).
-	FragmentThreshold int
 	// MaxMessageSize bounds the control-message bodies this ORB
 	// accepts (and sends): a header advertising more than this many
 	// bytes is answered with a GIOP MessageError instead of driving an
@@ -96,10 +91,6 @@ type Options struct {
 	// send-mutex contention under concurrent invokers. 0 or 1 means a
 	// single shared connection.
 	ConnsPerEndpoint int
-	// DefaultServant, if set, receives requests whose object key has
-	// no explicit activation — a POA default-servant policy, useful
-	// for gateways that mint object keys on the fly.
-	DefaultServant Servant
 	// Engine enables the event-driven connection engine on the server
 	// side: inbound control connections are parked in a shared epoll
 	// readiness set and serviced by a bounded dispatcher pool, so an
@@ -109,10 +100,6 @@ type Options struct {
 	// expose a raw socket — the ORB falls back to the legacy
 	// goroutine-per-connection read loop.
 	Engine bool
-	// EngineDispatchers sizes the engine's dispatcher pool (the number
-	// of goroutines that drain ready connections and run servant
-	// dispatch). 0 picks max(4, 2*GOMAXPROCS).
-	EngineDispatchers int
 	// MaxInFlight caps concurrently dispatched requests across all
 	// server connections. Requests beyond the cap are shed with a
 	// TRANSIENT system exception (minor code shedMinor) instead of
@@ -132,30 +119,13 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Logf, if set, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// OnRequestSent, if set, observes every outbound request after it
-	// is written (a client-side request interceptor).
-	OnRequestSent func(op string, payloadBytes int)
-	// OnRequestServed, if set, observes every dispatched request
-	// after the servant returns (a server-side interceptor).
-	OnRequestServed func(op string, d time.Duration, err error)
 }
 
-// defaultFragmentThreshold splits very large control bodies so a
-// single standard-path bulk transfer cannot monopolize a connection's
-// framing (and so the reassembly path is exercised in production).
-const defaultFragmentThreshold = 1 << 20
-
-// fragmentThreshold resolves the effective threshold.
-func (o *ORB) fragmentThreshold() int {
-	switch {
-	case o.opts.FragmentThreshold < 0:
-		return 0
-	case o.opts.FragmentThreshold == 0:
-		return defaultFragmentThreshold
-	default:
-		return o.opts.FragmentThreshold
-	}
-}
+// fragmentThreshold splits Request/Reply bodies larger than this many
+// bytes into GIOP Fragment messages, so a single standard-path bulk
+// transfer cannot monopolize a connection's framing (and so the
+// reassembly path is exercised in production).
+const fragmentThreshold = 1 << 20
 
 // maxMessageSize resolves the effective control-message bound.
 func (o *ORB) maxMessageSize() int {
@@ -171,18 +141,6 @@ func (o *ORB) connStripes() int {
 		return 1
 	}
 	return o.opts.ConnsPerEndpoint
-}
-
-// engineDispatchers resolves the dispatcher pool size.
-func (o *ORB) engineDispatchers() int {
-	if o.opts.EngineDispatchers > 0 {
-		return o.opts.EngineDispatchers
-	}
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 4 {
-		n = 4
-	}
-	return n
 }
 
 // shedMinor is the TRANSIENT minor code carried by admission-control
@@ -314,22 +272,15 @@ type Stats struct {
 	ShmMisses atomic.Int64
 	// GatherDeposits counts multi-segment deposit trains (two or more
 	// payload blocks coalesced into one data-plane batch);
-	// GatherSegments counts the segments inside them and
-	// PayloadGatherBytes the bytes they carried.
-	GatherDeposits     atomic.Int64
-	GatherSegments     atomic.Int64
-	PayloadGatherBytes atomic.Int64
+	// GatherSegments counts the segments inside them.
+	GatherDeposits atomic.Int64
+	GatherSegments atomic.Int64
 	// GatherCompletions counts per-buffer completion callbacks fired
 	// for buffers handed to SendBuffers.
 	GatherCompletions atomic.Int64
 	// GatherScatters counts multi-segment trains scattered into
 	// per-buffer claims on the receive side.
 	GatherScatters atomic.Int64
-	// GeneratedMarshals/GeneratedDemarshals count parameters handled by
-	// idlgen-emitted compiled marshalers instead of the typecode
-	// interpreter (docs/IDL.md "Compiled marshalers").
-	GeneratedMarshals   atomic.Int64
-	GeneratedDemarshals atomic.Int64
 	// EngineConns gauges connections currently parked in the event
 	// engine's readiness set (server side, engine tier only).
 	EngineConns atomic.Int64
@@ -337,9 +288,6 @@ type Stats struct {
 	// connection; EngineWakeups≪messages handled means wakeup batching
 	// is amortizing poller trips.
 	EngineWakeups atomic.Int64
-	// DispatchQueueDepth gauges connections waiting in the engine's
-	// dispatcher queue (ready but not yet serviced).
-	DispatchQueueDepth atomic.Int64
 	// InFlight gauges requests currently dispatched to servants (both
 	// tiers); the admission cap (Options.MaxInFlight) bounds it.
 	InFlight atomic.Int64
@@ -349,47 +297,6 @@ type Stats struct {
 	// AcceptPauses counts times the accept loop paused on the MaxConns
 	// cap (backpressure pushed into the kernel listen backlog).
 	AcceptPauses atomic.Int64
-}
-
-// StatsSnapshot is a point-in-time copy of the request-path counters,
-// for computing rates across an interval.
-type StatsSnapshot struct {
-	At              time.Time
-	RequestsSent    int64
-	RepliesReceived int64
-	RequestsServed  int64
-	BodyAllocs      int64
-	BodyReuses      int64
-}
-
-// Snapshot captures the request-path counters with a timestamp.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		At:              time.Now(),
-		RequestsSent:    s.RequestsSent.Load(),
-		RepliesReceived: s.RepliesReceived.Load(),
-		RequestsServed:  s.RequestsServed.Load(),
-		BodyAllocs:      s.BodyAllocs.Load(),
-		BodyReuses:      s.BodyReuses.Load(),
-	}
-}
-
-// RequestRate returns client requests per second issued since prev.
-func (s StatsSnapshot) RequestRate(prev StatsSnapshot) float64 {
-	d := s.At.Sub(prev.At).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.RequestsSent-prev.RequestsSent) / d
-}
-
-// ServeRate returns requests dispatched per second since prev.
-func (s StatsSnapshot) ServeRate(prev StatsSnapshot) float64 {
-	d := s.At.Sub(prev.At).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.RequestsServed-prev.RequestsServed) / d
 }
 
 // ORB is an Object Request Broker: object adapter, client connection
@@ -466,7 +373,7 @@ func New(opts Options) (*ORB, error) {
 	o := &ORB{
 		opts:        opts,
 		tr:          opts.Transport,
-		pool:        opts.Pool,
+		pool:        &zcbuf.Pool{},
 		arch:        opts.Arch,
 		servants:    make(map[string]Servant),
 		clientConns: make(map[string]*conn),
@@ -478,9 +385,6 @@ func New(opts Options) (*ORB, error) {
 	}
 	if o.tr == nil {
 		o.tr = &transport.TCP{}
-	}
-	if o.pool == nil {
-		o.pool = &zcbuf.Pool{}
 	}
 	if o.arch == "" {
 		o.arch = DefaultArch()
@@ -766,11 +670,8 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"shm_misses_total", "ZC-SHM profiles unusable by this client.", &s.ShmMisses},
 		{"gather_deposits_total", "Multi-segment deposit trains sent.", &s.GatherDeposits},
 		{"gather_segments_total", "Segments inside multi-segment deposit trains.", &s.GatherSegments},
-		{"payload_gather_bytes_total", "Bytes sent inside multi-segment deposit trains.", &s.PayloadGatherBytes},
 		{"gather_completions_total", "Per-buffer completion callbacks fired.", &s.GatherCompletions},
 		{"gather_scatters_total", "Multi-segment trains scattered on the receive side.", &s.GatherScatters},
-		{"generated_marshals_total", "Parameters marshaled by compiled marshalers.", &s.GeneratedMarshals},
-		{"generated_demarshals_total", "Parameters demarshaled by compiled marshalers.", &s.GeneratedDemarshals},
 		{"engine_wakeups_total", "Epoll waits that returned ready connections.", &s.EngineWakeups},
 		{"shed_requests_total", "Requests rejected by admission control (TRANSIENT).", &s.ShedRequests},
 		{"accept_pauses_total", "Accept-loop pauses at the MaxConns cap.", &s.AcceptPauses},
@@ -782,7 +683,6 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		v          *atomic.Int64
 	}{
 		{"engine_conns", "Connections parked in the event engine.", &s.EngineConns},
-		{"dispatch_queue_depth", "Ready connections awaiting a dispatcher.", &s.DispatchQueueDepth},
 		{"inflight_requests", "Requests currently dispatched to servants.", &s.InFlight},
 	} {
 		x.AddGauge(g.name, g.help, g.v.Load)
@@ -897,24 +797,12 @@ func (o *ORB) ActivateAuto(s Servant) (*ObjectRef, error) {
 	return o.Activate(key, s)
 }
 
-// servant looks up a locally activated servant, falling back to the
-// default servant when configured.
+// servant looks up a locally activated servant.
 func (o *ORB) servant(key string) (Servant, bool) {
 	o.mu.Lock()
 	s, ok := o.servants[key]
 	o.mu.Unlock()
-	if !ok && o.opts.DefaultServant != nil {
-		return o.opts.DefaultServant, true
-	}
 	return s, ok
-}
-
-// RefFor returns a reference for an arbitrary object key served by
-// this ORB (used with DefaultServant, whose keys are never activated).
-func (o *ORB) RefFor(key, repoID string) *ObjectRef {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.refForLocked(key, repoID)
 }
 
 // StringToObject converts a stringified IOR or corbaloc URL into an
@@ -1057,7 +945,9 @@ func (o *ORB) registerDataChan(token uint64, dc transport.Conn) {
 
 // waitDataChan returns the data channel registered under token,
 // waiting up to timeout for the preamble to arrive (the control and
-// data connections race across independent sockets).
+// data connections race across independent sockets) or until Shutdown.
+// A waiter that gives up deregisters itself, so tokens that never
+// arrive cannot grow the waiter table.
 func (o *ORB) waitDataChan(token uint64, timeout time.Duration) (transport.Conn, error) {
 	o.mu.Lock()
 	if e, ok := o.dataChans[token]; ok {
@@ -1068,12 +958,24 @@ func (o *ORB) waitDataChan(token uint64, timeout time.Duration) (transport.Conn,
 	ch := make(chan transport.Conn, 1)
 	o.dataWaiters[token] = append(o.dataWaiters[token], ch)
 	o.mu.Unlock()
+	var err error
 	select {
 	case dc := <-ch:
 		return dc, nil
+	case <-o.done:
+		err = fmt.Errorf("orb: shut down")
 	case <-time.After(timeout):
-		return nil, fmt.Errorf("orb: data channel %#x never arrived", token)
+		err = fmt.Errorf("orb: data channel %#x never arrived", token)
 	}
+	o.mu.Lock()
+	isCh := func(w chan transport.Conn) bool { return w == ch }
+	if ws := slices.DeleteFunc(o.dataWaiters[token], isCh); len(ws) > 0 {
+		o.dataWaiters[token] = ws
+	} else {
+		delete(o.dataWaiters, token)
+	}
+	o.mu.Unlock()
+	return nil, err
 }
 
 // dropDataChan removes a dead data channel.
@@ -1221,8 +1123,6 @@ func (o *ORB) Shutdown() {
 	}
 	dataChans := o.dataChans
 	o.dataChans = map[uint64]*dataChanEntry{}
-	waiters := o.dataWaiters
-	o.dataWaiters = map[uint64][]chan transport.Conn{}
 	o.mu.Unlock()
 
 	close(o.done)
@@ -1236,11 +1136,6 @@ func (o *ORB) Shutdown() {
 	}
 	for _, e := range dataChans {
 		_ = e.dc.Close()
-	}
-	for _, ws := range waiters {
-		for range ws {
-			// Waiters time out on their own; nothing to send.
-		}
 	}
 	if o.engine != nil {
 		o.engine.stop()

@@ -28,7 +28,6 @@ type Pipeline struct {
 	ref    *ObjectRef
 	op     *Operation
 	window int
-	ctx    context.Context
 	calls  []*Call // FIFO of in-flight calls
 	cbs    []ReplyFunc
 	err    error
@@ -42,16 +41,6 @@ func (r *ObjectRef) Pipeline(op *Operation, window int) *Pipeline {
 		window = 1
 	}
 	return &Pipeline{ref: r, op: op, window: window}
-}
-
-// Window reports the configured in-flight bound.
-func (p *Pipeline) Window() int { return p.window }
-
-// WithContext attaches a deadline/cancellation context to every
-// subsequent Submit. It returns p for chaining.
-func (p *Pipeline) WithContext(ctx context.Context) *Pipeline {
-	p.ctx = ctx
-	return p
 }
 
 // Submit sends one invocation, first reaping the oldest in-flight call
@@ -70,7 +59,7 @@ func (p *Pipeline) Submit(args []any, fn ReplyFunc) error {
 			return p.err
 		}
 	}
-	call := p.ref.startCtx(p.ctx, p.op, args, p.ref.orb.tracer.NewTrace(), 1)
+	call := p.ref.startCtx(context.Background(), p.op, args, p.ref.orb.tracer.NewTrace(), 1)
 	p.calls = append(p.calls, call)
 	p.cbs = append(p.cbs, fn)
 	return nil
@@ -99,7 +88,7 @@ func (p *Pipeline) reap() {
 				Op: p.op.Name, Attempt: call.attempt, Err: true, Start: trace.Now(),
 			})
 		}
-		result, outs, err = p.ref.invokeTraced(p.ctx, p.op, call.args, 0, call.tc)
+		result, outs, err = p.ref.invokeTraced(context.Background(), p.op, call.args, 0, call.tc)
 	}
 	freeCall(call)
 	if fn != nil {

@@ -173,14 +173,10 @@ func TestCloseConnectionFromClientSide(t *testing.T) {
 	}
 }
 
-func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
-	// A request referencing a data-channel token that never arrives must
-	// fail bounded in time — and, since PR 2, fail *softly*: the server
-	// answers a TRANSIENT system exception (CompletedNo, so clients may
-	// retry) and keeps the control connection alive for later requests.
-	o := startServer(t, Options{ZeroCopy: true, CallTimeout: 200 * time.Millisecond})
-	c := dialRaw(t, o)
-
+// writeUnknownTokenRequest sends a put whose deposit announcement names
+// a data-channel token no client ever registered.
+func writeUnknownTokenRequest(t *testing.T, c transport.Conn, o *ORB) {
+	t.Helper()
 	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
 	req := giop.RequestHeader{
 		ServiceContexts: []giop.ServiceContext{
@@ -196,6 +192,23 @@ func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 	if _, err := c.WriteGather(hdr[:], e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dataWaiterCount reports how many tokens have a reader waiting on them.
+func (o *ORB) dataWaiterCount() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.dataWaiters)
+}
+
+func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
+	// A request referencing a data-channel token that never arrives must
+	// fail bounded in time — and fail *softly*: the server answers a
+	// TRANSIENT system exception (CompletedNo, so clients may retry) and
+	// keeps the control connection alive for later requests.
+	o := startServer(t, Options{ZeroCopy: true, CallTimeout: 200 * time.Millisecond})
+	c := dialRaw(t, o)
+	writeUnknownTokenRequest(t, c, o)
 	start := time.Now()
 	rh, err := giop.ReadHeader(c)
 	if err != nil {
@@ -226,7 +239,13 @@ func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 	if repoID != (&SystemException{Name: "TRANSIENT"}).RepoID() {
 		t.Fatalf("exception %q, want TRANSIENT", repoID)
 	}
+	// The reader that gave up on the token left nothing behind: a peer
+	// naming tokens that never arrive cannot grow the waiter table.
+	if n := o.dataWaiterCount(); n != 0 {
+		t.Fatalf("%d token(s) still have waiters after the TRANSIENT reply", n)
+	}
 	// The control connection survives: a locate request still answers.
+	var hdr [giop.HeaderSize]byte
 	e2 := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
 	(&giop.LocateRequestHeader{RequestID: 2, ObjectKey: []byte("store")}).Marshal(e2)
 	giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
@@ -243,10 +262,30 @@ func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 	}
 }
 
-func TestDataChannelBadPreambleDropped(t *testing.T) {
-	o := startServer(t, Options{ZeroCopy: true})
-	ref := o.refForLocked("store", "IDL:test/Store:1.0")
-	dep, ok := ref.IOR().ZCDeposit()
+// TestShutdownInterruptsDataChanWait: a server reader parked on a
+// data-channel token that never arrives must not hold Shutdown for the
+// rest of the call timeout.
+func TestShutdownInterruptsDataChanWait(t *testing.T) {
+	for _, tier := range serverTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			o := startServer(t, Options{Engine: tier.engine, ZeroCopy: true,
+				CallTimeout: 5 * time.Second})
+			c := dialRaw(t, o)
+			writeUnknownTokenRequest(t, c, o)
+			waitFor(t, "a reader parked on the token", func() bool { return o.dataWaiterCount() == 1 })
+			start := time.Now()
+			o.Shutdown()
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("Shutdown took %v waiting out the token wait", d)
+			}
+		})
+	}
+}
+
+// dialDataRaw opens a raw transport connection to an ORB's data port.
+func dialDataRaw(t *testing.T, o *ORB) transport.Conn {
+	t.Helper()
+	dep, ok := o.refForLocked("store", "IDL:test/Store:1.0").IOR().ZCDeposit()
 	if !ok {
 		t.Fatal("no deposit component")
 	}
@@ -254,7 +293,31 @@ func TestDataChannelBadPreambleDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dc.Close()
+	t.Cleanup(func() { dc.Close() })
+	return dc
+}
+
+// TestUnclaimedDataChannelExpires: a data channel whose token no
+// request ever references is closed by the sweeper after twice the call
+// timeout and counted in TokensExpired.
+func TestUnclaimedDataChannelExpires(t *testing.T) {
+	o := startServer(t, Options{ZeroCopy: true, CallTimeout: 100 * time.Millisecond})
+	dc := dialDataRaw(t, o)
+	var pre [12]byte
+	copy(pre[:4], dataPreambleMagic[:])
+	binary.BigEndian.PutUint64(pre[4:], 0xBEEF)
+	if _, err := dc.Write(pre[:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the unclaimed token to expire", func() bool { return o.Stats().TokensExpired.Load() == 1 })
+	if got, err := readAllDeadline(dc); err != nil || len(got) != 0 {
+		t.Fatalf("expired data channel: read % x, %v; want EOF", got, err)
+	}
+}
+
+func TestDataChannelBadPreambleDropped(t *testing.T) {
+	o := startServer(t, Options{ZeroCopy: true})
+	dc := dialDataRaw(t, o)
 	if _, err := dc.Write([]byte("BAD_PREAMBLE")); err != nil {
 		t.Fatal(err)
 	}

@@ -24,19 +24,19 @@ type RetryPolicy struct {
 	InitialBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 500ms).
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff between attempts (default 2).
-	Multiplier float64
-	// Jitter adds up to this fraction of random extra backoff so
-	// synchronized clients do not retry in lockstep (0 means the
-	// default 0.2; negative disables jitter).
-	Jitter float64
 	// RetryNonIdempotent also retries CompletedMaybe failures of
 	// operations not marked Idempotent. Use only when the application
 	// tolerates duplicate execution.
 	RetryNonIdempotent bool
-	// OnRetry, if set, observes every retry decision.
-	OnRetry func(op string, attempt int, err error)
 }
+
+// backoffMultiplier grows the backoff between attempts; backoffJitter
+// adds up to that fraction of random extra backoff so synchronized
+// clients do not retry in lockstep.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.2
+)
 
 // enabled reports whether the policy performs any retries.
 func (p *RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
@@ -70,28 +70,17 @@ func (p *RetryPolicy) backoff(attempt int) time.Duration {
 	if d <= 0 {
 		d = 2 * time.Millisecond
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	limit := p.MaxBackoff
 	if limit <= 0 {
 		limit = 500 * time.Millisecond
 	}
 	for i := 1; i < attempt && d < limit; i++ {
-		d = time.Duration(float64(d) * mult)
+		d *= backoffMultiplier
 	}
 	if d > limit {
 		d = limit
 	}
-	j := p.Jitter
-	if j == 0 {
-		j = 0.2
-	}
-	if j > 0 {
-		d += time.Duration(rand.Float64() * j * float64(d))
-	}
-	return d
+	return d + time.Duration(rand.Float64()*backoffJitter*float64(d))
 }
 
 // sleepCtx pauses for d or until ctx is done, whichever comes first.

@@ -97,9 +97,6 @@ func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
 		})
 		o.tracer.DispatchLatencyNS.Record(int64(d))
 	}
-	if o.opts.OnRequestServed != nil {
-		o.opts.OnRequestServed(op.Name, time.Since(started), err)
-	}
 	// The invocation is complete: drop the ORB's reference on the
 	// request deposits (the skeleton's pass-per-reference of §4.5).
 	releaseAll(deposits)

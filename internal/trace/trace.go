@@ -76,10 +76,6 @@ const (
 	// path abandoned the current IIOP profile and re-pinned the
 	// reference to the next one in dial order (docs/NAMING.md).
 	KindFailover
-	// KindGatherSend covers one multi-segment deposit train (two or
-	// more payload blocks coalesced into a single data-plane batch by
-	// orb.SendBuffers or a multi-ZC-param invoke).
-	KindGatherSend
 	numKinds
 )
 
@@ -87,7 +83,6 @@ var kindNames = [numKinds]string{
 	"invoke", "marshal", "control_send", "deposit_send", "deposit_recv",
 	"unmarshal", "dispatch", "reply_send", "retry", "fallback", "lease",
 	"frame", "shm.deposit", "shm.claim", "shed", "failover",
-	"gather_send",
 }
 
 // String returns the span kind's wire/log name.

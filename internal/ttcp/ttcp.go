@@ -278,9 +278,6 @@ type SinkConfig struct {
 	// MaxInFlight caps concurrently dispatching requests; excess is
 	// shed with TRANSIENT (orb.Options.MaxInFlight). 0 = unlimited.
 	MaxInFlight int
-	// Dispatchers sizes the engine's worker pool
-	// (orb.Options.EngineDispatchers). 0 = default.
-	Dispatchers int
 	// MaxConns pauses the accept loop above this many live inbound
 	// connections (orb.Options.MaxConns). 0 = unlimited.
 	MaxConns int
@@ -294,11 +291,10 @@ type SinkConfig struct {
 func NewCorbaSinkConfig(cfg SinkConfig) (*CorbaSink, error) {
 	o, err := orb.New(orb.Options{
 		Transport: cfg.Transport, ZeroCopy: cfg.ZeroCopy, Tracer: cfg.Tracer,
-		DataListenAddr:    cfg.DataAddr,
-		Engine:            cfg.Engine,
-		MaxInFlight:       cfg.MaxInFlight,
-		EngineDispatchers: cfg.Dispatchers,
-		MaxConns:          cfg.MaxConns,
+		DataListenAddr: cfg.DataAddr,
+		Engine:         cfg.Engine,
+		MaxInFlight:    cfg.MaxInFlight,
+		MaxConns:       cfg.MaxConns,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ttcp: sink ORB: %w", err)
