@@ -54,7 +54,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBroadcastRingHeader -fuzztime $(FUZZTIME) ./internal/shmem/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/idl/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/mpeg/
-	$(GO) test -run '^$$' -fuzz FuzzFeedWire -fuzztime $(FUZZTIME) ./internal/specdefrag/
 
 # Deterministic fault-injection suite (docs/FAULTS.md): the seeded
 # chaos scenarios run under -race with three fixed schedules, then once

@@ -8,7 +8,6 @@
 //	figures -table cpu     CPU utilization at wire speed (§6)
 //	figures -table transcoder  the §5.4 application feasibility table
 //	figures -table ablation    marshal-bypass vs direct-deposit split
-//	figures -table specdefrag  ref [10]: speculation hit rate vs cross traffic
 //	figures -table latency     invocation latency crossover (measured)
 //	figures -all           everything (default)
 //
@@ -32,14 +31,13 @@ import (
 	"zcorba/internal/naming"
 	"zcorba/internal/orb"
 	"zcorba/internal/simnet"
-	"zcorba/internal/specdefrag"
 	"zcorba/internal/transport"
 	"zcorba/internal/ttcp"
 )
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 5, 6l, 6r")
-	table := flag.String("table", "", "table to regenerate: summary, cpu, transcoder, ablation, specdefrag, latency")
+	table := flag.String("table", "", "table to regenerate: summary, cpu, transcoder, ablation, latency")
 	all := flag.Bool("all", false, "regenerate everything")
 	measure := flag.Bool("measure", false, "also run the real implementation over loopback")
 	target := flag.Int64("bytes", 32<<20, "bytes per measured point")
@@ -70,9 +68,6 @@ func main() {
 	}
 	if *all || *table == "transcoder" {
 		ok = r.tableTranscoder() && ok
-	}
-	if *all || *table == "specdefrag" {
-		r.tableSpecDefrag()
 	}
 	if *table == "latency" || (*all && *measure) {
 		ok = r.tableLatency() && ok
@@ -131,45 +126,6 @@ func (r *runner) tableLatency() bool {
 	}
 	w.Flush()
 	return true
-}
-
-// tableSpecDefrag runs the speculative-defragmentation simulator
-// (reference [10]) under increasing cross-traffic interleaving and
-// reports the hit rate and repair-copy volume — the accounting behind
-// simnet's per-packet cost split between the two stacks.
-func (r *runner) tableSpecDefrag() {
-	fmt.Printf("\n=== Speculative defragmentation (ref [10]): hit rate vs cross traffic ===\n")
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "alien packets per block\thit rate\trepair-copied")
-	const blocks, blockSize = 64, 64 << 10
-	for _, alien := range []int{0, 1, 4, 16} {
-		fr := &specdefrag.Fragmenter{}
-		alienFr := &specdefrag.Fragmenter{}
-		re := specdefrag.NewReassembler(nil)
-		emit := func(f specdefrag.Fragment) {
-			if b, err := re.Feed(f); err == nil && b != nil {
-				b.Data.Release()
-			}
-		}
-		for i := 0; i < blocks; i++ {
-			frags := fr.Split(make([]byte, blockSize))
-			inject := len(frags) / (alien + 1)
-			for j, f := range frags {
-				emit(f)
-				if alien > 0 && inject > 0 && j%inject == inject-1 {
-					// One alien single-fragment block interleaves.
-					for _, af := range alienFr.Split(make([]byte, 512)) {
-						emit(af)
-					}
-				}
-			}
-		}
-		st := re.Stats()
-		fmt.Fprintf(w, "%d\t%.1f%%\t%s\n", alien, 100*st.HitRate(), human(int(st.CopiedBytes)))
-	}
-	w.Flush()
-	fmt.Println("(the common case on a dedicated cluster link is hit-dominated: zero-copy;")
-	fmt.Println(" interleaving costs exactly the repair copies the paper's driver charges)")
 }
 
 type runner struct {

@@ -175,6 +175,7 @@ func main() {
 			fmt.Println(ior)
 		}
 		waitInterrupt()
+		printSpeculation("sink", sink.ORB.Stats())
 		sink.Close()
 
 	case !*server && !*corba:
@@ -242,6 +243,7 @@ func main() {
 		fmt.Printf("ttcp: client payload copies=%d (%d bytes), deposits=%d (%d bytes), fallbacks=%d\n",
 			st.PayloadCopies.Load(), st.PayloadCopyBytes.Load(),
 			st.DepositsSent.Load(), st.DepositBytesSent.Load(), st.ZCFallbacks.Load())
+		printSpeculation("client", st)
 		if *segs > 0 {
 			fmt.Printf("ttcp: gather trains=%d (%d segments), completions=%d\n",
 				st.GatherDeposits.Load(), st.GatherSegments.Load(), st.GatherCompletions.Load())
@@ -259,6 +261,13 @@ func main() {
 			}
 		}
 	}
+}
+
+// printSpeculation reports how an ORB's speculative control reads
+// fared: hits took a whole message in one read, misses moved bytes.
+func printSpeculation(side string, st *orb.Stats) {
+	fmt.Printf("ttcp: %s speculation hits=%d misses=%d\n",
+		side, st.SpeculationHits.Load(), st.SpeculationMisses.Load())
 }
 
 // startDebug serves the observability surface when addr is non-empty,

@@ -129,6 +129,53 @@ func vecReplyZC() ReplyHeader {
 	return h
 }
 
+// vecDepositInline is the announcement of an inline train: one page
+// that follows the message on the control stream.
+func vecDepositInline() ServiceContext {
+	return DepositInfo{
+		Arch:   "amd64/little/go",
+		Token:  0x1122334455667788,
+		Sizes:  []uint32{4096},
+		Inline: true,
+	}.Encode()
+}
+
+func vecRequestZCInline() RequestHeader {
+	return RequestHeader{
+		ServiceContexts:  []ServiceContext{vecDepositInline()},
+		RequestID:        8,
+		ResponseExpected: true,
+		ObjectKey:        []byte("store/0"),
+		Operation:        "zput",
+		Principal:        []byte{},
+	}
+}
+
+func vecReplyZCInline() ReplyHeader {
+	return ReplyHeader{
+		ServiceContexts: []ServiceContext{vecDepositInline()},
+		RequestID:       8,
+		Status:          ReplyNoException,
+	}
+}
+
+// checkInlineDeposit decodes a fixture's deposit context and asserts
+// the inline announcement of vecDepositInline.
+func checkInlineDeposit(t *testing.T, scs []ServiceContext) {
+	t.Helper()
+	di, ok := Find(scs, ZCDepositContextID)
+	if !ok {
+		t.Fatal("no deposit context")
+	}
+	dep, err := DecodeDepositInfo(di)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dep.Inline || dep.Token != 0x1122334455667788 || len(dep.Sizes) != 1 || dep.Sizes[0] != 4096 {
+		t.Fatalf("deposit info %+v, want an inline train of one page", dep)
+	}
+}
+
 // wireVectors enumerates every conformance fixture: name, a builder
 // producing the canonical bytes, and a round-trip check that decodes
 // the fixture and re-marshals it.
@@ -258,6 +305,38 @@ func wireVectors() []wireVector {
 				if !ok || tc.SpanID != 0xC1C2C3C4C5C6C7C8 {
 					t.Fatalf("trace context %+v ok=%v", tc, ok)
 				}
+				remarshal(t, order, msg[HeaderSize:], got.Marshal)
+			},
+		},
+		{
+			name: "request_zcinline",
+			build: func(order cdr.ByteOrder) []byte {
+				h := vecRequestZCInline()
+				return buildMessage(MsgRequest, order, 0, h.Marshal)
+			},
+			roundTrip: func(t *testing.T, order cdr.ByteOrder, msg []byte) {
+				_, d := decodeBody(t, msg)
+				got, err := UnmarshalRequestHeader(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkInlineDeposit(t, got.ServiceContexts)
+				remarshal(t, order, msg[HeaderSize:], got.Marshal)
+			},
+		},
+		{
+			name: "reply_zcinline",
+			build: func(order cdr.ByteOrder) []byte {
+				h := vecReplyZCInline()
+				return buildMessage(MsgReply, order, 0, h.Marshal)
+			},
+			roundTrip: func(t *testing.T, order cdr.ByteOrder, msg []byte) {
+				_, d := decodeBody(t, msg)
+				got, err := UnmarshalReplyHeader(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkInlineDeposit(t, got.ServiceContexts)
 				remarshal(t, order, msg[HeaderSize:], got.Marshal)
 			},
 		},

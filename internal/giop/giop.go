@@ -434,11 +434,22 @@ func UnmarshalCancelRequestHeader(d *cdr.Decoder) (CancelRequestHeader, error) {
 // to allocate page-aligned deposit buffers before the data arrives
 // (§4.5: "the receiver reads the size of the following direct deposit
 // block and allocates an appropriately sized and aligned buffer").
+//
+// Inline marks a train that rides the control stream instead of the
+// data channel: its bytes follow the message's last frame directly,
+// before the next message. Token still names the data channel, which
+// the peer keeps for the trains that do not fit inline. The marker is
+// one trailing flags octet (bit 0) written only when set, so every
+// announcement without it is byte-identical to the unmarked format.
 type DepositInfo struct {
-	Arch  string
-	Token uint64
-	Sizes []uint32
+	Arch   string
+	Token  uint64
+	Sizes  []uint32
+	Inline bool
 }
+
+// depositInline is the flags-octet bit of DepositInfo.Inline.
+const depositInline = 1
 
 // Encode serializes the deposit info as a service context.
 func (di DepositInfo) Encode() ServiceContext {
@@ -448,6 +459,9 @@ func (di DepositInfo) Encode() ServiceContext {
 	e.WriteULong(uint32(len(di.Sizes)))
 	for _, s := range di.Sizes {
 		e.WriteULong(s)
+	}
+	if di.Inline {
+		e.WriteOctet(depositInline)
 	}
 	data := append([]byte{byte(cdr.NativeOrder)}, e.Bytes()...)
 	return ServiceContext{ID: ZCDepositContextID, Data: data}
@@ -490,6 +504,10 @@ func DecodeDepositInfo(data []byte) (DepositInfo, error) {
 		if di.Sizes[i] == 0 {
 			return di, fmt.Errorf("giop: zero-length deposit block %d of %d", i, n)
 		}
+	}
+	if d.Remaining() > 0 {
+		flags, _ := d.ReadOctet()
+		di.Inline = flags&depositInline != 0
 	}
 	return di, nil
 }

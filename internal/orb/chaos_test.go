@@ -112,8 +112,9 @@ func TestChaosResetBeforeReply(t *testing.T) {
 }
 
 // TestChaosTruncateMidDeposit cuts the deposit data channel partway
-// through the payload. The invocation must still complete — degraded to
-// the standard marshaled GIOP path — and the server must reclaim the
+// through the payload (a train above inlineDepositMax, so it takes the
+// data channel). The invocation must still complete — degraded to the
+// standard marshaled GIOP path — and the server must reclaim the
 // aborted deposit buffer.
 func TestChaosTruncateMidDeposit(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -125,7 +126,7 @@ func TestChaosTruncateMidDeposit(t *testing.T) {
 		Options{ZeroCopy: true},
 		Options{ZeroCopy: true, CallTimeout: 5 * time.Second})
 
-	data := pattern(64 << 10)
+	data := pattern(inlineDepositMax + 4<<10)
 	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{data})
 	if err != nil {
 		t.Fatalf("invoke with truncated deposit: %v", err)
@@ -192,7 +193,8 @@ func TestChaosTruncatedHeader(t *testing.T) {
 }
 
 // TestChaosStalledDepositLeaseExpires stalls the client's deposit write
-// long past the server's deposit-lease TTL. The lease sweeper must
+// (a data-plane train, above inlineDepositMax) long past the server's
+// deposit-lease TTL. The lease sweeper must
 // reclaim the buffer and retire the data channel, the server answers
 // TRANSIENT, and the client completes the call on the marshaled path.
 func TestChaosStalledDepositLeaseExpires(t *testing.T) {
@@ -206,7 +208,7 @@ func TestChaosStalledDepositLeaseExpires(t *testing.T) {
 			CallTimeout: 5 * time.Second},
 		Options{ZeroCopy: true, CallTimeout: 5 * time.Second, Retry: quickRetry(4)})
 
-	data := pattern(64 << 10)
+	data := pattern(inlineDepositMax + 4<<10)
 	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{data})
 	if err != nil {
 		t.Fatalf("invoke with stalled deposit: %v", err)

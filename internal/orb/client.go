@@ -422,7 +422,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		Principal:        []byte{},
 	}
 	var deposits []transport.Segment
-	skipZC := false
+	skipZC, inline := false, false
 	if useZC {
 		var sizes []uint32
 		var zcOK bool
@@ -434,10 +434,11 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		// protocol forbids zero-length deposit blocks): the whole call
 		// takes the marshaled path, keeping the empty announcement.
 		skipZC = zcOK
+		inline = c.inlineTrain(deposits)
 		// Announce the data channel on every request (even with no ZC
 		// parameters) so the server can deposit zero-copy replies.
 		req.ServiceContexts = append(req.ServiceContexts, giop.DepositInfo{
-			Arch: o.arch, Token: c.dataToken, Sizes: sizes,
+			Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
 		}.Encode())
 	}
 	if tc.Valid() {
@@ -469,7 +470,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		}
 	}
 	o.stats.RequestsSent.Add(1)
-	if err := c.send(giop.MsgRequest, body, deposits, tc, op.Name, trace.KindControlSend); err != nil {
+	if err := c.send(giop.MsgRequest, body, deposits, inline, tc, op.Name, trace.KindControlSend); err != nil {
 		cdr.PutEncoder(e)
 		var dw *errDataWrite
 		if asErr(err, &dw) && c.healthy() {

@@ -28,10 +28,13 @@ import (
 // callback of §4.5), which preserves that order end to end.
 //
 // A deposit is a train of segments, on every plane: the payloads of one
-// message leave through writeDepositsLocked in one call to the data
-// plane, and a single-buffer deposit is a train of one. No plane keeps
-// a reference to a segment once that call returns. What the plane can
-// do on the receive side is discovered once, in setData.
+// message leave in one call, and a single-buffer deposit is a train of
+// one. A byte-only train of at most inlineDepositMax on a stream data
+// plane rides the control writev behind its message (inline); every
+// other train leaves through writeDepositsLocked in one call to the
+// data plane. No plane keeps a reference to a segment once that call
+// returns. What the plane can do on the receive side is discovered
+// once, in setData.
 //
 // The pending-reply table is striped across pendingShards independent
 // locks so concurrent invokers sharing the connection do not serialize
@@ -52,16 +55,17 @@ type conn struct {
 	// discovered once by setData; nil on stream channels.
 	direct transport.DirectReader
 	// onLeaseExpire is the deposit-lease expiry hook, built once so
-	// granting a lease does not allocate a closure per transfer.
-	onLeaseExpire func()
+	// granting a lease does not allocate a closure per transfer;
+	// onInlineExpire is its inline-train twin, which has only the
+	// control stream to close.
+	onLeaseExpire  func()
+	onInlineExpire func()
 
 	sendMu sync.Mutex
 	// Send-path scratch, guarded by sendMu: reusing the header buffer
 	// and gather segment list keeps steady-state sends allocation-free.
 	hdrBuf [giop.HeaderSize]byte
-	segs   [2][]byte
-	// dsegs is the byte-only deposit train scratch (guarded by sendMu).
-	dsegs [][]byte
+	segs   [][]byte
 
 	// frame assembles the inbound control stream. It belongs to the
 	// one loop reading the connection: readLoop, or the event engine's
@@ -170,6 +174,7 @@ func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 	}
 	c.frame.orb = o
 	c.onLeaseExpire = c.markDataDown
+	c.onInlineExpire = func() { c.close(errors.New("orb: inline deposit stalled")) }
 	return c
 }
 
@@ -351,7 +356,26 @@ func tooLarge(size, max int) error {
 // Reply bodies larger than fragmentThreshold are split into
 // GIOP 1.1-style Fragment messages.
 func (c *conn) sendMessage(t giop.MsgType, body []byte, deposits []transport.Segment) error {
-	return c.send(t, body, deposits, trace.Context{}, "", 0)
+	return c.send(t, body, deposits, false, trace.Context{}, "", 0)
+}
+
+// inlineTrain reports whether deposits ride the control writev: a
+// byte-only train of at most inlineDepositMax bytes, on a stream data
+// plane that is up. File regions keep sendfile and shm keeps its ring.
+// The caller marks the announcement with the answer and passes it to
+// send, so the two cannot disagree.
+func (c *conn) inlineTrain(deposits []transport.Segment) bool {
+	if len(deposits) == 0 || c.direct != nil || !c.usableData() {
+		return false
+	}
+	total := 0
+	for i := range deposits {
+		if deposits[i].File != nil {
+			return false
+		}
+		total += len(deposits[i].B)
+	}
+	return total <= inlineDepositMax
 }
 
 // traceCtx extracts the trace context carried in a message's service
@@ -370,8 +394,11 @@ func (c *conn) traceCtx(scs []giop.ServiceContext) trace.Context {
 // send is sendMessage with trace attribution: when tc is valid, the
 // control write is recorded as a span of the given kind (control_send
 // client-side, reply_send server-side) and the deposit write as a
-// deposit_send span, both parented on tc's span.
-func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
+// deposit_send span, both parented on tc's span. inline (see
+// inlineTrain) sends the deposits as the trailing segments of the
+// control writev instead: one write, counted in the control span's
+// bytes, with no deposit_send span.
+func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, inline bool,
 	tc trace.Context, op string, kind trace.Kind) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -380,9 +407,17 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 	if tc.Valid() {
 		t0 = trace.Now()
 	}
+	var train []transport.Segment
+	var trainBytes int64
+	if inline {
+		train, deposits = deposits, nil
+		for i := range train {
+			trainBytes += int64(len(train[i].B))
+		}
+	}
 	max := c.orb.maxMessageSize()
 	if (t == giop.MsgRequest || t == giop.MsgReply) && len(body) > fragmentThreshold {
-		if err := c.sendFragmented(t, body, max); err != nil {
+		if err := c.sendFragmented(t, body, train, max); err != nil {
 			return err
 		}
 	} else {
@@ -395,18 +430,21 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 			Type:  t,
 			Size:  uint32(len(body)),
 		})
-		c.segs[0], c.segs[1] = c.hdrBuf[:], body
-		_, err := c.ctrl.WriteGather(c.segs[:]...)
-		c.segs[1] = nil
-		if err != nil {
+		if err := c.writeCtrlLocked(body, train); err != nil {
 			return err
 		}
 	}
 	if tc.Valid() {
 		tr.Record(trace.Span{
 			Trace: tc.Trace, Parent: tc.Span, Kind: kind, Op: op,
-			Bytes: int64(len(body)), Start: t0, Dur: trace.Now() - t0,
+			Bytes: int64(len(body)) + trainBytes, Start: t0, Dur: trace.Now() - t0,
 		})
+	}
+	if len(train) > 0 {
+		c.countTrainSent(len(train), trainBytes)
+		if tc.Valid() {
+			tr.DepositBytes.Record(trainBytes)
+		}
 	}
 	if len(deposits) > 0 {
 		if c.data == nil {
@@ -422,19 +460,12 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 		if err != nil {
 			return &errDataWrite{err: err}
 		}
-		c.orb.stats.DepositsSent.Add(1)
-		c.orb.stats.DepositBytesSent.Add(n)
+		c.countTrainSent(len(deposits), n)
 		kind := trace.KindDepositSend
 		if c.direct != nil {
 			kind = trace.KindShmDeposit
 			c.orb.stats.ShmDeposits.Add(1)
 			c.orb.stats.ShmDepositBytes.Add(n)
-		}
-		if len(deposits) >= 2 {
-			// A multi-segment train: one data-plane batch carried N
-			// payload blocks (the scatter/gather coalescing win).
-			c.orb.stats.GatherDeposits.Add(1)
-			c.orb.stats.GatherSegments.Add(int64(len(deposits)))
 		}
 		if tc.Valid() {
 			tr.Record(trace.Span{
@@ -447,12 +478,40 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment,
 	return nil
 }
 
-// writeDepositsLocked is the one deposit send (sendMu held): every
-// train, of one segment or thirty-two, on every plane, in one call to
-// the data plane. A byte-only train is one gather write. A train with
-// file regions goes through transport.WriteTrain, which sends them by
-// sendfile on tcp and reads them into memory everywhere else — a
-// payload copy, counted as one per region.
+// countTrainSent counts one sent deposit train of segs segments and n
+// bytes, inline or on the data plane.
+func (c *conn) countTrainSent(segs int, n int64) {
+	s := &c.orb.stats
+	s.DepositsSent.Add(1)
+	s.DepositBytesSent.Add(n)
+	if segs >= 2 {
+		// A multi-segment train: one batch carried N payload blocks (the
+		// scatter/gather coalescing win).
+		s.GatherDeposits.Add(1)
+		s.GatherSegments.Add(int64(segs))
+	}
+}
+
+// writeCtrlLocked writes hdrBuf, body and the byte segments of train as
+// one control writev (sendMu held).
+func (c *conn) writeCtrlLocked(body []byte, train []transport.Segment) error {
+	c.segs = append(c.segs, c.hdrBuf[:], body)
+	for i := range train {
+		c.segs = append(c.segs, train[i].B)
+	}
+	_, err := c.ctrl.WriteGather(c.segs...)
+	clear(c.segs)
+	c.segs = c.segs[:0]
+	return err
+}
+
+// writeDepositsLocked is the data-plane deposit send (sendMu held):
+// every train that does not ride inline, of one segment or thirty-two,
+// on every plane, in one call to the data plane. A byte-only train is
+// one gather write. A train with file regions goes through
+// transport.WriteTrain, which sends them by sendfile on tcp and reads
+// them into memory everywhere else — a payload copy, counted as one per
+// region.
 func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) {
 	files := 0
 	for i := range deposits {
@@ -469,18 +528,19 @@ func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) 
 		return n, err
 	}
 	for i := range deposits {
-		c.dsegs = append(c.dsegs, deposits[i].B)
+		c.segs = append(c.segs, deposits[i].B)
 	}
-	n, err := c.data.WriteGather(c.dsegs...)
-	clear(c.dsegs)
-	c.dsegs = c.dsegs[:0]
+	n, err := c.data.WriteGather(c.segs...)
+	clear(c.segs)
+	c.segs = c.segs[:0]
 	return n, err
 }
 
 // sendFragmented emits body as an initial message plus Fragment
-// continuations, chunked at fragmentThreshold bytes and bounded by max.
-// The caller holds sendMu.
-func (c *conn) sendFragmented(t giop.MsgType, body []byte, max int) error {
+// continuations, chunked at fragmentThreshold bytes and bounded by max;
+// an inline train rides the last fragment's writev. The caller holds
+// sendMu.
+func (c *conn) sendFragmented(t giop.MsgType, body []byte, train []transport.Segment, max int) error {
 	if len(body) > max {
 		return tooLarge(len(body), max)
 	}
@@ -504,10 +564,11 @@ func (c *conn) sendFragmented(t giop.MsgType, body []byte, max int) error {
 			h.Flags |= giop.FlagMoreFragments
 		}
 		giop.EncodeHeader(c.hdrBuf[:], h)
-		c.segs[0], c.segs[1] = c.hdrBuf[:], chunk
-		_, err := c.ctrl.WriteGather(c.segs[:]...)
-		c.segs[1] = nil
-		if err != nil {
+		var tail []transport.Segment
+		if len(body) == 0 {
+			tail = train
+		}
+		if err := c.writeCtrlLocked(chunk, tail); err != nil {
 			return err
 		}
 		first = false
@@ -562,8 +623,12 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 	if err != nil {
 		return nil, err
 	}
-	if _, err := di.Total(); err != nil {
+	total, err := di.Total()
+	if err != nil {
 		return nil, err
+	}
+	if di.Inline && len(di.Sizes) > 0 {
+		return c.readInline(di, total, tc)
 	}
 	dc, err := c.resolveData(di.Token)
 	if err != nil {
@@ -642,6 +707,66 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 	return bufs, nil
 }
 
+// readInline receives a train that rode the control stream behind its
+// message. The bound is checked before any buffer is taken: a larger
+// announcement is a framing violation (an error that is not an
+// errDepositTransfer, so the caller answers MessageError and closes).
+// Each segment lands in a page-aligned pool buffer — on a speculation
+// hit the very buffer the message's read already filled — and the rest
+// is read from the control stream straight into it. The train needs no
+// data channel, so an unresolvable token only retires the channel for
+// later trains and replies; it does not fail this request.
+func (c *conn) readInline(di giop.DepositInfo, total int64,
+	tc trace.Context) ([]*zcbuf.Buffer, error) {
+	if total > inlineDepositMax {
+		return nil, fmt.Errorf("inline deposit train of %d bytes exceeds %d", total, inlineDepositMax)
+	}
+	f := &c.frame
+	f.settle(inlineTrainKey(di.Sizes))
+	ttl := c.orb.leaseTTL()
+	bufs := make([]*zcbuf.Buffer, 0, len(di.Sizes))
+	for _, size := range di.Sizes {
+		b, got, err := f.trainSegment(int(size))
+		if err != nil {
+			releaseAll(bufs)
+			return nil, err
+		}
+		if rest := b.Bytes()[got:]; len(rest) > 0 {
+			// A peer that stops mid-train stalls the control stream
+			// itself: the lease's expiry closes the connection, which
+			// unblocks this read.
+			var lid zcbuf.LeaseID
+			if ttl > 0 {
+				lid = c.orb.leases.Grant(b, time.Now().Add(ttl), c.onInlineExpire)
+			}
+			_, err = io.ReadFull(c.ctrl, rest)
+			if ttl > 0 {
+				c.orb.leases.Settle(lid)
+			}
+			if err != nil {
+				b.Release()
+				releaseAll(bufs)
+				return nil, fmt.Errorf("inline deposit read: %w", err)
+			}
+		}
+		bufs = append(bufs, b)
+		c.orb.stats.DepositsReceived.Add(1)
+		c.orb.stats.DepositBytesRecv.Add(int64(size))
+	}
+	if len(di.Sizes) >= 2 {
+		c.orb.stats.GatherScatters.Add(1)
+	}
+	if tc.Valid() {
+		c.orb.tracer.DepositBytes.Record(total)
+	}
+	if !c.dataDown.Load() {
+		if _, err := c.resolveData(di.Token); err != nil {
+			c.markDataDown()
+		}
+	}
+	return bufs, nil
+}
+
 // claimDirect attempts the zero-copy claim of one announced payload
 // from a shared-memory data channel: a lease covers the blocking wait
 // (expiry closes the channel, unblocking the claim), and the claimed
@@ -691,16 +816,21 @@ func releaseAll(bufs []*zcbuf.Buffer) {
 
 // readLoop processes inbound messages until the connection dies — the
 // goroutine-per-connection tier, and every client. It fills the
-// framer with blocking reads, one for a frame's header and one for its
-// payload; the event engine drives the same framer with nonblocking
-// reads and feeds the same handleMessage from its dispatcher pool.
+// framer's regions with blocking scatter reads — one per message when
+// the framer's prediction holds — replaying carried bytes first; the
+// event engine drives the same framer with nonblocking reads and feeds
+// the same handleMessage from its dispatcher pool.
 func (c *conn) readLoop() {
 	f := &c.frame
+	defer f.drop()
 	for {
-		n, err := io.ReadFull(c.ctrl, f.next())
-		if err != nil {
-			c.close(err)
-			return
+		regions, n := f.next()
+		if n == 0 {
+			var err error
+			if n, err = c.ctrl.ReadScatter(regions...); err != nil {
+				c.close(err)
+				return
+			}
 		}
 		hdr, body, ok, err := f.advance(n)
 		if err != nil {

@@ -101,10 +101,10 @@ type engineConn struct {
 	// registration: a fresh closure per read would put an allocation on
 	// every message of the hot path (the ≤allocBudget gate). readFn
 	// communicates through the read* fields, which service exclusivity
-	// makes single-writer.
+	// makes single-writer; readIov is the framer's regions as iovecs.
 	readFn    func(uintptr) bool
 	kickFn    func(uintptr)
-	readBuf   []byte
+	readIov   []syscall.Iovec
 	readN     int
 	readAgain bool
 	readErr   error
@@ -165,21 +165,13 @@ func (e *engine) add(c *conn) bool {
 	}
 	ec := &engineConn{c: c, raw: raw, fd: -1}
 	ec.readFn = func(fd uintptr) bool {
-		for {
-			n, err := syscall.Read(int(fd), ec.readBuf)
-			if n < 0 {
-				n = 0
-			}
-			if err == syscall.EINTR {
-				continue
-			}
-			if err == syscall.EAGAIN {
-				ec.readN, ec.readAgain, ec.readErr = n, true, nil
-			} else {
-				ec.readN, ec.readAgain, ec.readErr = n, false, err
-			}
-			return true
+		n, err := transport.Readv(fd, ec.readIov)
+		if err == syscall.EAGAIN {
+			ec.readN, ec.readAgain, ec.readErr = n, true, nil
+		} else {
+			ec.readN, ec.readAgain, ec.readErr = n, false, err
 		}
+		return true
 	}
 	ec.kickFn = func(fd uintptr) {
 		ev := syscall.EpollEvent{Events: engineEvents, Fd: int32(fd), Pad: ec.gen}
@@ -328,9 +320,9 @@ func (e *engine) wake(ec *engineConn) {
 	}
 }
 
-// service runs one pass over a ready connection: nonblocking reads
-// feed the connection's framer and each completed logical message is
-// handled inline. The pass ends by parking the connection back to idle
+// service runs one pass over a ready connection: nonblocking scatter
+// reads feed the connection's framer (carried bytes are replayed
+// first) and each completed logical message is handled inline. The pass ends by parking the connection back to idle
 // (socket drained to EAGAIN — unless an edge arrived mid-pass, in
 // which case the note is consumed and the pass continues), by yielding
 // (per-pass message budget ran out: park idle and kick the fd so the
@@ -343,16 +335,24 @@ func (e *engine) service(ec *engineConn) {
 	f := &c.frame
 	budget := engineWakeupBatch
 	for c.healthy() {
-		n, again, err := e.rawRead(ec, f.next())
-		if err != nil {
-			c.close(err)
-			return
-		}
-		if again {
-			if e.park(ec) {
+		regions, n := f.next()
+		if n == 0 {
+			var again bool
+			var err error
+			n, again, err = e.rawRead(ec, regions)
+			if err != nil {
+				c.close(err)
+				f.drop()
 				return
 			}
-			continue
+			if again {
+				// A parked connection holds no speculative buffers.
+				f.idle()
+				if e.park(ec) {
+					return
+				}
+				continue
+			}
 		}
 		hdr, body, ok, err := f.advance(n)
 		if err != nil {
@@ -365,9 +365,12 @@ func (e *engine) service(ec *engineConn) {
 		if !c.handleMessage(hdr, body, true) {
 			// handleMessage closed the connection (its hook already
 			// deregistered the fd) and consumed body.
+			f.drop()
 			return
 		}
-		if budget--; budget <= 0 {
+		// Carried bytes fire no event: the pass replays them before it
+		// may yield.
+		if budget--; budget <= 0 && !f.buffered() {
 			// Fairness yield: park and kick. The epoll_ctl MOD re-fires
 			// an event for the still-readable fd, so the connection
 			// rejoins the ready set behind the others; if a racing edge
@@ -395,19 +398,20 @@ func (e *engine) park(ec *engineConn) bool {
 	}
 }
 
-// rawRead performs one nonblocking read on the connection's socket via
-// the prebuilt callback. again=true means the socket is drained
-// (EAGAIN) — park and leave. The callback never parks (returns true):
-// waiting is the epoll set's job, not the runtime poller's.
-func (e *engine) rawRead(ec *engineConn, p []byte) (n int, again bool, err error) {
-	ec.readBuf = p
+// rawRead performs one nonblocking readv of the framer's regions on the
+// connection's socket via the prebuilt callback. again=true means the
+// socket is drained (EAGAIN) — park and leave. The callback never parks
+// (returns true): waiting is the epoll set's job, not the runtime
+// poller's.
+func (e *engine) rawRead(ec *engineConn, regions [][]byte) (n int, again bool, err error) {
+	ec.readIov = transport.SetIovecs(ec.readIov, regions)
 	cerr := ec.raw.Read(ec.readFn)
-	ec.readBuf = nil
+	clear(ec.readIov)
 	if cerr != nil {
 		return 0, false, cerr
 	}
 	n, again, err = ec.readN, ec.readAgain, ec.readErr
-	if err == nil && !again && n == 0 && len(p) > 0 {
+	if err == nil && !again && n == 0 {
 		err = io.EOF
 	}
 	return n, again, err

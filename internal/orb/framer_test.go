@@ -2,36 +2,131 @@ package orb
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"zcorba/internal/cdr"
 	"zcorba/internal/giop"
+	"zcorba/internal/zcbuf"
 )
 
-// framed is one logical message a framer completed.
+// framed is one logical message a framer completed, with the segments
+// of the inline train that followed it.
 type framed struct {
-	hdr  giop.Header
-	body []byte
+	hdr      giop.Header
+	body     []byte
+	deposits [][]byte
 }
 
-// feedFramer runs stream through a fresh framer, writing at most step()
-// bytes into each next() region, and returns the messages completed
-// before the stream ran out or a violation stopped it.
-func feedFramer(o *ORB, stream []byte, step func() int) ([]framed, error) {
-	f := framer{orb: o}
+// framerORB is the least ORB a framer runs on: a bound and a pool for
+// speculative train regions.
+func framerORB(max int) *ORB {
+	return &ORB{opts: Options{MaxMessageSize: max}, pool: new(zcbuf.Pool)}
+}
+
+// scatter copies src into regions in order, as one readv would, and
+// returns the bytes placed.
+func scatter(regions [][]byte, src []byte) int {
+	n := 0
+	for _, r := range regions {
+		k := copy(r, src[n:])
+		n += k
+		if k < len(r) {
+			break
+		}
+	}
+	return n
+}
+
+// inlineSizes returns the train sizes a Request or Reply announces as
+// inline (nil for anything else), and readInline's verdict on a train
+// over the bound.
+func inlineSizes(hdr giop.Header, body []byte) ([]uint32, error) {
+	d := cdr.NewDecoder(hdr.Order(), giop.HeaderSize, body)
+	var scs []giop.ServiceContext
+	switch hdr.Type {
+	case giop.MsgRequest:
+		h, err := giop.UnmarshalRequestHeader(d)
+		if err != nil {
+			return nil, nil
+		}
+		scs = h.ServiceContexts
+	case giop.MsgReply:
+		h, err := giop.UnmarshalReplyHeader(d)
+		if err != nil {
+			return nil, nil
+		}
+		scs = h.ServiceContexts
+	}
+	data, ok := giop.Find(scs, giop.ZCDepositContextID)
+	if !ok {
+		return nil, nil
+	}
+	di, err := giop.DecodeDepositInfo(data)
+	if err != nil || !di.Inline {
+		return nil, nil
+	}
+	total, err := di.Total()
+	if err != nil {
+		return nil, err
+	}
+	if total > inlineDepositMax {
+		return nil, fmt.Errorf("inline deposit train of %d bytes exceeds %d", total, inlineDepositMax)
+	}
+	return di.Sizes, nil
+}
+
+// feedFramer runs stream through a fresh framer that starts out
+// predicting the given body and train sizes, as the read loop drives
+// it: carried bytes first, else one scatter read of at most step()
+// bytes across next()'s regions, and each inline train taken the way
+// readInline takes it. It returns the messages completed before the
+// stream ran out or a violation stopped it.
+func feedFramer(o *ORB, stream []byte, step func() int, predBody, predTrain int) ([]framed, error) {
+	f := framer{orb: o, lastBody: predBody, lastTrain: predTrain,
+		predBody: predBody, predTrain: predTrain}
+	defer f.drop()
 	var msgs []framed
-	for len(stream) > 0 {
-		n := copy(f.next(), stream[:min(step(), len(stream))])
-		stream = stream[n:]
+	for {
+		regions, n := f.next()
+		if n == 0 {
+			if len(stream) == 0 {
+				return msgs, nil
+			}
+			n = scatter(regions, stream[:min(step(), len(stream))])
+			stream = stream[n:]
+		}
 		hdr, body, ok, err := f.advance(n)
 		if err != nil {
 			return msgs, err
 		}
-		if ok {
-			msgs = append(msgs, framed{hdr, body})
+		if !ok {
+			continue
 		}
+		m := framed{hdr: hdr, body: body}
+		sizes, err := inlineSizes(hdr, body)
+		if err != nil {
+			return msgs, err
+		}
+		if len(sizes) > 0 {
+			f.settle(inlineTrainKey(sizes))
+		}
+		for _, size := range sizes {
+			b, got, err := f.trainSegment(int(size))
+			if err != nil {
+				return msgs, err
+			}
+			k := copy(b.Bytes()[got:], stream)
+			stream = stream[k:]
+			seg := bytes.Clone(b.Bytes())
+			b.Release()
+			if got+k < int(size) {
+				return msgs, nil // the stream ran out inside the train
+			}
+			m.deposits = append(m.deposits, seg)
+		}
+		msgs = append(msgs, m)
 	}
-	return msgs, nil
 }
 
 // TestReassemblySizesLastFragmentExactly: the last fragment tells the
@@ -59,7 +154,7 @@ func TestReassemblySizesLastFragmentExactly(t *testing.T) {
 	frame(giop.MsgFragment, want[first:], false)
 
 	for _, step := range []int{stream.Len(), 4096} {
-		msgs, err := feedFramer(&ORB{}, stream.Bytes(), func() int { return step })
+		msgs, err := feedFramer(framerORB(0), stream.Bytes(), func() int { return step }, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,20 +159,56 @@ func FuzzConnReadLoop(f *testing.F) {
 	})
 }
 
-// FuzzFramer checks that framing does not depend on how the stream is
-// cut: the legacy loop fills each region with one blocking read, while
-// the event engine sees whatever a nonblocking read returned. One
-// stream is fed whole and again in chunks whose sizes the fuzzer picks
-// (cuts[i]+1 bytes, cycling; no cuts means byte by byte); both feeds
-// must yield the same messages, byte for byte, and the same violation.
+// inlineStream is a control stream of zput-shaped requests, each
+// followed by an inline train of the given size: the layouts the
+// framer's speculation predicts, hits and misses alike.
+func inlineStream(sizes ...int) []byte {
+	var stream []byte
+	for i, size := range sizes {
+		e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+		req := giop.RequestHeader{
+			RequestID: uint32(i + 1), ResponseExpected: true,
+			ObjectKey: []byte("store"), Operation: "zput", Principal: []byte{},
+			ServiceContexts: []giop.ServiceContext{giop.DepositInfo{
+				Arch: "test", Token: 7, Sizes: []uint32{uint32(size)}, Inline: true,
+			}.Encode()},
+		}
+		req.Marshal(e)
+		var hdr [giop.HeaderSize]byte
+		giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+			Type: giop.MsgRequest, Size: uint32(len(e.Bytes()))})
+		stream = append(append(stream, hdr[:]...), e.Bytes()...)
+		for j := 0; j < size; j++ {
+			stream = append(stream, byte(i*31+j))
+		}
+	}
+	return stream
+}
+
+// FuzzFramer checks that framing depends neither on how the stream is
+// cut nor on what the framer predicts: the legacy loop takes whatever a
+// blocking scatter read returned, the event engine whatever a
+// nonblocking one did, and a speculative read may put a message's bytes
+// in the wrong regions. One stream is fed whole with no prediction and
+// again in chunks whose sizes the fuzzer picks (cuts[i]+1 bytes,
+// cycling; no cuts means byte by byte), starting from the fuzzer's
+// predicted body and train sizes; both feeds must yield the same
+// messages and inline trains, byte for byte, and the same violation.
 func FuzzFramer(f *testing.F) {
 	for i, s := range controlStreamSeeds() {
-		f.Add(s, []byte{byte(i), 0, 200})
+		f.Add(s, []byte{byte(i), 0, 200}, uint16(0), uint16(0))
+		f.Add(s, []byte{255}, uint16(len(s)-giop.HeaderSize), uint16(4096))
 	}
+	sizeChange := inlineStream(4096, 4096, 60<<10, 100, 100, 4096)
+	first := int(binary.BigEndian.Uint32(sizeChange[8:]))
+	f.Add(sizeChange, []byte{}, uint16(0), uint16(0))
+	f.Add(sizeChange, []byte{255, 7, 255}, uint16(first), uint16(4096))
+	f.Add(sizeChange, []byte{255}, uint16(first+8), uint16(60<<10))
+	f.Add(inlineStream(4096, inlineDepositMax+1), []byte{255}, uint16(first), uint16(4096))
 	// A 64 KiB bound keeps hostile sizes from allocating per input.
-	o := &ORB{opts: Options{MaxMessageSize: 64 << 10}}
-	f.Fuzz(func(t *testing.T, data, cuts []byte) {
-		whole, wholeErr := feedFramer(o, data, func() int { return len(data) })
+	o := framerORB(64 << 10)
+	f.Fuzz(func(t *testing.T, data, cuts []byte, predBody, predTrain uint16) {
+		whole, wholeErr := feedFramer(o, data, func() int { return len(data) }, 0, 0)
 		i := 0
 		chunked, chunkedErr := feedFramer(o, data, func() int {
 			if len(cuts) == 0 {
@@ -180,22 +216,31 @@ func FuzzFramer(f *testing.F) {
 			}
 			i++
 			return int(cuts[(i-1)%len(cuts)]) + 1
-		})
+		}, int(predBody), int(predTrain))
 		if (wholeErr == nil) != (chunkedErr == nil) ||
 			wholeErr != nil && wholeErr.Error() != chunkedErr.Error() {
-			t.Fatalf("violation depends on the cut: whole %v, chunked %v", wholeErr, chunkedErr)
+			t.Fatalf("violation depends on the cut or the prediction: whole %v, chunked %v", wholeErr, chunkedErr)
 		}
 		if len(whole) != len(chunked) {
 			t.Fatalf("whole feed framed %d messages, chunked %d", len(whole), len(chunked))
 		}
 		for k := range whole {
-			if whole[k].hdr != chunked[k].hdr || !bytes.Equal(whole[k].body, chunked[k].body) {
+			w, c := whole[k], chunked[k]
+			if w.hdr != c.hdr || !bytes.Equal(w.body, c.body) {
 				t.Fatalf("message %d differs: %+v (%d bytes) vs %+v (%d bytes)", k,
-					whole[k].hdr, len(whole[k].body), chunked[k].hdr, len(chunked[k].body))
+					w.hdr, len(w.body), c.hdr, len(c.body))
 			}
-			if whole[k].hdr.Type == giop.MsgFragment || len(whole[k].body) > 64<<10 {
+			if len(w.deposits) != len(c.deposits) {
+				t.Fatalf("message %d: %d train segments vs %d", k, len(w.deposits), len(c.deposits))
+			}
+			for j := range w.deposits {
+				if !bytes.Equal(w.deposits[j], c.deposits[j]) {
+					t.Fatalf("message %d: train segment %d differs", k, j)
+				}
+			}
+			if w.hdr.Type == giop.MsgFragment || len(w.body) > 64<<10 {
 				t.Fatalf("message %d: %v of %d bytes passed the framer",
-					k, whole[k].hdr.Type, len(whole[k].body))
+					k, w.hdr.Type, len(w.body))
 			}
 		}
 	})

@@ -160,7 +160,9 @@ func testWriteGuardOnPair(t *testing.T, p *pair) {
 		t.Skip("write-guard probe store is a deliberate race")
 	}
 	var pl zcbuf.Pool
-	bufs, want := gatherBufs(t, &pl, 2, 32<<10)
+	// Two buffers of 64 KiB: above inlineDepositMax, so on tcp the
+	// train takes the data plane whose write the injector stalls.
+	bufs, want := gatherBufs(t, &pl, 2, 64<<10)
 	defer releaseBufs(bufs)
 	orig := bufs[0].Bytes()[0]
 	for _, b := range bufs {

@@ -226,6 +226,14 @@ type Stats struct {
 	// the zero-copy path eliminates).
 	PayloadCopies    atomic.Int64
 	PayloadCopyBytes atomic.Int64
+	// SpeculationHits and SpeculationMisses judge the framer's
+	// speculative reads: a message whose body and inline-train sizes
+	// matched the prediction (one readv put every byte in its final
+	// buffer) vs one that differed. A miss that had already read bytes
+	// into the wrong region moves them with one copy, counted in
+	// PayloadCopies/PayloadCopyBytes.
+	SpeculationHits   atomic.Int64
+	SpeculationMisses atomic.Int64
 	// DepositsSent/DepositsReceived count direct-deposit transfers.
 	DepositsSent     atomic.Int64
 	DepositsReceived atomic.Int64
@@ -651,6 +659,8 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"requests_served_total", "Requests dispatched to servants.", &s.RequestsServed},
 		{"payload_copies_total", "User-space payload copies made by the marshaling engine.", &s.PayloadCopies},
 		{"payload_copy_bytes_total", "Bytes copied by the marshaling engine.", &s.PayloadCopyBytes},
+		{"speculation_hits_total", "Speculative control reads whose layout prediction held.", &s.SpeculationHits},
+		{"speculation_misses_total", "Speculative control reads whose layout prediction missed.", &s.SpeculationMisses},
 		{"deposits_sent_total", "Direct-deposit transfers sent.", &s.DepositsSent},
 		{"deposits_received_total", "Direct-deposit transfers received.", &s.DepositsReceived},
 		{"deposit_bytes_sent_total", "Direct-deposit bytes sent.", &s.DepositBytesSent},

@@ -32,6 +32,15 @@ var storeIface = NewInterface("IDL:test/Store:1.0", "Store",
 		Result:     typecode.TCULong,
 	},
 	&Operation{
+		Name:       "put_tag",
+		Idempotent: true,
+		Params: []Param{
+			{Name: "data", Type: typecode.TCZCOctetSeq, Dir: In},
+			{Name: "tag", Type: typecode.TCString, Dir: In},
+		},
+		Result: typecode.TCULong,
+	},
+	&Operation{
 		Name:       "get",
 		Idempotent: true,
 		Params:     []Param{{Name: "n", Type: typecode.TCULong, Dir: In}},
@@ -131,6 +140,8 @@ func (s *storeServant) Invoke(op string, args []any) (any, []any, error) {
 	case "put_std":
 		data := args[0].([]byte)
 		return checksum(data), nil, nil
+	case "put_tag":
+		return checksum(args[0].(*zcbuf.Buffer).Bytes()) + uint32(len(args[1].(string))), nil, nil
 	case "put2", "put8", "put32":
 		var sum uint32
 		for _, a := range args {

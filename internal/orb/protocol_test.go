@@ -57,6 +57,19 @@ func TestFramingViolations(t *testing.T) {
 	}
 	oversize := header(giop.Header{Major: 1, Type: giop.MsgRequest})
 	binary.BigEndian.PutUint32(oversize[8:], giop.MaxMessageSize+1)
+	// A request announcing an inline train one byte over the bound; the
+	// stream ends with the message, so the verdict must come before the
+	// server waits for (or buffers) any of the train.
+	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+	(&giop.RequestHeader{
+		RequestID: 1, ResponseExpected: true,
+		ObjectKey: []byte("store"), Operation: "put", Principal: []byte{},
+		ServiceContexts: []giop.ServiceContext{giop.DepositInfo{
+			Arch: "test", Token: 7, Sizes: []uint32{inlineDepositMax + 1}, Inline: true,
+		}.Encode()},
+	}).Marshal(e)
+	inlineOver := append(header(giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+		Type: giop.MsgRequest, Size: uint32(len(e.Bytes()))}), e.Bytes()...)
 	rows := []struct {
 		name     string
 		max      int // Options.MaxMessageSize
@@ -70,6 +83,7 @@ func TestFramingViolations(t *testing.T) {
 			header(giop.Header{Major: 1, Type: giop.MsgRequest})...), true},
 		{"train_over_limit", 64, append(openTrain(40),
 			header(giop.Header{Major: 1, Minor: 1, Type: giop.MsgFragment, Size: 40})...), true},
+		{"inline_train_over_limit", 0, inlineOver, true},
 		{"close_connection", 0, header(giop.Header{Major: 1, Type: giop.MsgCloseConnection}), false},
 	}
 	for _, tier := range serverTiers {

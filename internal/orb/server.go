@@ -181,7 +181,7 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 	useZC := c.usableData()
 
 	var deposits []transport.Segment
-	skipZC := false
+	skipZC, inline := false, false
 	if useZC {
 		var sizes []uint32
 		var zcOK bool
@@ -195,8 +195,9 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 		// cannot deposit): marshal the reply values into the body.
 		skipZC = zcOK
 		if len(sizes) > 0 {
+			inline = c.inlineTrain(deposits)
 			rep.ServiceContexts = append(rep.ServiceContexts, giop.DepositInfo{
-				Arch: o.arch, Token: c.dataToken, Sizes: sizes,
+				Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
 			}.Encode())
 		} else {
 			deposits = nil
@@ -212,7 +213,7 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 		o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedYes}, tc)
 		return
 	}
-	err := c.send(giop.MsgReply, e.Bytes(), deposits, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), deposits, inline, tc, req.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		var dw *errDataWrite
@@ -253,7 +254,7 @@ func (o *ORB) replyUserException(c *conn, req giop.RequestHeader, ex *UserExcept
 		o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedYes}, tc)
 		return
 	}
-	err := c.send(giop.MsgReply, e.Bytes(), nil, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), nil, false, tc, req.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.close(err)
@@ -271,7 +272,7 @@ func (o *ORB) replyLocationForward(c *conn, req giop.RequestHeader, fwd *Locatio
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	rep.Marshal(e)
 	fwd.To.Marshal(e)
-	err := c.send(giop.MsgReply, e.Bytes(), nil, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), nil, false, tc, req.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.close(err)
@@ -290,7 +291,7 @@ func (o *ORB) replySystemException(c *conn, req giop.RequestHeader, ex *SystemEx
 	e.WriteString(ex.RepoID())
 	e.WriteULong(ex.Minor)
 	e.WriteULong(uint32(ex.Completed))
-	err := c.send(giop.MsgReply, e.Bytes(), nil, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), nil, false, tc, req.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.close(err)

@@ -429,6 +429,9 @@ func (c *faultyConn) WriteGather(segs ...[]byte) (int64, error) {
 	return c.inner.WriteGather(segs...)
 }
 
+// ReadScatter fills the first region only, through the injected faults.
+func (c *faultyConn) ReadScatter(regions ...[]byte) (int, error) { return c.Read(regions[0]) }
+
 func (c *faultyConn) Read(p []byte) (int, error) {
 	if cl := ConnClass(c.class.Load()); cl != ClassAny {
 		if r := c.inj.decide(OpRead, cl); r != nil {

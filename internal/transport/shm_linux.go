@@ -397,6 +397,10 @@ func (c *shmConn) finishRecordLocked() {
 	c.curOff = 0
 }
 
+// ReadScatter fills the first region only: ring records are claimed
+// one read at a time.
+func (c *shmConn) ReadScatter(regions ...[]byte) (int, error) { return c.Read(regions[0]) }
+
 func (c *shmConn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()

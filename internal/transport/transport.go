@@ -12,6 +12,10 @@
 //     user space.
 //   - ReadFull: deposit exactly n bytes straight into a caller-supplied
 //     (page-aligned) buffer — the receive half of direct deposit.
+//   - ReadScatter: the mirror of WriteGather, one read into a list of
+//     regions (readv on TCP), so a receiver that predicts a message's
+//     layout takes header, body and payload in one syscall, each in its
+//     final buffer.
 //
 // The Copying wrapper adds explicit memcpy passes on both sides,
 // emulating the kernel socket-buffer copies that the paper's
@@ -39,6 +43,13 @@ type Conn interface {
 	// message. Implementations must not retain the segments after
 	// returning and should avoid copying them where the OS allows.
 	WriteGather(segs ...[]byte) (int64, error)
+	// ReadScatter reads into the regions in order, as one read, and
+	// returns the bytes read across them: like Read, it blocks until at
+	// least one byte arrives or fails. Implementations that cannot
+	// scatter — every wrapper that intercepts Read — fill only the
+	// first region, so their read counts stay those of Read. One reader
+	// at a time, as with Read.
+	ReadScatter(regions ...[]byte) (int, error)
 	// LocalAddr and RemoteAddr return endpoint descriptions.
 	LocalAddr() string
 	RemoteAddr() string
@@ -135,7 +146,7 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tuneTCP(tc)
 	}
-	return &tcpConn{c: c, stats: t.Stats}, nil
+	return newTCPConn(c, t.Stats), nil
 }
 
 // tcpSockBuf sizes each socket buffer to hold a whole deposit train so a
@@ -165,7 +176,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tuneTCP(tc)
 	}
-	return &tcpConn{c: c, stats: l.stats}, nil
+	return newTCPConn(c, l.stats), nil
 }
 
 func (l *tcpListener) Close() error { return l.l.Close() }
@@ -176,10 +187,37 @@ type tcpConn struct {
 	stats *Stats
 	wmu   sync.Mutex  // serializes writes so gathers stay contiguous
 	gbufs net.Buffers // writev scratch, guarded by wmu
+	// rv is the readv state of ReadScatter (nil where the socket is not
+	// exposed or the platform has no readv): the reader owns it.
+	rv *scatterReader
+}
+
+func newTCPConn(c net.Conn, stats *Stats) *tcpConn {
+	tc := &tcpConn{c: c, stats: stats}
+	if sc, ok := c.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			tc.rv = newScatterReader(raw)
+		}
+	}
+	return tc
 }
 
 func (c *tcpConn) Read(p []byte) (int, error) {
 	n, err := c.c.Read(p)
+	if c.stats != nil && n > 0 {
+		c.stats.BytesRecv.Add(int64(n))
+		c.stats.Reads.Add(1)
+	}
+	return n, err
+}
+
+// ReadScatter is one readv through the runtime poller; a single region
+// is a plain Read.
+func (c *tcpConn) ReadScatter(regions ...[]byte) (int, error) {
+	if len(regions) == 1 || c.rv == nil {
+		return c.Read(regions[0])
+	}
+	n, err := c.rv.read(regions)
 	if c.stats != nil && n > 0 {
 		c.stats.BytesRecv.Add(int64(n))
 		c.stats.Reads.Add(1)
@@ -468,6 +506,9 @@ func (c *pipeConn) WriteGather(segs ...[]byte) (int64, error) {
 	return total, nil
 }
 
+// ReadScatter fills the first region only: a pipe has no readv.
+func (c *pipeConn) ReadScatter(regions ...[]byte) (int, error) { return c.Read(regions[0]) }
+
 func (c *pipeConn) Close() error       { return c.c.Close() }
 func (c *pipeConn) LocalAddr() string  { return c.local }
 func (c *pipeConn) RemoteAddr() string { return c.remote }
@@ -579,6 +620,9 @@ func (c *copyingConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.wmu.Unlock()
 	return c.c.WriteGather(segs...)
 }
+
+// ReadScatter fills the first region only, through the emulated copies.
+func (c *copyingConn) ReadScatter(regions ...[]byte) (int, error) { return c.Read(regions[0]) }
 
 func (c *copyingConn) Close() error       { return c.c.Close() }
 func (c *copyingConn) LocalAddr() string  { return c.c.LocalAddr() }

@@ -9,7 +9,9 @@ import (
 
 // TestCorbaSendSurvivesDataReset runs the pipelined ZC sender with a
 // deterministic mid-stream deposit reset: the benchmark must complete
-// via the retry/fallback machinery rather than abort.
+// via the retry/fallback machinery rather than abort. Blocks are above
+// the ORB's 64 KiB inline bound, so their deposits take the data
+// channel the reset hits.
 func TestCorbaSendSurvivesDataReset(t *testing.T) {
 	sink, err := NewCorbaSink(&transport.TCP{}, true, nil)
 	if err != nil {
@@ -31,11 +33,11 @@ func TestCorbaSendSurvivesDataReset(t *testing.T) {
 	}
 	defer client.Shutdown()
 
-	res, err := CorbaSendWindow(client, sink.IOR, 32<<10, 32, 4, true)
+	res, err := CorbaSendWindow(client, sink.IOR, 128<<10, 32, 4, true)
 	if err != nil {
 		t.Fatalf("send under data reset: %v", err)
 	}
-	if res.Bytes != int64(32<<10)*32 {
+	if res.Bytes != int64(128<<10)*32 {
 		t.Fatalf("transferred %d bytes", res.Bytes)
 	}
 	if inj.Fired() < 1 {
