@@ -67,7 +67,8 @@ type framer struct {
 	// guess marks the message being read as speculative: body is the
 	// predicted body and dep/dfill the predicted train region. After the
 	// message completes, open marks its train as not yet settled and
-	// specd whether it was read speculatively with its body in place.
+	// specd that its body was in place and its train region still
+	// awaits the verdict of settle.
 	guess, open, specd bool
 	dep                *zcbuf.Buffer
 	dfill              int
@@ -151,7 +152,13 @@ func (f *framer) advance(n int) (hdr giop.Header, body []byte, ok bool, err erro
 	}
 	hdr, body = f.msg, f.body
 	f.body, f.fill = nil, 0
-	f.open, f.specd, f.guess = true, f.guess, false
+	// A guess that offered no train region is judged by its body alone:
+	// count the hit now, before the message is handled, so the count is
+	// current by the time its reply leaves.
+	if f.guess && f.dep == nil {
+		f.orb.stats.SpeculationHits.Add(1)
+	}
+	f.open, f.specd, f.guess = true, f.guess && f.dep != nil, false
 	size := len(body)
 	if f.cur.Type == giop.MsgFragment || size > inlineDepositMax {
 		size = 0
@@ -252,18 +259,18 @@ func (f *framer) miss() {
 
 // settle closes the train of the last completed message: train is the
 // size of its inline train when that is one segment within
-// inlineDepositMax, else 0. It judges a speculative read — a hit unless
-// a train region was offered and the train does not match it, in which
-// case the region's bytes move to carry — and updates the train
-// prediction. It runs once per message: from the inline-train receive,
-// or from next() for a message without one.
+// inlineDepositMax, else 0. It judges a speculative read that offered a
+// train region — a hit when the train matches it, else the region's
+// bytes move to carry — and updates the train prediction. It runs once
+// per message: from the inline-train receive, or from next() for a
+// message without one.
 func (f *framer) settle(train int) {
 	if !f.open {
 		return
 	}
 	f.open = false
 	if f.specd {
-		if f.predTrain == 0 || train == f.predTrain {
+		if train == f.predTrain {
 			f.orb.stats.SpeculationHits.Add(1)
 		} else {
 			// The body was in place and handed on, so only train bytes

@@ -92,7 +92,12 @@ func TestStatsAndSpanRegression(t *testing.T) {
 		}
 	}
 	// Server side: request unmarshal, dispatch and reply send for all
-	// six; inline trains record no deposit_recv.
+	// six; inline trains record no deposit_recv. A reply_send span is
+	// recorded once its write returns, which can be after the client
+	// has the reply.
+	waitFor(t, "the last server reply_send span", func() bool {
+		return st.SpanCount(trace.KindReplySend) >= 6
+	})
 	serverSpans := []struct {
 		kind trace.Kind
 		want int64
