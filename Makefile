@@ -65,7 +65,6 @@ chaos:
 	CHAOS_SEED=303 $(GO) test -race -count=1 -run 'Chaos' ./internal/orb/
 	$(GO) test -race -count=1 -v -run 'TestChaosRandomSeeded' ./internal/orb/
 	$(GO) test -race -count=1 -run 'TestBcastCrossProcess' ./internal/shmem/
-	$(GO) test -race -count=1 -run 'Chaos|Failover|ReplicaDrain' ./internal/naming/ ./internal/orb/
 
 # The whole suite under the race detector, the concurrent request
 # engine (shared-connection invokers, pipelining, pending-table
@@ -80,7 +79,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'Fig5|Fig6|RequestRate|Shm|FileTransfer|Gather' -benchmem . 2>&1 | tee bench_output.txt
 	$(GO) test -run '^$$' -bench 'Generated|Interpreter|StructMarshal|StructDemarshal|GeneralMarshal|GeneralDemarshal' -benchmem ./internal/gentest/ ./internal/typecode/ 2>&1 | tee -a bench_output.txt
 	$(GO) test -run '^$$' -bench 'EventsFanout' -benchmem ./internal/events/ 2>&1 | tee -a bench_output.txt
-	$(GO) test -run '^$$' -bench 'Resolve' -benchmem ./internal/naming/ 2>&1 | tee -a bench_output.txt
 	$(GO) run ./cmd/benchjson -o BENCH_orb.json bench_output.txt
 
 bench-all:

@@ -1,10 +1,8 @@
 // Command iordump decodes stringified object references: the
 // equivalent of MICO's iordump debugging tool. It prints the type ID,
-// every tagged profile with its tagged components annotated — the
-// zero-copy extensions (ZCDeposit, ZCShm, ZCShmBcast), the
-// PriorityWeight ordering component, and the object-group component —
-// and, for multi-profile references, the effective dial order a client
-// derives from the priorities (docs/NAMING.md).
+// every tagged profile with its tagged components, and annotates the
+// zero-copy extensions (ZCDeposit, ZCShm, ZCShmBcast). A client dials
+// the first IIOP profile (docs/NAMING.md).
 //
 //	iordump 'IOR:0100000022000000...'
 //	echo corbaloc::host:2809/NameService | iordump
@@ -73,16 +71,6 @@ func dump(s string) error {
 			fmt.Printf("profile %d: tag %d, %d bytes\n", i, tp.Tag, len(tp.Data))
 		}
 	}
-	// Multi-profile references: show the order a client actually dials
-	// (ascending priority, descending weight, IOR order as tiebreak).
-	if ordered := ref.OrderedIIOPProfiles(); len(ordered) > 1 {
-		fmt.Println("dial order:")
-		for rank, p := range ordered {
-			pw := p.PriorityWeight()
-			fmt.Printf("  %d. %s:%d  (priority %d, weight %d)\n",
-				rank+1, p.Host, p.Port, pw.Priority, pw.Weight)
-		}
-	}
 	return nil
 }
 
@@ -114,35 +102,7 @@ func dumpComponent(comp ior.TaggedComponent) {
 		}
 		fmt.Printf("  component ZCShmBcast: arch %q, host ID %q, path %q\n",
 			z.Arch, z.HostID, z.Path)
-	case ior.TagZCPriority:
-		pw, err := ior.DecodePriorityWeight(comp.Data)
-		if err != nil {
-			fmt.Printf("  component PriorityWeight (undecodable: %v)\n", err)
-			return
-		}
-		fmt.Printf("  component PriorityWeight: priority %d, weight %d\n",
-			pw.Priority, pw.Weight)
-	case ior.TagZCGroup:
-		g, err := ior.DecodeGroup(comp.Data)
-		if err != nil {
-			fmt.Printf("  component Group (undecodable: %v)\n", err)
-			return
-		}
-		fmt.Printf("  component Group: group %q, member %q, policy %s\n",
-			g.Name, g.Member, policyName(g.Policy))
 	default:
 		fmt.Printf("  component tag %d: %d bytes\n", comp.Tag, len(comp.Data))
-	}
-}
-
-// policyName renders a balancing policy for humans.
-func policyName(p uint32) string {
-	switch p {
-	case ior.PolicyRoundRobin:
-		return "round-robin"
-	case ior.PolicyLeastLoaded:
-		return "least-loaded"
-	default:
-		return fmt.Sprintf("policy(%d)", p)
 	}
 }

@@ -1,38 +1,20 @@
 // Command nameserver runs a naming service: the bootstrap object
 // examples and deployments use to discover each other.
 //
-// Standalone:
+//	nameserver -addr 127.0.0.1:2809 -ior-file /tmp/ns.ior -store ns.json
 //
-//	nameserver -addr 127.0.0.1:2809 -ior-file /tmp/ns.ior
-//
-// Replicated (each peer lists the others; see docs/NAMING.md):
-//
-//	nameserver -addr 10.0.0.1:2809 -peers 10.0.0.2:2809,10.0.0.3:2809
-//	nameserver -addr 10.0.0.2:2809 -peers 10.0.0.1:2809,10.0.0.3:2809
-//	nameserver -addr 10.0.0.3:2809 -peers 10.0.0.1:2809,10.0.0.2:2809
-//
-// With -peers the printed IOR is the multi-profile bootstrap reference
-// covering the whole fleet, so a client keeps resolving when any
-// replica dies. The listen address accepts scheme URIs uniformly with
-// the rest of the toolchain (tcp://host:port, inproc://name); a bare
-// host:port stays TCP.
-//
-// On SIGINT/SIGTERM the server departs gracefully: it stops accepting
-// new connections, announces its departure to the peers, drains
-// in-flight requests (bounded by -drain-timeout), and only then shuts
-// down — clients fail over to the surviving replicas without a dropped
-// call.
+// With -store, bindings persist to a JSON file across restarts (see
+// docs/NAMING.md). The listen address accepts scheme URIs uniformly
+// with the rest of the toolchain (tcp://host:port, inproc://name); a
+// bare host:port stays TCP. It serves until SIGINT/SIGTERM.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"zcorba/internal/naming"
 	"zcorba/internal/orb"
@@ -44,8 +26,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:2809", "listen address (tcp:// and inproc:// scheme URIs accepted)")
 	iorFile := flag.String("ior-file", "", "write the service IOR to this file")
 	store := flag.String("store", "", "persist bindings to this JSON file across restarts")
-	peers := flag.String("peers", "", "comma-separated host:port peers to replicate with")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "max wait for in-flight requests on shutdown")
 	debugAddr := flag.String("debug", "", "serve /metrics, /spans, /debug/vars and /debug/pprof on this address")
 	flag.Parse()
 
@@ -69,51 +49,15 @@ func main() {
 		fmt.Printf("nameserver: debug listener on http://%s/metrics\n", bound)
 	}
 
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
+	srv := &naming.Server{StorePath: *store}
+	if err := srv.Load(); err != nil {
+		fatal(err)
 	}
-
-	// Standalone: the classic single Server. Replicated: a Replica
-	// wired to its peers (same wire contract, so clients are agnostic).
-	var rep *naming.Replica
-	var iorStr string
-	if len(peerList) == 0 {
-		srv := &naming.Server{StorePath: *store}
-		if err := srv.Load(); err != nil {
-			fatal(err)
-		}
-		ref, err := o.Activate(naming.DefaultKey, srv)
-		if err != nil {
-			fatal(err)
-		}
-		iorStr = ref.String()
-	} else {
-		rep = naming.NewReplica(naming.NodeID(o.Addr()))
-		rep.StorePath = *store
-		rep.Logf = log.Printf
-		if err := rep.Load(); err != nil {
-			fatal(err)
-		}
-		if _, err := o.Activate(naming.DefaultKey, rep); err != nil {
-			fatal(err)
-		}
-		if err := rep.Start(o, peerList); err != nil {
-			fatal(err)
-		}
-		// The bootstrap reference lists the whole fleet, this node
-		// first: clients pin here and fail over to the peers.
-		boot, err := naming.BootstrapIOR(append([]string{o.Addr()}, peerList...))
-		if err != nil {
-			fatal(err)
-		}
-		iorStr = boot.String()
-		fmt.Printf("nameserver: replica node %d, peers %v\n", rep.Node, peerList)
+	ref, err := o.Activate(naming.DefaultKey, srv)
+	if err != nil {
+		fatal(err)
 	}
+	iorStr := ref.String()
 
 	fmt.Printf("nameserver: serving on %s\n", o.Addr())
 	fmt.Printf("nameserver: corbaloc::%s/%s\n", o.Addr(), naming.DefaultKey)
@@ -126,20 +70,7 @@ func main() {
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	sig := <-ch
-	fmt.Printf("nameserver: %s, draining (max %s)\n", sig, *drainTimeout)
-
-	// Graceful departure (docs/NAMING.md): stop taking new
-	// connections, tell the peers we are leaving (a draining replica
-	// answers mutations with TRANSIENT, steering writers to the
-	// survivors), let in-flight requests finish, then shut down.
-	o.StopAccepting()
-	if rep != nil {
-		rep.Drain()
-	}
-	if !o.DrainInFlight(*drainTimeout) {
-		fmt.Fprintln(os.Stderr, "nameserver: drain timeout, aborting in-flight requests")
-	}
+	fmt.Printf("nameserver: %s, shutting down\n", <-ch)
 }
 
 func fatal(err error) {

@@ -17,7 +17,8 @@ func FuzzIORParse(f *testing.F) {
 	f.Add(sampleShmIOR().String())
 	f.Add(sampleBcastIOR().String())
 	f.Add(sampleMultiIOR().String())
-	f.Add(sampleGroupIOR().String())
+	f.Add(NewIIOP("IDL:test/Store:1.0", "h", 1, []byte("k"),
+		TaggedComponent{Tag: 0x5A430006, Data: []byte{1, 0, 1, 0, 1, 0}}).String())
 	f.Add(NewIIOP("IDL:test/Store:1.0", "h", 1, []byte("k")).String())
 	f.Add("corbaloc::host:2809/NameService")
 	f.Add("corbaloc::1.2@host:2809/key")
@@ -55,30 +56,6 @@ func FuzzIORParse(f *testing.F) {
 			back, err := DecodeZCShm(z.Encode().Data)
 			if err != nil || back != z {
 				t.Fatalf("ZCShm round trip: %+v -> %+v, %v", z, back, err)
-			}
-		}
-		// Every decodable profile's ordering/group components must
-		// survive validation and round-trip their encapsulations, and
-		// the failover sort must be total (no panic, stable count).
-		ordered := ref.OrderedIIOPProfiles()
-		if raw := ref.IIOPProfiles(); len(ordered) != len(raw) {
-			t.Fatalf("ordering dropped profiles: %d -> %d", len(raw), len(ordered))
-		}
-		for _, p := range ordered {
-			pw := p.PriorityWeight()
-			back, err := DecodePriorityWeight(pw.Encode().Data)
-			if err != nil || back != pw {
-				t.Fatalf("PriorityWeight round trip: %+v -> %+v, %v", pw, back, err)
-			}
-			if g, ok := p.Group(); ok {
-				if strings.ContainsRune(g.Name, 0) || strings.ContainsRune(g.Member, 0) ||
-					len(g.Name) > maxShmName || len(g.Member) > maxShmName {
-					t.Fatalf("hostile Group field survived validation: %+v", g)
-				}
-				back, err := DecodeGroup(g.Encode().Data)
-				if err != nil || back != g {
-					t.Fatalf("Group round trip: %+v -> %+v, %v", g, back, err)
-				}
 			}
 		}
 		if z, ok := ref.ZCShmBcast(); ok {

@@ -12,7 +12,7 @@ import (
 )
 
 // The IOR wire-vector suite locks the CDR byte format of multi-profile
-// and group-component references against canonical fixtures under
+// references against canonical fixtures under
 // testdata/, in both byte orders — the same contract the GIOP
 // conformance suite enforces for message headers. Component
 // encapsulations are always cdr.NativeOrder (a compile-time constant),
@@ -30,7 +30,6 @@ var iorVectors = []struct {
 	ref  func() IOR
 }{
 	{"multiprofile", sampleMultiIOR},
-	{"group", sampleGroupIOR},
 }
 
 var iorVecOrders = []struct {
@@ -69,8 +68,8 @@ func TestIORWireVectors(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("wire bytes diverged from %s:\n got %x\nwant %x", path, got, want)
 				}
-				// The fixture must decode back to an equivalent reference
-				// with ordering and group components intact.
+				// The fixture must decode back to the same reference, and
+				// IIOP() must pick its first profile.
 				d := cdr.NewDecoder(ord.order, 0, want)
 				back, err := Unmarshal(d)
 				if err != nil {
@@ -80,18 +79,15 @@ func TestIORWireVectors(t *testing.T) {
 				if back.TypeID != ref.TypeID || len(back.Profiles) != len(ref.Profiles) {
 					t.Fatalf("decoded reference diverged: %+v", back)
 				}
-				wantOrder := ref.OrderedIIOPProfiles()
-				gotOrder := back.OrderedIIOPProfiles()
-				for i := range wantOrder {
-					if gotOrder[i].Host != wantOrder[i].Host ||
-						gotOrder[i].PriorityWeight() != wantOrder[i].PriorityWeight() {
-						t.Fatalf("dial order diverged at %d: %+v", i, gotOrder[i])
-					}
-					wg, wok := wantOrder[i].Group()
-					gg, gok := gotOrder[i].Group()
-					if wok != gok || wg != gg {
-						t.Fatalf("group component diverged at %d: %+v ok=%v", i, gg, gok)
-					}
+				first, err := DecodeIIOP(ref.Profiles[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, ok := back.IIOP(); !ok || p.Host != first.Host || p.Port != first.Port {
+					t.Fatalf("IIOP() = %+v ok=%v, want profile 0 %s:%d", p, ok, first.Host, first.Port)
+				}
+				if !bytes.Equal(marshalIOR(back, ord.order), want) {
+					t.Fatal("decoded vector does not re-encode byte-identically")
 				}
 			})
 		}

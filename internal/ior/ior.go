@@ -13,7 +13,6 @@ package ior
 import (
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -49,25 +48,6 @@ const (
 	// co-location precondition as TagZCShm; remote subscribers ignore
 	// it and keep the per-copy oneway push path.
 	TagZCShmBcast uint32 = 0x5A430005
-	// TagZCPriority orders the profiles of a multi-profile IOR for
-	// client-side failover: lower priority values are preferred, and
-	// weight spreads load among profiles of equal priority (DNS-SRV
-	// semantics). A profile without the component sorts as priority
-	// DefaultPriority, weight DefaultWeight.
-	TagZCPriority uint32 = 0x5A430006
-	// TagZCGroup marks a profile as one member of a replicated object
-	// group: the group name, this member's identity, and the balancing
-	// policy the group was published with. Clients that understand the
-	// component spread invocations across member profiles instead of
-	// treating them as a failover chain.
-	TagZCGroup uint32 = 0x5A430007
-)
-
-// Default profile ordering used when a profile carries no
-// PriorityWeight component.
-const (
-	DefaultPriority uint16 = 100
-	DefaultWeight   uint16 = 1
 )
 
 // TaggedComponent is an opaque component inside an IIOP profile.
@@ -116,33 +96,6 @@ func NewIIOP(typeID, host string, port uint16, objectKey []byte, comps ...Tagged
 	p := IIOPProfile{Major: 1, Minor: 0, Host: host, Port: port,
 		ObjectKey: objectKey, Components: comps}
 	return IOR{TypeID: typeID, Profiles: []TaggedProfile{p.Encode()}}
-}
-
-// NewMultiIIOP builds an IOR carrying one IIOP 1.0 profile per
-// endpoint, in the given order. Each profile's Components (including
-// any PriorityWeight or Group component) ride inside that profile, so
-// every endpoint advertises its own data plane and failover rank.
-func NewMultiIIOP(typeID string, profiles ...IIOPProfile) IOR {
-	r := IOR{TypeID: typeID, Profiles: make([]TaggedProfile, 0, len(profiles))}
-	for _, p := range profiles {
-		if p.Major == 0 {
-			p.Major, p.Minor = 1, 0
-		}
-		r.Profiles = append(r.Profiles, p.Encode())
-	}
-	return r
-}
-
-// AddProfile returns a copy of the IOR with the profile appended —
-// how a replicated service grows its reference one peer at a time.
-func (r IOR) AddProfile(p IIOPProfile) IOR {
-	out := IOR{TypeID: r.TypeID, Profiles: make([]TaggedProfile, 0, len(r.Profiles)+1)}
-	out.Profiles = append(out.Profiles, r.Profiles...)
-	if p.Major == 0 {
-		p.Major, p.Minor = 1, 0
-	}
-	out.Profiles = append(out.Profiles, p.Encode())
-	return out
 }
 
 // Encode serializes the IIOP profile body as a CDR encapsulation and
@@ -238,39 +191,6 @@ func (r IOR) IIOP() (IIOPProfile, bool) {
 	return IIOPProfile{}, false
 }
 
-// IIOPProfiles returns every decodable IIOP profile in IOR order
-// (undecodable ones are skipped). The result is the raw profile list;
-// use OrderedIIOPProfiles for the client's failover order.
-func (r IOR) IIOPProfiles() []IIOPProfile {
-	var out []IIOPProfile
-	for _, tp := range r.Profiles {
-		if tp.Tag != TagInternetIOP {
-			continue
-		}
-		if p, err := DecodeIIOP(tp); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// OrderedIIOPProfiles returns the IOR's IIOP profiles sorted into
-// client dial order: ascending priority, then descending weight, ties
-// broken by IOR position (a stable sort, so equal profiles keep the
-// publisher's order). This is the order the ORB's dial/retry path
-// walks when failing over.
-func (r IOR) OrderedIIOPProfiles() []IIOPProfile {
-	out := r.IIOPProfiles()
-	sort.SliceStable(out, func(i, j int) bool {
-		pi, pj := out[i].PriorityWeight(), out[j].PriorityWeight()
-		if pi.Priority != pj.Priority {
-			return pi.Priority < pj.Priority
-		}
-		return pi.Weight > pj.Weight
-	})
-	return out
-}
-
 // Component returns the first component with the given tag from the
 // first IIOP profile.
 func (r IOR) Component(tag uint32) ([]byte, bool) {
@@ -290,148 +210,6 @@ func (p IIOPProfile) Component(tag uint32) ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// PriorityWeight is the decoded form of a TagZCPriority component: the
-// profile's failover rank and load share.
-type PriorityWeight struct {
-	// Priority ranks profiles; clients exhaust all profiles of a lower
-	// value before dialing a higher one (primary = 0).
-	Priority uint16
-	// Weight spreads load among profiles of equal priority; higher
-	// weight receives proportionally more traffic.
-	Weight uint16
-}
-
-// Encode serializes a PriorityWeight as a tagged component.
-func (pw PriorityWeight) Encode() TaggedComponent {
-	e := cdr.NewEncoder(cdr.NativeOrder, 1)
-	e.WriteUShort(pw.Priority)
-	e.WriteUShort(pw.Weight)
-	data := append([]byte{byte(cdr.NativeOrder)}, e.Bytes()...)
-	return TaggedComponent{Tag: TagZCPriority, Data: data}
-}
-
-// DecodePriorityWeight parses a TagZCPriority component body.
-func DecodePriorityWeight(data []byte) (PriorityWeight, error) {
-	var pw PriorityWeight
-	if len(data) < 1 {
-		return pw, fmt.Errorf("ior: empty PriorityWeight component")
-	}
-	d := cdr.NewDecoder(cdr.ByteOrder(data[0]&1), 1, data[1:])
-	var err error
-	if pw.Priority, err = d.ReadUShort(); err != nil {
-		return pw, fmt.Errorf("ior: PriorityWeight priority: %w", err)
-	}
-	if pw.Weight, err = d.ReadUShort(); err != nil {
-		return pw, fmt.Errorf("ior: PriorityWeight weight: %w", err)
-	}
-	return pw, nil
-}
-
-// PriorityWeight returns the profile's decoded ordering component,
-// falling back to the defaults (priority 100, weight 1) when the
-// component is absent or undecodable — so plain single-profile IORs
-// sort exactly as before.
-func (p IIOPProfile) PriorityWeight() PriorityWeight {
-	data, ok := p.Component(TagZCPriority)
-	if !ok {
-		return PriorityWeight{Priority: DefaultPriority, Weight: DefaultWeight}
-	}
-	pw, err := DecodePriorityWeight(data)
-	if err != nil {
-		return PriorityWeight{Priority: DefaultPriority, Weight: DefaultWeight}
-	}
-	return pw
-}
-
-// Group balancing policies carried in a Group component.
-const (
-	// PolicyRoundRobin spreads invocations evenly across members.
-	PolicyRoundRobin uint32 = 0
-	// PolicyLeastLoaded prefers the member with the fewest in-flight
-	// invocations (falling back to round-robin on ties).
-	PolicyLeastLoaded uint32 = 1
-)
-
-// Group is the decoded form of a TagZCGroup component: membership of a
-// replicated object group.
-type Group struct {
-	// Name identifies the group ("transcoders"); all member profiles
-	// of one group IOR carry the same name.
-	Name string
-	// Member identifies this profile's member within the group
-	// ("tc-3", usually the member's activation key).
-	Member string
-	// Policy is the balancing policy the group was published with
-	// (PolicyRoundRobin, PolicyLeastLoaded).
-	Policy uint32
-}
-
-// Encode serializes a Group as a tagged component.
-func (g Group) Encode() TaggedComponent {
-	e := cdr.NewEncoder(cdr.NativeOrder, 1)
-	e.WriteString(g.Name)
-	e.WriteString(g.Member)
-	e.WriteULong(g.Policy)
-	data := append([]byte{byte(cdr.NativeOrder)}, e.Bytes()...)
-	return TaggedComponent{Tag: TagZCGroup, Data: data}
-}
-
-// DecodeGroup parses a TagZCGroup component body, rejecting NUL bytes
-// and overlong names like the other hostile-field decoders.
-func DecodeGroup(data []byte) (Group, error) {
-	var g Group
-	if len(data) < 1 {
-		return g, fmt.Errorf("ior: empty Group component")
-	}
-	d := cdr.NewDecoder(cdr.ByteOrder(data[0]&1), 1, data[1:])
-	var err error
-	if g.Name, err = d.ReadString(); err != nil {
-		return g, fmt.Errorf("ior: Group name: %w", err)
-	}
-	if g.Member, err = d.ReadString(); err != nil {
-		return g, fmt.Errorf("ior: Group member: %w", err)
-	}
-	if g.Policy, err = d.ReadULong(); err != nil {
-		return g, fmt.Errorf("ior: Group policy: %w", err)
-	}
-	for _, f := range [...]struct{ name, v string }{
-		{"name", g.Name}, {"member", g.Member},
-	} {
-		if strings.ContainsRune(f.v, 0) {
-			return Group{}, fmt.Errorf("ior: Group %s contains NUL", f.name)
-		}
-		if len(f.v) > maxShmName {
-			return Group{}, fmt.Errorf("ior: Group %s overlong (%d bytes)", f.name, len(f.v))
-		}
-	}
-	return g, nil
-}
-
-// Group returns the profile's decoded group-membership component, if
-// present.
-func (p IIOPProfile) Group() (Group, bool) {
-	data, ok := p.Component(TagZCGroup)
-	if !ok {
-		return Group{}, false
-	}
-	g, err := DecodeGroup(data)
-	if err != nil {
-		return Group{}, false
-	}
-	return g, true
-}
-
-// Group returns the group component of the first IIOP profile, if
-// present — how a client recognizes a group IOR before splitting it
-// into member profiles.
-func (r IOR) Group() (Group, bool) {
-	p, ok := r.IIOP()
-	if !ok {
-		return Group{}, false
-	}
-	return p.Group()
 }
 
 // Encode serializes a ZCDeposit as a tagged component.

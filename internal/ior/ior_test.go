@@ -173,134 +173,40 @@ func TestDecodeIIOPRejectsGarbage(t *testing.T) {
 	}
 }
 
-// sampleMultiIOR is a three-endpoint replicated reference: two
-// priority-0 replicas with unequal weights and one priority-1 backup,
-// deliberately listed out of dial order.
+// sampleMultiIOR is a three-endpoint reference. Each profile carries
+// a vendor component (tag 0x5A430006) this ORB does not interpret: it
+// must survive parsing and re-encoding as an opaque TaggedComponent.
 func sampleMultiIOR() IOR {
-	return NewMultiIIOP("IDL:zcorba/Naming/Context:1.0",
-		IIOPProfile{Host: "10.0.0.3", Port: 2811, ObjectKey: []byte("NameService"),
-			Components: []TaggedComponent{PriorityWeight{Priority: 1, Weight: 1}.Encode()}},
-		IIOPProfile{Host: "10.0.0.1", Port: 2809, ObjectKey: []byte("NameService"),
-			Components: []TaggedComponent{PriorityWeight{Priority: 0, Weight: 3}.Encode()}},
-		IIOPProfile{Host: "10.0.0.2", Port: 2810, ObjectKey: []byte("NameService"),
-			Components: []TaggedComponent{PriorityWeight{Priority: 0, Weight: 1}.Encode()}},
-	)
+	prof := func(host string, port uint16, data ...byte) TaggedProfile {
+		return IIOPProfile{Major: 1, Host: host, Port: port, ObjectKey: []byte("NameService"),
+			Components: []TaggedComponent{{Tag: 0x5A430006, Data: data}}}.Encode()
+	}
+	return IOR{TypeID: "IDL:zcorba/Naming/Context:1.0", Profiles: []TaggedProfile{
+		prof("10.0.0.3", 2811, 1, 0, 1, 0, 1, 0),
+		prof("10.0.0.1", 2809, 1, 0, 0, 0, 3, 0),
+		prof("10.0.0.2", 2810, 1, 0, 0, 0, 1, 0),
+	}}
 }
 
-// sampleGroupIOR is a two-member object-group reference.
-func sampleGroupIOR() IOR {
-	return NewMultiIIOP("IDL:test/Worker:1.0",
-		IIOPProfile{Host: "10.0.1.1", Port: 7001, ObjectKey: []byte("w-1"),
-			Components: []TaggedComponent{
-				Group{Name: "workers", Member: "w-1", Policy: PolicyLeastLoaded}.Encode(),
-				PriorityWeight{Priority: 0, Weight: 2}.Encode(),
-			}},
-		IIOPProfile{Host: "10.0.1.2", Port: 7002, ObjectKey: []byte("w-2"),
-			Components: []TaggedComponent{
-				Group{Name: "workers", Member: "w-2", Policy: PolicyLeastLoaded}.Encode(),
-			}},
-	)
-}
-
-func TestMultiProfileOrdering(t *testing.T) {
-	r := sampleMultiIOR()
-	all := r.IIOPProfiles()
-	if len(all) != 3 {
-		t.Fatalf("IIOPProfiles: %d profiles", len(all))
-	}
-	// Raw order preserves the publisher's list.
-	if all[0].Host != "10.0.0.3" {
-		t.Fatalf("raw order changed: %+v", all[0])
-	}
-	ordered := r.OrderedIIOPProfiles()
-	want := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}
-	for i, h := range want {
-		if ordered[i].Host != h {
-			t.Fatalf("dial order[%d] = %s, want %s", i, ordered[i].Host, h)
-		}
-	}
-	// A component-free profile sorts with the defaults.
-	plain := NewIIOP("IDL:x:1.0", "h", 1, []byte("k"))
-	pw := plain.IIOPProfiles()[0].PriorityWeight()
-	if pw.Priority != DefaultPriority || pw.Weight != DefaultWeight {
-		t.Fatalf("default PriorityWeight = %+v", pw)
-	}
-}
-
+// TestMultiProfileRoundTrip: a multi-profile reference keeps every
+// profile through stringification, IIOP() yields the first one, and
+// the unknown component rides along untouched.
 func TestMultiProfileRoundTrip(t *testing.T) {
 	r := sampleMultiIOR()
 	got, err := Parse(r.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered := got.OrderedIIOPProfiles()
-	if len(ordered) != 3 || ordered[0].Host != "10.0.0.1" {
-		t.Fatalf("multi-profile ordering lost after stringify: %+v", ordered)
+	if len(got.Profiles) != 3 {
+		t.Fatalf("profiles lost after stringify: %d", len(got.Profiles))
 	}
-	pw := ordered[0].PriorityWeight()
-	if pw.Priority != 0 || pw.Weight != 3 {
-		t.Fatalf("PriorityWeight lost: %+v", pw)
+	p, ok := got.IIOP()
+	if !ok || p.Host != "10.0.0.3" || p.Port != 2811 {
+		t.Fatalf("IIOP() = %+v ok=%v, want the first profile", p, ok)
 	}
-}
-
-func TestAddProfile(t *testing.T) {
-	r := NewIIOP("IDL:x:1.0", "a", 1, []byte("k"))
-	grown := r.AddProfile(IIOPProfile{Host: "b", Port: 2, ObjectKey: []byte("k")})
-	if len(r.Profiles) != 1 {
-		t.Fatal("AddProfile mutated the receiver")
-	}
-	ps := grown.IIOPProfiles()
-	if len(ps) != 2 || ps[1].Host != "b" || ps[1].Major != 1 {
-		t.Fatalf("grown profiles: %+v", ps)
-	}
-}
-
-func TestGroupComponent(t *testing.T) {
-	r := sampleGroupIOR()
-	g, ok := r.Group()
-	if !ok {
-		t.Fatal("no group component")
-	}
-	if g.Name != "workers" || g.Member != "w-1" || g.Policy != PolicyLeastLoaded {
-		t.Fatalf("group = %+v", g)
-	}
-	for i, p := range r.IIOPProfiles() {
-		pg, ok := p.Group()
-		if !ok || pg.Name != "workers" {
-			t.Fatalf("profile %d group: %+v ok=%v", i, pg, ok)
-		}
-	}
-	// Round trip through the stringified form.
-	got, err := Parse(r.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, ok := got.Group()
-	if !ok || g2 != g {
-		t.Fatalf("group round trip: %+v -> %+v", g, g2)
-	}
-}
-
-func TestDecodeGroupRejectsHostileFields(t *testing.T) {
-	if _, err := DecodeGroup(nil); err == nil {
-		t.Fatal("want error for empty component")
-	}
-	bad := Group{Name: "a\x00b", Member: "m"}.Encode()
-	if _, err := DecodeGroup(bad.Data); err == nil {
-		t.Fatal("want error for NUL in group name")
-	}
-	long := Group{Name: strings.Repeat("n", maxShmName+1), Member: "m"}.Encode()
-	if _, err := DecodeGroup(long.Data); err == nil {
-		t.Fatal("want error for overlong group name")
-	}
-}
-
-func TestDecodePriorityWeightRejectsGarbage(t *testing.T) {
-	if _, err := DecodePriorityWeight(nil); err == nil {
-		t.Fatal("want error for empty component")
-	}
-	if _, err := DecodePriorityWeight([]byte{0, 1}); err == nil {
-		t.Fatal("want error for truncated component")
+	data, ok := p.Component(0x5A430006)
+	if !ok || !bytes.Equal(data, []byte{1, 0, 1, 0, 1, 0}) {
+		t.Fatalf("opaque component lost: %x ok=%v", data, ok)
 	}
 }
 

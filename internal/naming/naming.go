@@ -56,8 +56,8 @@ var Iface = orb.NewInterface(RepoID, "Context",
 		},
 		Result: typecode.TCVoid,
 		// Re-running a rebind that may have completed lands the same
-		// binding, so the retry policy may re-send it (and fail it over
-		// to another replica) after a CompletedMaybe failure.
+		// binding, so the retry policy may re-send it after a
+		// CompletedMaybe failure.
 		Idempotent: true,
 	},
 	&orb.Operation{
@@ -136,9 +136,11 @@ func (s *Server) Load() error {
 }
 
 // persistLocked writes the table to StorePath; the caller holds s.mu.
-func (s *Server) persistLocked() {
+// The file is written to a temporary sibling, synced and renamed over
+// the store, so a crash leaves either the old or the new table.
+func (s *Server) persistLocked() error {
 	if s.StorePath == "" {
-		return
+		return nil
 	}
 	flat := make(map[string]string, len(s.table))
 	for name, ref := range s.table {
@@ -146,14 +148,31 @@ func (s *Server) persistLocked() {
 	}
 	raw, err := json.MarshalIndent(flat, "", "  ")
 	if err != nil {
-		return
+		return err
 	}
 	tmp := s.StorePath + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
 	}
-	_ = os.Rename(tmp, s.StorePath)
+	if _, err = f.Write(raw); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.StorePath)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+	}
+	return err
 }
+
+// errPersist answers a mutation whose store write failed. The
+// in-memory change has been undone, so nothing was bound.
+var errPersist = &orb.SystemException{Name: "PERSIST_STORE", Completed: orb.CompletedNo}
 
 // Interface implements orb.Servant.
 func (s *Server) Interface() *orb.Interface { return Iface }
@@ -172,11 +191,23 @@ func (s *Server) Invoke(op string, args []any) (any, []any, error) {
 			return nil, nil, &orb.UserException{Type: TCAlreadyBound, Fields: []any{name}}
 		}
 		s.table[name] = args[1].(ior.IOR)
-		s.persistLocked()
+		if s.persistLocked() != nil {
+			delete(s.table, name)
+			return nil, nil, errPersist
+		}
 		return nil, nil, nil
 	case "rebind":
-		s.table[args[0].(string)] = args[1].(ior.IOR)
-		s.persistLocked()
+		name := args[0].(string)
+		old, had := s.table[name]
+		s.table[name] = args[1].(ior.IOR)
+		if s.persistLocked() != nil {
+			if had {
+				s.table[name] = old
+			} else {
+				delete(s.table, name)
+			}
+			return nil, nil, errPersist
+		}
 		return nil, nil, nil
 	case "resolve":
 		name := args[0].(string)
@@ -187,11 +218,15 @@ func (s *Server) Invoke(op string, args []any) (any, []any, error) {
 		return ref, nil, nil
 	case "unbind":
 		name := args[0].(string)
-		if _, ok := s.table[name]; !ok {
+		old, ok := s.table[name]
+		if !ok {
 			return nil, nil, &orb.UserException{Type: TCNotFound, Fields: []any{name}}
 		}
 		delete(s.table, name)
-		s.persistLocked()
+		if s.persistLocked() != nil {
+			s.table[name] = old
+			return nil, nil, errPersist
+		}
 		return nil, nil, nil
 	case "list":
 		prefix := args[0].(string)

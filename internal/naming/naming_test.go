@@ -220,3 +220,42 @@ func TestLoadCorruptStore(t *testing.T) {
 		t.Fatalf("missing store must be fine: %v", err)
 	}
 }
+
+// TestPersistFailureUndoesBind: a bind whose store write fails must
+// not report success, and must leave no binding behind in memory.
+func TestPersistFailureUndoesBind(t *testing.T) {
+	server, err := orb.New(orb.Options{Transport: &transport.TCP{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Shutdown)
+	srv := &Server{StorePath: t.TempDir() + "/missing/bindings.json"}
+	nsRef, err := server.Activate(DefaultKey, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dref, err := server.Activate("dummy", dummy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := orb.New(orb.Options{Transport: &transport.TCP{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Shutdown)
+	nc, err := Connect(client, nsRef.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = nc.Bind("lost/dummy", dref)
+	var sys *orb.SystemException
+	if !errors.As(err, &sys) || sys.Name != "PERSIST_STORE" || sys.Completed != orb.CompletedNo {
+		t.Fatalf("Bind with an unwritable store: want PERSIST_STORE/CompletedNo, got %v", err)
+	}
+	_, err = nc.Resolve("lost/dummy")
+	var nf *NotFound
+	if !errors.As(err, &nf) {
+		t.Fatalf("Resolve after a failed bind: want NotFound, got %v", err)
+	}
+}

@@ -26,91 +26,60 @@ type ObjectRef struct {
 	orb *ORB
 	ior ior.IOR
 
-	// Decoded profiles in failover order (priority/weight), cached on
-	// first use: IORs are immutable, so re-decoding them per
-	// invocation is pure overhead. profIdx points at the profile
-	// currently in use; failover advances it round-robin.
+	// The decoded first IIOP profile, cached on first use: IORs are
+	// immutable, so re-decoding it per invocation is pure overhead.
 	resolveOnce sync.Once
-	profiles    []profileEntry
-	profIdx     atomic.Uint32
+	prof        profileEntry
+	hasProf     bool
 
 	connMu sync.Mutex
 	conns  []*conn
 	rr     atomic.Uint32
 }
 
-// profileEntry is one decoded IIOP profile plus its zero-copy deposit
-// component (per-profile: each replica advertises its own data plane).
+// profileEntry is the reference's decoded IIOP profile plus its
+// zero-copy deposit component.
 type profileEntry struct {
 	profile ior.IIOPProfile
 	zcDep   ior.ZCDeposit
 	hasZC   bool
 }
 
-// resolved decodes and caches the reference's IIOP profiles in dial
-// order (ascending priority, descending weight) with each profile's
-// zero-copy deposit component. A ZC-SHM component whose host identity
-// and architecture match ours is folded into a synthetic deposit
-// endpoint at the shm path, so the whole dial/token/fallback machinery
-// downstream is reused unchanged; a mismatch counts a ShmMiss and the
-// call takes the standard path.
-func (r *ObjectRef) resolved() {
+// current decodes and caches the reference's first IIOP profile with
+// its zero-copy deposit component. A multi-profile reference is
+// parsed whole, but only this profile is dialed. A ZC-SHM component
+// whose host identity and architecture match ours is folded into a
+// synthetic deposit endpoint at the shm path, so the whole
+// dial/token/fallback machinery downstream is reused unchanged; a
+// mismatch counts a ShmMiss and the call takes the standard path.
+func (r *ObjectRef) current() (profileEntry, bool) {
 	r.resolveOnce.Do(func() {
 		o := r.orb
-		for _, p := range r.ior.OrderedIIOPProfiles() {
-			pe := profileEntry{profile: p}
-			if data, ok := p.Component(ior.TagZCDeposit); ok {
-				if z, err := ior.DecodeZCDeposit(data); err == nil {
-					pe.zcDep, pe.hasZC = z, true
-				}
+		p, ok := r.ior.IIOP()
+		if !ok {
+			return
+		}
+		pe := profileEntry{profile: p}
+		if data, ok := p.Component(ior.TagZCDeposit); ok {
+			if z, err := ior.DecodeZCDeposit(data); err == nil {
+				pe.zcDep, pe.hasZC = z, true
 			}
-			if !pe.hasZC {
-				if data, ok := p.Component(ior.TagZCShm); ok {
-					if zs, err := ior.DecodeZCShm(data); err == nil {
-						if shmem.Supported() && zs.Arch == o.arch && zs.HostID == o.hostID {
-							pe.zcDep = ior.ZCDeposit{Arch: zs.Arch, Host: zs.Path}
-							pe.hasZC = true
-						} else {
-							o.stats.ShmMisses.Add(1)
-						}
+		}
+		if !pe.hasZC {
+			if data, ok := p.Component(ior.TagZCShm); ok {
+				if zs, err := ior.DecodeZCShm(data); err == nil {
+					if shmem.Supported() && zs.Arch == o.arch && zs.HostID == o.hostID {
+						pe.zcDep = ior.ZCDeposit{Arch: zs.Arch, Host: zs.Path}
+						pe.hasZC = true
+					} else {
+						o.stats.ShmMisses.Add(1)
 					}
 				}
 			}
-			r.profiles = append(r.profiles, pe)
 		}
+		r.prof, r.hasProf = pe, true
 	})
-}
-
-// current returns the profile the reference is presently pinned to.
-func (r *ObjectRef) current() (profileEntry, bool) {
-	r.resolved()
-	if len(r.profiles) == 0 {
-		return profileEntry{}, false
-	}
-	return r.profiles[int(r.profIdx.Load())%len(r.profiles)], true
-}
-
-// failover advances to the next profile in dial order (wrapping) and
-// drops the reference's cached connections so the next attempt dials
-// the new endpoint. A no-op for single-profile references, so the
-// retry path behaves exactly as before this reference shape existed.
-func (r *ObjectRef) failover() (profileEntry, bool) {
-	r.resolved()
-	n := len(r.profiles)
-	if n <= 1 {
-		if n == 0 {
-			return profileEntry{}, false
-		}
-		return r.profiles[0], true
-	}
-	idx := r.profIdx.Add(1)
-	r.connMu.Lock()
-	for i := range r.conns {
-		r.conns[i] = nil
-	}
-	r.connMu.Unlock()
-	r.orb.stats.Failovers.Add(1)
-	return r.profiles[int(idx)%n], true
+	return r.prof, r.hasProf
 }
 
 // IOR returns the underlying interoperable object reference.
@@ -172,25 +141,6 @@ func (r *ObjectRef) invokeTraced(ctx context.Context, op *Operation, args []any,
 		}
 		o.stats.Retries.Add(1)
 		r.invalidate()
-		// Multi-profile references fail over before re-sending: the
-		// retryable failure classes (COMM_FAILURE/TRANSIENT) are exactly
-		// the ones that mean "this endpoint is dead or overloaded", so
-		// the retry goes to the next replica instead of hammering the
-		// same one. Single-profile references skip this (failover is a
-		// no-op) and keep the plain reconnect-and-retry behavior.
-		if len(r.profiles) > 1 {
-			if pe, ok := r.failover(); ok {
-				o.logf("orb: %s failing over to profile %s:%d after %v",
-					op.Name, pe.profile.Host, pe.profile.Port, err)
-				if tc.Valid() {
-					o.tracer.Record(trace.Span{
-						Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFailover,
-						Op: op.Name, Attempt: uint16(attempt), Err: true,
-						Start: trace.Now(),
-					})
-				}
-			}
-		}
 		backoff := policy.backoff(attempt)
 		if tc.Valid() {
 			o.tracer.Record(trace.Span{
@@ -369,42 +319,19 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		}
 	}
 
-	// Dial the current profile, failing over across the remaining
-	// profiles when the endpoint cannot be reached at all (connection
-	// refused — the classic dead-primary case). Nothing has been sent
-	// yet, so walking the profile list here is always safe, and it
-	// works even without a retry policy configured.
-	var c *conn
-	var err error
-	for tries := 0; ; tries++ {
-		// Zero-copy eligibility: both ORBs opted in and architectures
-		// match (the homogeneity negotiation of §2.1; on mismatch the
-		// call transparently falls back to standard IIOP marshaling).
-		// Per profile: each replica advertises its own data plane.
-		var zc *ior.ZCDeposit
-		if o.opts.ZeroCopy && pe.hasZC && pe.zcDep.Arch == o.arch {
-			zc = &pe.zcDep
-		}
-		c, err = r.getConn(pe.profile, zc)
-		if err == nil {
-			break
-		}
+	// Zero-copy eligibility: both ORBs opted in and architectures
+	// match (the homogeneity negotiation of §2.1; on mismatch the call
+	// transparently falls back to standard IIOP marshaling).
+	var zc *ior.ZCDeposit
+	if o.opts.ZeroCopy && pe.hasZC && pe.zcDep.Arch == o.arch {
+		zc = &pe.zcDep
+	}
+	c, err := r.getConn(pe.profile, zc)
+	if err != nil {
 		o.logf("orb: %s connect %s:%d: %v", op.Name, pe.profile.Host, pe.profile.Port, err)
-		if tries+1 >= len(r.profiles) {
-			// Every profile refused: COMM_FAILURE with CompletedNo, so
-			// the retry policy may still re-dial later (the server never
-			// saw the request).
-			return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}, tc, start, attempt)
-		}
-		if pe, ok = r.failover(); !ok {
-			return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}, tc, start, attempt)
-		}
-		if tc.Valid() {
-			o.tracer.Record(trace.Span{
-				Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFailover,
-				Op: op.Name, Attempt: attempt, Err: true, Start: trace.Now(),
-			})
-		}
+		// COMM_FAILURE with CompletedNo: the server never saw the
+		// request, so the retry policy may re-dial later.
+		return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}, tc, start, attempt)
 	}
 
 	inParams := op.InParams()
@@ -623,7 +550,6 @@ func (r *ObjectRef) decodeReply(ctx context.Context, op *Operation, msg *replyMs
 		if err != nil {
 			return nil, nil, &SystemException{Name: "MARSHAL", Completed: CompletedNo}
 		}
-		o.notifyForward(r.ior, fwd)
 		fr := &ObjectRef{orb: o, ior: fwd}
 		return fr.invokeCtx(ctx, op, args, forwards+1)
 

@@ -114,6 +114,29 @@ func TestSendBuffersGatherDeposits(t *testing.T) {
 		if got := p.server.Stats().GatherScatters.Load(); got != 1 {
 			t.Fatalf("server GatherScatters = %d, want 1", got)
 		}
+
+		// A plain Invoke with the same eight ZC arguments forms the
+		// same single train: no SendBuffers needed for one writev.
+		args := make([]any, len(bufs))
+		for i, b := range bufs {
+			args[i] = b
+		}
+		res, _, err = p.ref.Invoke(storeIface.Ops["put8"], args)
+		if err != nil {
+			t.Fatalf("Invoke: %v", err)
+		}
+		if res.(uint32) != want {
+			t.Fatalf("Invoke checksum = %v, want %d", res, want)
+		}
+		if got := cs.GatherDeposits.Load(); got != 2 {
+			t.Fatalf("Invoke: GatherDeposits = %d, want 1 more", got-1)
+		}
+		if got := cs.GatherSegments.Load(); got != 16 {
+			t.Fatalf("Invoke: GatherSegments = %d, want 8 more", got-8)
+		}
+		if got := p.server.Stats().GatherScatters.Load(); got != 2 {
+			t.Fatalf("Invoke: server GatherScatters = %d, want 1 more", got-1)
+		}
 		releaseBufs(bufs)
 	}
 }

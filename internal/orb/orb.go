@@ -248,11 +248,6 @@ type Stats struct {
 	CancelsSent atomic.Int64
 	// Retries counts re-invocations performed by the retry policy.
 	Retries atomic.Int64
-	// Failovers counts client-side profile switches: a multi-profile
-	// reference abandoning its current IIOP endpoint for the next one
-	// in dial order after a COMM_FAILURE/TRANSIENT failure or a
-	// refused dial (docs/NAMING.md).
-	Failovers atomic.Int64
 	// Timeouts counts calls abandoned by the reply-wait deadline.
 	Timeouts atomic.Int64
 	// DataChanFallbacks counts invocations degraded from the ZC-deposit
@@ -345,12 +340,6 @@ type ORB struct {
 	// engine is the event-driven connection engine (nil when disabled,
 	// unsupported on this platform, or failed to initialize).
 	engine *engine
-
-	// fwdHooks observe LOCATION_FORWARD replies (registered via
-	// OnLocationForward); the naming cache invalidates stale entries
-	// from here.
-	fwdMu    sync.Mutex
-	fwdHooks []func(from, to ior.IOR)
 
 	reqID     atomic.Uint32
 	tokenBase uint64
@@ -667,7 +656,6 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"deposit_bytes_recv_total", "Direct-deposit bytes received.", &s.DepositBytesRecv},
 		{"zc_fallbacks_total", "ZC parameters marshaled on the standard path.", &s.ZCFallbacks},
 		{"retries_total", "Retry-policy re-invocations.", &s.Retries},
-		{"failovers_total", "Client-side profile failovers.", &s.Failovers},
 		{"timeouts_total", "Calls abandoned by the reply deadline.", &s.Timeouts},
 		{"data_chan_fallbacks_total", "Invocations degraded to the marshaled path.", &s.DataChanFallbacks},
 		{"deposit_aborts_total", "Inbound bulk transfers that failed mid-read.", &s.DepositAborts},
@@ -696,28 +684,6 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"inflight_requests", "Requests currently dispatched to servants.", &s.InFlight},
 	} {
 		x.AddGauge(g.name, g.help, g.v.Load)
-	}
-}
-
-// OnLocationForward registers fn to observe every LOCATION_FORWARD
-// reply this ORB's clients receive: from is the reference the request
-// was sent to, to the reference the server redirected it to. Hooks run
-// synchronously on the invoking goroutine before the forwarded
-// re-invocation, so a resolution cache can invalidate (or update) its
-// entry before any caller re-resolves (docs/NAMING.md).
-func (o *ORB) OnLocationForward(fn func(from, to ior.IOR)) {
-	o.fwdMu.Lock()
-	o.fwdHooks = append(o.fwdHooks, fn)
-	o.fwdMu.Unlock()
-}
-
-// notifyForward runs the registered LOCATION_FORWARD hooks.
-func (o *ORB) notifyForward(from, to ior.IOR) {
-	o.fwdMu.Lock()
-	hooks := o.fwdHooks
-	o.fwdMu.Unlock()
-	for _, fn := range hooks {
-		fn(from, to)
 	}
 }
 
@@ -1081,38 +1047,6 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 		o.mu.Unlock()
 	}()
 	return c, nil
-}
-
-// StopAccepting closes the ORB's listeners without touching
-// established connections: in-flight requests keep running and replies
-// still flow, but no new client can connect. The first step of a
-// graceful shutdown (cmd/nameserver drains in-flight work between
-// StopAccepting and Shutdown); idempotent, and Shutdown is still
-// required afterwards.
-func (o *ORB) StopAccepting() {
-	_ = o.ctrlLis.Close()
-	if o.dataLis != nil {
-		_ = o.dataLis.Close()
-	}
-	// Wake an accept loop parked on the MaxConns cap so it observes the
-	// closed listener and exits instead of waiting for a slot.
-	o.acceptCond.Broadcast()
-}
-
-// DrainInFlight waits until no request is being dispatched to this
-// ORB's servants (the InFlight gauge reaches zero), or until timeout;
-// it reports whether the drain completed. Pair with StopAccepting for
-// a graceful shutdown: stop taking new connections, let dispatched
-// requests finish, then Shutdown.
-func (o *ORB) DrainInFlight(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for o.stats.InFlight.Load() != 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return true
 }
 
 // Shutdown closes listeners and all connections and waits for

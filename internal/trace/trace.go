@@ -72,17 +72,13 @@ const (
 	// KindShed marks one request rejected by server admission control
 	// (TRANSIENT shed) instead of being dispatched.
 	KindShed
-	// KindFailover marks one client-side profile switch: the retry
-	// path abandoned the current IIOP profile and re-pinned the
-	// reference to the next one in dial order (docs/NAMING.md).
-	KindFailover
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"invoke", "marshal", "control_send", "deposit_send", "deposit_recv",
 	"unmarshal", "dispatch", "reply_send", "retry", "fallback", "lease",
-	"frame", "shm.deposit", "shm.claim", "shed", "failover",
+	"frame", "shm.deposit", "shm.claim", "shed",
 }
 
 // String returns the span kind's wire/log name.
