@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFramer -fuzztime $(FUZZTIME) ./internal/orb/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCDR -fuzztime $(FUZZTIME) ./internal/gentest/
 	$(GO) test -run '^$$' -fuzz FuzzBroadcastRingHeader -fuzztime $(FUZZTIME) ./internal/shmem/
+	$(GO) test -run '^$$' -fuzz FuzzRingClaim -fuzztime $(FUZZTIME) ./internal/shmem/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/idl/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/mpeg/
 

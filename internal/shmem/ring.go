@@ -80,6 +80,12 @@ func (r *Ring) descAt(idx int) (*uint64, *uint64) {
 	return u64p(r.desc, off), u64p(r.desc, off+8)
 }
 
+// runSlots returns the slot run of a size-byte record; an empty record
+// still takes one slot for its descriptor.
+func (c Config) runSlots(size int) int {
+	return max(1, (size+c.SlotSize-1)/c.SlotSize)
+}
+
 // packDesc packs a record kind and byte length into descriptor word 0.
 func packDesc(kind int, size int) uint64 {
 	return uint64(kind)<<56 | uint64(uint32(size))
@@ -139,18 +145,29 @@ func (r *Ring) Producer() *Producer {
 // ErrCorrupt. Test/fault-injection hook only.
 func (p *Producer) CorruptNext() { p.corruptNext.Store(true) }
 
-// Write deposits p as one record, copying it into the receiver-mapped
+// Write deposits b as one record, copying it into the receiver-mapped
 // slot run and publishing the descriptor. It blocks while the ring
 // lacks credit, up to StallTimeout.
 func (p *Producer) Write(b []byte) (int, error) {
+	n, err := p.WriteVec([][]byte{b})
+	return int(n), err
+}
+
+// WriteVec deposits each segment as its own record — the multi-slot
+// lease behind gathered deposits. Unlike a loop of Write calls, the
+// slot runs (including pads) for a whole batch are credited in ONE
+// reservation and the descriptors published with ONE release-store of
+// the shared head, so the consumer observes the train atomically and a
+// partially credited train can never wedge between records. Batches
+// whose combined slot need exceeds the ring capacity are split at
+// record boundaries (each flush is still one reservation).
+func (p *Producer) WriteVec(segs [][]byte) (int64, error) {
 	r := p.r
 	slotSize := r.cfg.SlotSize
-	need := (len(b) + slotSize - 1) / slotSize
-	if need == 0 {
-		need = 1 // zero-length records still need a descriptor
-	}
-	if len(b) > r.cfg.MaxPayload() {
-		return 0, ErrTooLarge
+	for _, b := range segs {
+		if len(b) > r.cfg.MaxPayload() {
+			return 0, ErrTooLarge
+		}
 	}
 
 	p.mu.Lock()
@@ -166,122 +183,68 @@ func (p *Producer) Write(b []byte) (int, error) {
 		return 0, ErrPeerDead
 	}
 
-	start := int(p.head % uint64(r.cfg.SlotCount))
-	pad := 0
-	if start+need > r.cfg.SlotCount {
-		pad = r.cfg.SlotCount - start
-	}
-	if err := p.waitCredit(uint64(pad + need)); err != nil {
-		return 0, err
-	}
-	head := p.head
-	if pad > 0 {
-		w0, w1 := r.descAt(start)
-		*w0 = packDesc(kindPad, pad*slotSize)
-		*w1 = head
-		head += uint64(pad)
-		start = 0
-	}
-	copy(r.data[start*slotSize:], b)
-	w0, w1 := r.descAt(start)
-	*w0 = packDesc(kindData, len(b))
-	tag := head
-	if p.corruptNext.CompareAndSwap(true, false) {
-		tag = ^head // wrong on purpose: the consumer reports ErrCorrupt
-	}
-	*w1 = tag
-	head += uint64(need)
-	// Release-store: every descriptor and payload byte above
-	// happens-before a consumer's acquire-load of the new head.
-	atomic.StoreUint64(r.head(), head)
-	p.head = head
-	return len(b), nil
-}
-
-// WriteVec deposits each segment as its own record — the multi-slot
-// lease behind gathered deposits. Unlike a loop of Write calls, the
-// slot runs (including wrap padding) for a whole batch are credited in
-// ONE reservation and the descriptors published with ONE release-store
-// of the shared head, so the consumer observes the train atomically
-// and a partially credited train can never wedge between records.
-// Batches whose combined slot need exceeds the ring capacity are split
-// at record boundaries (each flush is still one reservation).
-func (p *Producer) WriteVec(segs [][]byte) (int64, error) {
-	r := p.r
-	slotSize := r.cfg.SlotSize
-	for _, b := range segs {
-		if len(b) > r.cfg.MaxPayload() {
-			return 0, ErrTooLarge
-		}
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0, ErrClosed
-	}
-	if atomic.LoadUint32(r.consClosed()) != 0 || (p.Dead != nil && p.Dead.Load()) {
-		return 0, ErrPeerDead
-	}
-
 	var total int64
 	cap64 := uint64(r.cfg.SlotCount)
 	for batch := 0; batch < len(segs); {
-		// Walk forward from the current head simulating slot layout
-		// (data runs never wrap; a pad record fills the tail) until the
-		// batch would exceed ring capacity.
-		head := p.head
-		need := uint64(0)
-		end := batch
+		p.cachedTail = atomic.LoadUint64(r.tail())
+		drained := p.cachedTail == p.head
+		// Lay the batch out from the current head until it would
+		// exceed ring capacity.
+		head, end := p.head, batch
 		for ; end < len(segs); end++ {
-			n := (len(segs[end]) + slotSize - 1) / slotSize
-			if n == 0 {
-				n = 1
-			}
-			start := int((head + need) % cap64)
-			pad := 0
-			if start+n > r.cfg.SlotCount {
-				pad = r.cfg.SlotCount - start
-			}
-			if end > batch && need+uint64(pad+n) > cap64 {
+			n := r.cfg.runSlots(len(segs[end]))
+			next := head + uint64(r.place(head, n, drained && end == batch)+n)
+			if end > batch && next-p.head > cap64 {
 				break
 			}
-			need += uint64(pad + n)
+			head = next
 		}
-		if err := p.waitCredit(need); err != nil {
+		if err := p.waitCredit(head - p.head); err != nil {
 			return total, err
 		}
 		head = p.head
-		for _, b := range segs[batch:end] {
-			n := (len(b) + slotSize - 1) / slotSize
-			if n == 0 {
-				n = 1
+		for i, b := range segs[batch:end] {
+			n := r.cfg.runSlots(len(b))
+			if pad := r.place(head, n, drained && i == 0); pad > 0 {
+				w0, w1 := r.descAt(int(head % cap64))
+				*w0 = packDesc(kindPad, pad*slotSize)
+				*w1 = head
+				head += uint64(pad)
 			}
 			start := int(head % cap64)
-			if start+n > r.cfg.SlotCount {
-				w0, w1 := r.descAt(start)
-				*w0 = packDesc(kindPad, (r.cfg.SlotCount-start)*slotSize)
-				*w1 = head
-				head += uint64(r.cfg.SlotCount - start)
-				start = 0
-			}
 			copy(r.data[start*slotSize:], b)
 			w0, w1 := r.descAt(start)
 			*w0 = packDesc(kindData, len(b))
 			tag := head
 			if p.corruptNext.CompareAndSwap(true, false) {
-				tag = ^head
+				tag = ^head // wrong on purpose: the consumer reports ErrCorrupt
 			}
 			*w1 = tag
 			head += uint64(n)
 			total += int64(len(b))
 		}
-		// One release-store publishes every record of the batch.
+		// Release-store: every descriptor and payload byte of the batch
+		// happens-before a consumer's acquire-load of the new head.
 		atomic.StoreUint64(r.head(), head)
 		p.head = head
 		batch = end
 	}
 	return total, nil
+}
+
+// place returns how many pad slots precede a run of n slots written at
+// head. A run never crosses the end of the slot array: one that would
+// is preceded by a pad to the end. On a drained ring (every published
+// record retired) a run that is not at slot 0 also restarts there
+// whenever the pad plus the run fit the capacity, so a steady stream
+// keeps rewriting the same cache-resident slots instead of walking the
+// whole array.
+func (r *Ring) place(head uint64, n int, drained bool) int {
+	start := int(head % uint64(r.cfg.SlotCount))
+	if start > 0 && (start+n > r.cfg.SlotCount || drained && n <= start) {
+		return r.cfg.SlotCount - start
+	}
+	return 0
 }
 
 // waitCredit blocks until need slots of credit are available. The
@@ -425,24 +388,28 @@ func (c *Consumer) claim(tail, head uint64) (*View, error) {
 		return nil, ErrCorrupt
 	}
 	slotSize := r.cfg.SlotSize
+	slots := r.cfg.runSlots(size)
+	// A run must lie within what was published and within the slot
+	// array: a hostile or torn descriptor fails here, never as an
+	// out-of-range slice.
+	if uint64(slots) > head-tail || idx+slots > r.cfg.SlotCount {
+		return nil, ErrCorrupt
+	}
 	switch kind {
 	case kindPad:
-		slots := size / slotSize
-		if slots <= 0 || uint64(slots) > head-tail {
+		if size == 0 || size%slotSize != 0 {
 			return nil, ErrCorrupt
 		}
-		c.enqueue(&View{c: c, seq: tail, slots: slots, done: true})
+		v := c.getView()
+		v.seq, v.slots, v.done = tail, slots, true
+		c.enqueue(v)
 		c.mu.Lock()
 		c.tail = tail + uint64(slots)
 		c.sweepLocked()
 		c.mu.Unlock()
 		return nil, nil
 	case kindData:
-		slots := (size + slotSize - 1) / slotSize
-		if slots == 0 {
-			slots = 1
-		}
-		if uint64(slots) > head-tail || size > r.cfg.MaxPayload() {
+		if size > r.cfg.MaxPayload() {
 			return nil, ErrCorrupt
 		}
 		v := c.getView()

@@ -2,9 +2,12 @@ package shmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // tinyCfg is the smallest legal ring: 8 slots of 4 KiB, 16 KiB max
@@ -72,9 +75,13 @@ func TestRingRoundTrip(t *testing.T) {
 
 // TestRingWrapPad drives the cursor past the ring end many times with
 // record sizes that do not divide the slot count, so pad records are
-// exercised constantly.
+// exercised constantly. One view is always held across the next write,
+// so the ring never drains and the producer never rewinds early: every
+// return to slot 0 goes through the end-of-ring pad.
 func TestRingWrapPad(t *testing.T) {
-	p, c, _ := heapPair(t, tinyCfg)
+	p, c, seg := heapPair(t, tinyCfg)
+	var held *View
+	wraps := 0
 	for i := 0; i < 200; i++ {
 		msg := fill(3*4096-7, byte(i))
 		if _, err := p.Write(msg); err != nil {
@@ -87,7 +94,157 @@ func TestRingWrapPad(t *testing.T) {
 		if !bytes.Equal(v.Bytes(), msg) {
 			t.Fatalf("record %d corrupted across wrap", i)
 		}
+		if i > 0 && slotOf(seg.Ring(0), v) == 0 {
+			wraps++
+		}
+		if held != nil {
+			held.Release()
+		}
+		held = v
+	}
+	held.Release()
+	if wraps == 0 {
+		t.Fatal("no record wrapped through an end-of-ring pad")
+	}
+}
+
+// slotOf returns the slot index a claimed view starts at.
+func slotOf(r *Ring, v *View) int {
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(v.Bytes()))) - uintptr(unsafe.Pointer(&r.data[0]))
+	return int(off) / r.cfg.SlotSize
+}
+
+// TestRingRewindsWhenDrained pins the placement rule: on a drained ring
+// the next record (or train) restarts at slot 0 when the pad plus the
+// record fit the capacity; an outstanding view, or a record longer than
+// the cursor offset, leaves it at the cursor.
+func TestRingRewindsWhenDrained(t *testing.T) {
+	p, c, seg := heapPair(t, tinyCfg)
+	r := seg.Ring(0)
+	// claim writes msgs as one train and returns the views with the
+	// slot each starts at.
+	claim := func(msgs ...[]byte) ([]*View, []int) {
+		t.Helper()
+		if _, err := p.WriteVec(msgs); err != nil {
+			t.Fatalf("WriteVec: %v", err)
+		}
+		var views []*View
+		var slots []int
+		for i, msg := range msgs {
+			v, err := c.Next()
+			if err != nil {
+				t.Fatalf("next: %v", err)
+			}
+			if !bytes.Equal(v.Bytes(), msg) {
+				t.Fatalf("record %d: payload mismatch", i)
+			}
+			views = append(views, v)
+			slots = append(slots, slotOf(r, v))
+		}
+		return views, slots
+	}
+	releaseAll := func(views []*View) {
+		for _, v := range views {
+			v.Release()
+		}
+	}
+
+	// Drained: successive records start at slot 0.
+	for i, n := range []int{3 * 4096, 2*4096 - 1, 100, 4096} {
+		if _, err := p.Write(fill(n, byte(i))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		v, err := c.Next()
+		if err != nil {
+			t.Fatalf("next: %v", err)
+		}
+		if got := slotOf(r, v); got != 0 {
+			t.Fatalf("record %d on a drained ring starts at slot %d, want 0", i, got)
+		}
 		v.Release()
+	}
+
+	// One view outstanding: no rewind, the next record follows it.
+	held, slots := claim(fill(4096, 1))
+	if slots[0] != 0 {
+		t.Fatalf("first record at slot %d, want 0", slots[0])
+	}
+	next, slots := claim(fill(4096, 2))
+	if slots[0] != 1 {
+		t.Fatalf("record behind an outstanding view at slot %d, want 1", slots[0])
+	}
+	releaseAll(held)
+	releaseAll(next)
+
+	// Drained with the cursor at slot 2: a 3-slot record does not fit
+	// pad plus record, so it stays at the cursor.
+	long, slots := claim(fill(3*4096, 3))
+	if slots[0] != 2 {
+		t.Fatalf("record longer than the cursor offset at slot %d, want 2", slots[0])
+	}
+	releaseAll(long)
+
+	// Drained with the cursor at slot 5: a train restarts at slot 0.
+	train, slots := claim(fill(4096, 4), fill(2*4096, 5), fill(7, 6))
+	if slots[0] != 0 || slots[1] != 1 || slots[2] != 3 {
+		t.Fatalf("train after a drain at slots %v, want [0 1 3]", slots)
+	}
+	releaseAll(train)
+}
+
+// TestRingHostileDescriptor feeds the consumer descriptors whose run
+// crosses the end of the slot array. Both must fail as ErrCorrupt; a
+// data record there used to slice past the array and panic.
+func TestRingHostileDescriptor(t *testing.T) {
+	for _, kind := range []int{kindData, kindPad} {
+		seg, err := NewHeapSegment(tinyCfg)
+		if err != nil {
+			t.Fatalf("NewHeapSegment: %v", err)
+		}
+		r := seg.Ring(0)
+		last := uint64(tinyCfg.SlotCount - 1)
+		atomic.StoreUint64(r.tail(), last)
+		atomic.StoreUint64(r.head(), last+2)
+		atomic.StoreUint32(r.prodClosed(), 1)
+		w0, w1 := r.descAt(int(last))
+		*w0, *w1 = packDesc(kind, 2*tinyCfg.SlotSize), last
+		if _, err := r.Consumer().Next(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("kind %d: 2-slot run at the last slot: %v, want ErrCorrupt", kind, err)
+		}
+		seg.Close()
+	}
+}
+
+// TestRingClaimAllocs checks that a 1 MiB record through a
+// default-geometry ring allocates nothing, pads included: on a drained
+// ring every deposit is preceded by a rewind pad.
+func TestRingClaimAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates")
+	}
+	p, c, _ := heapPair(t, Config{}.WithDefaults())
+	msg := fill(1<<20, 7)
+	vec := [][]byte{msg}
+	for _, tc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"WriteVec", func() error { _, err := p.WriteVec(vec); return err }},
+		{"Write", func() error { _, err := p.Write(msg); return err }},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := tc.write(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			v, err := c.Next()
+			if err != nil {
+				t.Fatalf("next: %v", err)
+			}
+			v.Release()
+		})
+		if allocs != 0 {
+			t.Errorf("%s+Next+Release: %v allocs per record, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -340,4 +497,57 @@ func TestRingWriteVecTooLarge(t *testing.T) {
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize WriteVec: %v, want ErrTooLarge", err)
 	}
+}
+
+// FuzzRingClaim plays a hostile producer: arbitrary descriptor words
+// and head/tail cursors on a closed ring. The consumer must answer with
+// views inside the slot array or an error, in bounded steps, and never
+// panic. Each 16-byte chunk of descs fills one descriptor in slot
+// order; its tag word is taken relative to tail, so small values reach
+// the tag check.
+func FuzzRingClaim(f *testing.F) {
+	desc := func(kind, size int, tagDelta uint64) []byte {
+		b := make([]byte, 16)
+		binary.LittleEndian.PutUint64(b, packDesc(kind, size))
+		binary.LittleEndian.PutUint64(b[8:], tagDelta)
+		return b
+	}
+	last := uint64(tinyCfg.SlotCount - 1)
+	crossing := append(make([]byte, 16*int(last)), desc(kindData, 2*4096, 0)...)
+	f.Add(last+2, last, crossing)
+	f.Add(uint64(3), uint64(0), append(desc(kindData, 100, 0), desc(kindPad, 2*4096, 1)...))
+	f.Add(uint64(1)<<40, uint64(5), []byte{0xff})
+
+	f.Fuzz(func(t *testing.T, head, tail uint64, descs []byte) {
+		seg, err := NewHeapSegment(tinyCfg)
+		if err != nil {
+			t.Fatalf("NewHeapSegment: %v", err)
+		}
+		defer seg.Close()
+		r := seg.Ring(0)
+		for i := 0; i+16 <= len(descs) && i < len(r.desc); i += 16 {
+			w0, w1 := r.descAt(i / 16)
+			*w0 = binary.LittleEndian.Uint64(descs[i:])
+			*w1 = tail + binary.LittleEndian.Uint64(descs[i+8:])
+		}
+		atomic.StoreUint64(r.head(), head)
+		atomic.StoreUint64(r.tail(), tail)
+		atomic.StoreUint32(r.prodClosed(), 1)
+		c := r.Consumer()
+		// Every accepted record advances tail past its tag, so each
+		// descriptor is accepted at most once.
+		for step := 0; step <= tinyCfg.SlotCount; step++ {
+			v, err := c.Next()
+			if err != nil {
+				return
+			}
+			b := v.Bytes()
+			off := uintptr(unsafe.Pointer(unsafe.SliceData(b))) - uintptr(unsafe.Pointer(&r.data[0]))
+			if off+uintptr(cap(b)) > uintptr(len(r.data)) {
+				t.Fatalf("view [%d, +%d) outside the %d-byte slot array", off, cap(b), len(r.data))
+			}
+			v.Release()
+		}
+		t.Fatal("consumer still claiming after every descriptor was used")
+	})
 }

@@ -29,6 +29,9 @@
 // record would cross the ring end, the producer publishes a pad record
 // covering the tail slots and restarts at slot zero, so every payload
 // view is contiguous (and, because slots are page-sized, page-aligned).
+// A producer that finds the ring drained also pads to the end and
+// restarts at slot zero whenever the record fits there, so a steady
+// stream keeps reusing the same cache-resident slots.
 // Credit is the slot count: a producer may claim a run while
 // head+run-tail <= slotCount, and stalls (bounded by its StallTimeout)
 // otherwise. Consumers retire records strictly in ring order; views
