@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet conformance fuzz chaos race bench bench-all scale figures measure examples generate gencheck clean
+.PHONY: all build test vet conformance fuzz chaos race bench bench-all allocs scale figures measure examples generate gencheck clean
 
 UNAME_S := $(shell uname -s)
 
@@ -85,6 +85,19 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 	$(GO) run ./cmd/benchjson -o BENCH_orb.json bench_output.txt
+
+# Allocation attribution of the page call (docs/PERF.md, "The page
+# call's allocations"): the zero-copy 4 KiB request-rate bench at
+# window 1 on one CPU with every allocation sampled, then the sites by
+# allocated objects. Divide a site's count by the bench's N (printed
+# first) for allocations per request. Profile and test binary go to the
+# ignored $(ALLOCS_DIR).
+ALLOCS_DIR ?= allocs.out
+allocs:
+	mkdir -p $(ALLOCS_DIR)
+	$(GO) test -run '^$$' -bench 'RequestRate_ZC4K/window1$$' -benchtime 20000x -cpu 1 -benchmem \
+	  -memprofile $(ALLOCS_DIR)/mem.prof -memprofilerate 1 -o $(ALLOCS_DIR)/zcorba.test .
+	$(GO) tool pprof -sample_index=alloc_objects -top $(ALLOCS_DIR)/zcorba.test $(ALLOCS_DIR)/mem.prof
 
 # Connection-scale tier (Linux, docs/PERF.md): the 10k-idle-connection
 # engine proof (bounded goroutines, every conn still answers), the

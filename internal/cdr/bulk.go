@@ -57,8 +57,7 @@ func (d *Decoder) ReadOctetRun(n int) ([]byte, error) {
 	if err := d.need(n); err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.pos:])
+	out := clone(d.buf[d.pos : d.pos+n])
 	d.pos += n
 	return out, nil
 }

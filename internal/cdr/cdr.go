@@ -72,7 +72,15 @@ func NewEncoder(order ByteOrder, base int) *Encoder {
 
 // Reset empties the encoder for reuse, keeping its buffer capacity.
 func (e *Encoder) Reset(order ByteOrder, base int) {
-	e.buf = e.buf[:0]
+	e.ResetTo(e.buf, order, base)
+}
+
+// ResetTo is Reset onto caller storage: e appends from buf[0] on, so
+// an encoder over a buffer that is large enough (a pooled object's
+// scratch) allocates nothing. What e writes escapes to the heap, so a
+// stack array passed here is moved there.
+func (e *Encoder) ResetTo(buf []byte, order ByteOrder, base int) {
+	e.buf = buf[:0]
 	e.order = order
 	e.base = base
 }
@@ -397,22 +405,34 @@ func (d *Decoder) ReadDouble() (float64, error) {
 // ReadString consumes a CDR string and returns it without the
 // terminating NUL.
 func (d *Decoder) ReadString() (string, error) {
-	n, err := d.ReadULong()
+	b, err := d.ReadStringView()
 	if err != nil {
 		return "", err
 	}
+	return string(b), nil
+}
+
+// ReadStringView is ReadString without the copy: it returns the
+// string's bytes (without the NUL) as a view aliasing the decoder's
+// buffer, for a caller that compares or looks them up rather than
+// keeping them.
+func (d *Decoder) ReadStringView() ([]byte, error) {
+	n, err := d.ReadULong()
+	if err != nil {
+		return nil, err
+	}
 	if n == 0 || n > maxSeqLen {
-		return "", fmt.Errorf("%w: length %d", ErrBadString, n)
+		return nil, fmt.Errorf("%w: length %d", ErrBadString, n)
 	}
 	if err := d.need(int(n)); err != nil {
-		return "", err
+		return nil, err
 	}
 	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	if b[n-1] != 0 {
-		return "", fmt.Errorf("%w: missing NUL", ErrBadString)
+		return nil, fmt.Errorf("%w: missing NUL", ErrBadString)
 	}
-	return string(b[:n-1]), nil
+	return b[: n-1 : n-1], nil
 }
 
 // ReadOctetSeq consumes a sequence<octet> and returns a copy of its
@@ -422,10 +442,13 @@ func (d *Decoder) ReadOctetSeq() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	return clone(b), nil
 }
+
+// clone copies b into a fresh slice (non-nil, even when empty). Unlike
+// make+copy it does not zero the new buffer before overwriting it,
+// which at 1 MiB is a second pass over memory.
+func clone(b []byte) []byte { return append([]byte{}, b...) }
 
 // ReadOctetSeqView consumes a sequence<octet> and returns a view
 // aliasing the decoder's buffer. This is the zero-copy read used by

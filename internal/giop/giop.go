@@ -173,7 +173,13 @@ const traceContextLen = 16
 
 // Encode serializes the trace context as a service context.
 func (tc TraceContext) Encode() ServiceContext {
-	data := make([]byte, traceContextLen)
+	return tc.EncodeTo(make([]byte, traceContextLen))
+}
+
+// EncodeTo is Encode into caller storage: the context's Data is
+// buf[:16], which must have room.
+func (tc TraceContext) EncodeTo(buf []byte) ServiceContext {
+	data := buf[:traceContextLen]
 	binary.BigEndian.PutUint64(data[:8], tc.TraceID)
 	binary.BigEndian.PutUint64(data[8:], tc.SpanID)
 	return ServiceContext{ID: TraceContextID, Data: data}
@@ -210,25 +216,26 @@ func writeServiceContexts(e *cdr.Encoder, scs []ServiceContext) {
 	}
 }
 
-func readServiceContexts(d *cdr.Decoder) ([]ServiceContext, error) {
+// readServiceContexts reads a service context list into scs[:0],
+// reusing its storage. Each context's Data is a view of d's buffer.
+func readServiceContexts(d *cdr.Decoder, scs []ServiceContext) ([]ServiceContext, error) {
+	scs = scs[:0]
 	n, err := d.ReadULong()
 	if err != nil {
-		return nil, fmt.Errorf("giop: service context count: %w", err)
+		return scs, fmt.Errorf("giop: service context count: %w", err)
 	}
 	if n > 256 {
-		return nil, fmt.Errorf("giop: %d service contexts", n)
+		return scs, fmt.Errorf("giop: %d service contexts", n)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	scs := make([]ServiceContext, n)
-	for i := range scs {
-		if scs[i].ID, err = d.ReadULong(); err != nil {
-			return nil, fmt.Errorf("giop: service context id: %w", err)
+	for i := uint32(0); i < n; i++ {
+		var sc ServiceContext
+		if sc.ID, err = d.ReadULong(); err != nil {
+			return scs, fmt.Errorf("giop: service context id: %w", err)
 		}
-		if scs[i].Data, err = d.ReadOctetSeq(); err != nil {
-			return nil, fmt.Errorf("giop: service context data: %w", err)
+		if sc.Data, err = d.ReadOctetSeqView(); err != nil {
+			return scs, fmt.Errorf("giop: service context data: %w", err)
 		}
+		scs = append(scs, sc)
 	}
 	return scs, nil
 }
@@ -263,29 +270,50 @@ func (h *RequestHeader) Marshal(e *cdr.Encoder) {
 	e.WriteOctetSeq(h.Principal)
 }
 
-// UnmarshalRequestHeader reads a request header from d.
+// UnmarshalRequestHeader reads a request header from d. The byte
+// fields are views of d's buffer, as Unmarshal describes.
 func UnmarshalRequestHeader(d *cdr.Decoder) (RequestHeader, error) {
 	var h RequestHeader
+	err := h.Unmarshal(d, nil)
+	return h, err
+}
+
+// Unmarshal reads a request header from d into h, reusing the storage
+// of h.ServiceContexts. ObjectKey, Principal and every context's Data
+// are views of d's buffer and die with it. Operation is a string, so
+// it never aliases the buffer: intern, when not nil, maps the wire
+// name (with the object key it addresses) to a string that already
+// exists, and a name it does not know is copied.
+func (h *RequestHeader) Unmarshal(d *cdr.Decoder, intern func(key, op []byte) (string, bool)) error {
 	var err error
-	if h.ServiceContexts, err = readServiceContexts(d); err != nil {
-		return h, err
+	if h.ServiceContexts, err = readServiceContexts(d, h.ServiceContexts); err != nil {
+		return err
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return h, fmt.Errorf("giop: request id: %w", err)
+		return fmt.Errorf("giop: request id: %w", err)
 	}
 	if h.ResponseExpected, err = d.ReadBoolean(); err != nil {
-		return h, fmt.Errorf("giop: response_expected: %w", err)
+		return fmt.Errorf("giop: response_expected: %w", err)
 	}
-	if h.ObjectKey, err = d.ReadOctetSeq(); err != nil {
-		return h, fmt.Errorf("giop: object key: %w", err)
+	if h.ObjectKey, err = d.ReadOctetSeqView(); err != nil {
+		return fmt.Errorf("giop: object key: %w", err)
 	}
-	if h.Operation, err = d.ReadString(); err != nil {
-		return h, fmt.Errorf("giop: operation: %w", err)
+	op, err := d.ReadStringView()
+	if err != nil {
+		return fmt.Errorf("giop: operation: %w", err)
 	}
-	if h.Principal, err = d.ReadOctetSeq(); err != nil {
-		return h, fmt.Errorf("giop: principal: %w", err)
+	name, ok := "", false
+	if intern != nil {
+		name, ok = intern(h.ObjectKey, op)
 	}
-	return h, nil
+	if !ok {
+		name = string(op)
+	}
+	h.Operation = name
+	if h.Principal, err = d.ReadOctetSeqView(); err != nil {
+		return fmt.Errorf("giop: principal: %w", err)
+	}
+	return nil
 }
 
 // ReplyStatus enumerates GIOP reply status values.
@@ -324,25 +352,34 @@ func (h *ReplyHeader) Marshal(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.Status))
 }
 
-// UnmarshalReplyHeader reads a reply header from d.
+// UnmarshalReplyHeader reads a reply header from d. Each service
+// context's Data is a view of d's buffer.
 func UnmarshalReplyHeader(d *cdr.Decoder) (ReplyHeader, error) {
 	var h ReplyHeader
+	err := h.Unmarshal(d)
+	return h, err
+}
+
+// Unmarshal reads a reply header from d into h, reusing the storage of
+// h.ServiceContexts. Each context's Data is a view of d's buffer and
+// dies with it.
+func (h *ReplyHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
-	if h.ServiceContexts, err = readServiceContexts(d); err != nil {
-		return h, err
+	if h.ServiceContexts, err = readServiceContexts(d, h.ServiceContexts); err != nil {
+		return err
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return h, fmt.Errorf("giop: reply request id: %w", err)
+		return fmt.Errorf("giop: reply request id: %w", err)
 	}
 	s, err := d.ReadULong()
 	if err != nil {
-		return h, fmt.Errorf("giop: reply status: %w", err)
+		return fmt.Errorf("giop: reply status: %w", err)
 	}
 	if s > uint32(ReplyLocationForward) {
-		return h, fmt.Errorf("giop: invalid reply status %d", s)
+		return fmt.Errorf("giop: invalid reply status %d", s)
 	}
 	h.Status = ReplyStatus(s)
-	return h, nil
+	return nil
 }
 
 // LocateRequestHeader is the GIOP 1.0 LocateRequest header.
@@ -452,8 +489,14 @@ type DepositInfo struct {
 const depositInline = 1
 
 // Encode serializes the deposit info as a service context.
-func (di DepositInfo) Encode() ServiceContext {
-	e := cdr.NewEncoder(cdr.NativeOrder, 1)
+func (di DepositInfo) Encode() ServiceContext { return di.EncodeTo(nil) }
+
+// EncodeTo is Encode into caller storage: the context's Data is built
+// from buf[0] on, and allocates only if buf's capacity is short.
+func (di DepositInfo) EncodeTo(buf []byte) ServiceContext {
+	var e cdr.Encoder
+	e.ResetTo(buf, cdr.NativeOrder, 0)
+	e.WriteOctet(byte(cdr.NativeOrder))
 	e.WriteString(di.Arch)
 	e.WriteULongLong(di.Token)
 	e.WriteULong(uint32(len(di.Sizes)))
@@ -463,35 +506,47 @@ func (di DepositInfo) Encode() ServiceContext {
 	if di.Inline {
 		e.WriteOctet(depositInline)
 	}
-	data := append([]byte{byte(cdr.NativeOrder)}, e.Bytes()...)
-	return ServiceContext{ID: ZCDepositContextID, Data: data}
+	return ServiceContext{ID: ZCDepositContextID, Data: e.Bytes()}
 }
 
 // DecodeDepositInfo parses a ZCDeposit service context body.
 func DecodeDepositInfo(data []byte) (DepositInfo, error) {
 	var di DepositInfo
+	err := di.Decode(data)
+	return di, err
+}
+
+// Decode parses a ZCDeposit service context body into di, reusing the
+// storage of di.Sizes. Arch keeps its string when the announced one is
+// the same, so a connection's announcements decode without allocating.
+func (di *DepositInfo) Decode(data []byte) error {
+	di.Sizes, di.Inline = di.Sizes[:0], false
 	if len(data) < 1 {
-		return di, fmt.Errorf("giop: empty deposit context")
+		return fmt.Errorf("giop: empty deposit context")
 	}
-	d := cdr.NewDecoder(cdr.ByteOrder(data[0]&1), 1, data[1:])
-	var err error
-	if di.Arch, err = d.ReadString(); err != nil {
-		return di, fmt.Errorf("giop: deposit arch: %w", err)
+	var d cdr.Decoder
+	d.Reset(cdr.ByteOrder(data[0]&1), 1, data[1:])
+	arch, err := d.ReadStringView()
+	if err != nil {
+		return fmt.Errorf("giop: deposit arch: %w", err)
+	}
+	if di.Arch != string(arch) {
+		di.Arch = string(arch)
 	}
 	if di.Token, err = d.ReadULongLong(); err != nil {
-		return di, fmt.Errorf("giop: deposit token: %w", err)
+		return fmt.Errorf("giop: deposit token: %w", err)
 	}
 	n, err := d.ReadULong()
 	if err != nil {
-		return di, fmt.Errorf("giop: deposit count: %w", err)
+		return fmt.Errorf("giop: deposit count: %w", err)
 	}
 	if n > 256 {
-		return di, fmt.Errorf("giop: %d deposit blocks", n)
+		return fmt.Errorf("giop: %d deposit blocks", n)
 	}
-	di.Sizes = make([]uint32, n)
-	for i := range di.Sizes {
-		if di.Sizes[i], err = d.ReadULong(); err != nil {
-			return di, fmt.Errorf("giop: deposit size: %w", err)
+	for i := uint32(0); i < n; i++ {
+		size, err := d.ReadULong()
+		if err != nil {
+			return fmt.Errorf("giop: deposit size: %w", err)
 		}
 		// Zero-length deposit blocks are rejected here, in defensive
 		// parity with the MaxMessageSize bound: a legitimate sender
@@ -501,15 +556,16 @@ func DecodeDepositInfo(data []byte) (DepositInfo, error) {
 		// iterations, allocating a lease and buffer envelope per entry
 		// for no payload. An EMPTY vector stays legal — it is the pure
 		// data-channel announcement.
-		if di.Sizes[i] == 0 {
-			return di, fmt.Errorf("giop: zero-length deposit block %d of %d", i, n)
+		if size == 0 {
+			return fmt.Errorf("giop: zero-length deposit block %d of %d", i, n)
 		}
+		di.Sizes = append(di.Sizes, size)
 	}
 	if d.Remaining() > 0 {
 		flags, _ := d.ReadOctet()
 		di.Inline = flags&depositInline != 0
 	}
-	return di, nil
+	return nil
 }
 
 // Total returns the summed payload size, guarding against overflow.

@@ -191,6 +191,10 @@ type Call struct {
 	tc      trace.Context
 	start   int64
 	attempt uint16
+
+	// send is where startCtx builds the request's service contexts and
+	// deposit train.
+	send sendScratch
 }
 
 // callPool recycles Call envelopes for the synchronous and pipelined
@@ -270,10 +274,18 @@ func (c *Call) finishInvoke(tr *trace.Tracer) {
 func (r *ObjectRef) failedCall(op *Operation, args []any, err error,
 	tc trace.Context, start int64, attempt uint16) *Call {
 	call := callPool.Get().(*Call)
-	call.ref, call.op, call.args, call.done, call.err = r, op, args, true, err
+	call.ref, call.op, call.args = r, op, args
 	call.tc, call.start, call.attempt = tc, start, attempt
-	call.finishInvoke(r.orb.tracer)
-	return call
+	return call.finish(err)
+}
+
+// finish completes a Call that has no reply to wait for — it failed
+// with err before reaching its reply slot, or it is a oneway send
+// (nil) — and closes its invoke root span.
+func (c *Call) finish(err error) *Call {
+	c.done, c.err = true, err
+	c.finishInvoke(c.ref.orb.tracer)
+	return c
 }
 
 // doneCall returns a completed Call carrying a local result (the
@@ -341,7 +353,13 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	}
 	useZC := c.usableData()
 
+	// The Call is taken now: the request is built in its send scratch.
+	call := callPool.Get().(*Call)
+	call.ref, call.op, call.args, call.ctx = r, op, args, ctx
+	call.tc, call.start, call.attempt = tc, start, attempt
+	scx := &call.send
 	req := giop.RequestHeader{
+		ServiceContexts:  scx.contexts[:0],
 		RequestID:        o.reqID.Add(1),
 		ResponseExpected: !op.Oneway,
 		ObjectKey:        pe.profile.ObjectKey,
@@ -353,9 +371,9 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	if useZC {
 		var sizes []uint32
 		var zcOK bool
-		deposits, sizes, zcOK, err = collectDeposits(inTypes, args)
+		deposits, sizes, zcOK, err = collectDeposits(inTypes, args, scx.segs[:], scx.sizes[:])
 		if err != nil {
-			return r.failedCall(op, args, &SystemException{Name: "MARSHAL", Completed: CompletedNo}, tc, start, attempt)
+			return call.finish(&SystemException{Name: "MARSHAL", Completed: CompletedNo})
 		}
 		// A zero-length ZC value is not deposit-eligible (the wire
 		// protocol forbids zero-length deposit blocks): the whole call
@@ -366,18 +384,14 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		// parameters) so the server can deposit zero-copy replies.
 		req.ServiceContexts = append(req.ServiceContexts, giop.DepositInfo{
 			Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
-		}.Encode())
+		}.EncodeTo(scx.deposit[:]))
 	}
-	if tc.Valid() {
-		req.ServiceContexts = append(req.ServiceContexts, giop.TraceContext{
-			TraceID: uint64(tc.Trace), SpanID: uint64(tc.Span),
-		}.Encode())
-	}
+	req.ServiceContexts = scx.appendTrace(req.ServiceContexts, tc)
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	req.Marshal(e)
 	if err := o.marshalValues(e, inTypes, args, skipZC); err != nil {
 		cdr.PutEncoder(e)
-		return r.failedCall(op, args, &SystemException{Name: "MARSHAL", Completed: CompletedNo}, tc, start, attempt)
+		return call.finish(&SystemException{Name: "MARSHAL", Completed: CompletedNo})
 	}
 	body := e.Bytes()
 	if tc.Valid() {
@@ -393,7 +407,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		ch, err = c.register(req.RequestID)
 		if err != nil {
 			cdr.PutEncoder(e)
-			return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}, tc, start, attempt)
+			return call.finish(&SystemException{Name: "COMM_FAILURE", Completed: CompletedNo})
 		}
 	}
 	o.stats.RequestsSent.Add(1)
@@ -420,22 +434,20 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 			if ch != nil {
 				r.dropAbandoned(c, req.RequestID, ch)
 			}
+			freeCall(call)
 			return r.startCtx(ctx, op, args, tc, attempt)
 		}
 		if ch != nil {
 			c.unregister(req.RequestID)
 		}
 		c.close(err)
-		return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe}, tc, start, attempt)
+		return call.finish(&SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe})
 	}
 	cdr.PutEncoder(e)
 	if op.Oneway {
-		return r.doneCall(op, nil, nil, nil, tc, start, attempt)
+		return call.finish(nil)
 	}
-	call := callPool.Get().(*Call)
-	call.ref, call.op, call.args, call.ctx = r, op, args, ctx
 	call.conn, call.id, call.ch = c, req.RequestID, ch
-	call.tc, call.start, call.attempt = tc, start, attempt
 	return call
 }
 
@@ -495,18 +507,26 @@ func (r *ObjectRef) decodeReply(ctx context.Context, op *Operation, msg *replyMs
 	switch msg.hdr.Status {
 	case giop.ReplyNoException:
 		types := op.replyTypeList()
-		vals, leftover, err := o.unmarshalValues(msg.dec, types, msg.deposits,
+		vals, leftover, err := o.unmarshalValues(msg.vals, msg.dec, types, msg.deposits,
 			len(msg.deposits) > 0)
+		msg.vals = vals
 		if err != nil {
 			releaseAll(leftover)
 			return nil, nil, &SystemException{Name: "MARSHAL", Completed: CompletedYes}
 		}
+		// vals is the pooled message's storage: the result is copied
+		// out of it, and only out values, which the caller keeps, get
+		// a slice of their own.
 		var result any
 		if op.Result != nil && op.Result.Kind() != typecode.Void {
 			result = vals[0]
 			vals = vals[1:]
 		}
-		return result, vals, nil
+		var outs []any
+		if len(vals) > 0 {
+			outs = append(outs, vals...)
+		}
+		return result, outs, nil
 
 	case giop.ReplyUserException:
 		releaseAll(msg.deposits)

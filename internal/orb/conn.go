@@ -69,8 +69,10 @@ type conn struct {
 
 	// frame assembles the inbound control stream. It belongs to the
 	// one loop reading the connection: readLoop, or the event engine's
-	// service pass.
-	frame framer
+	// service pass. So does announced, the decoded deposit
+	// announcement of the message being read, which no handler sees.
+	frame     framer
+	announced giop.DepositInfo
 
 	closed atomic.Bool
 
@@ -108,17 +110,63 @@ type locateResult struct {
 
 // replyMsg carries a decoded Reply to the waiting invoker. body is the
 // pooled control-message buffer the decoder reads from; both return to
-// their pools via ORB.freeReply once the reply is fully decoded.
+// their pools via ORB.freeReply once the reply is fully decoded. The
+// header's service contexts are views of body. The slices keep their
+// storage across uses of the pooled envelope: vals is where the reply
+// values are decoded.
 type replyMsg struct {
 	hdr      giop.ReplyHeader
 	dec      *cdr.Decoder
 	deposits []*zcbuf.Buffer
+	vals     []any
 	body     []byte
 	err      error
 }
 
 // replyMsgPool recycles replyMsg envelopes on the reply hot path.
 var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
+
+// request carries one inbound Request from the reading loop to its
+// handler: the header, the decoder over the pooled body, the deposits
+// and the trace context, plus storage for the servant's arguments and
+// the reply values. From dispatch on it belongs to the handler, which
+// returns it with freeRequest once the reply is sent, never to the
+// connection: a legacy-tier handler runs while the reader reads the
+// next message. The header's byte fields are views of body and die
+// with it. The slices keep their storage across uses.
+type request struct {
+	hdr      giop.RequestHeader
+	dec      *cdr.Decoder
+	body     []byte
+	deposits []*zcbuf.Buffer
+	tc       trace.Context
+	args     []any
+	reply    []any
+	send     sendScratch
+}
+
+var requestPool = sync.Pool{New: func() any { return new(request) }}
+
+// freeRequest returns a request envelope, its decoder and its body to
+// their pools. The caller must have consumed or released the deposits.
+func (o *ORB) freeRequest(r *request) {
+	cdr.PutDecoder(r.dec)
+	o.putBody(r.body)
+	*r = request{
+		hdr:      giop.RequestHeader{ServiceContexts: cleared(r.hdr.ServiceContexts)},
+		deposits: cleared(r.deposits),
+		args:     cleared(r.args),
+		reply:    cleared(r.reply),
+	}
+	requestPool.Put(r)
+}
+
+// cleared empties s for reuse, dropping the references it held so a
+// pooled envelope pins neither a body nor a buffer.
+func cleared[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
 
 // replyChanPool recycles the single-slot reply channels handed to
 // invokers. A channel is only returned to the pool by the receiver
@@ -158,7 +206,11 @@ func (o *ORB) freeReply(msg *replyMsg) {
 	if msg.body != nil {
 		o.putBody(msg.body)
 	}
-	*msg = replyMsg{}
+	*msg = replyMsg{
+		hdr:      giop.ReplyHeader{ServiceContexts: cleared(msg.hdr.ServiceContexts)},
+		deposits: cleared(msg.deposits),
+		vals:     cleared(msg.vals),
+	}
 	replyMsgPool.Put(msg)
 }
 
@@ -478,6 +530,34 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, i
 	return nil
 }
 
+// sendScratch is the storage an outbound request or reply is built in
+// before its send: its service contexts, its deposit train and the
+// encoded deposit and trace contexts. It belongs to the pooled envelope of
+// the message (the client's Call, the server's request), so a steady
+// state send allocates none of it; a train or an announcement too
+// large for it spills to the heap. Nothing in it outlives the send,
+// which is synchronous, and the envelope's reset drops its references.
+type sendScratch struct {
+	contexts [2]giop.ServiceContext
+	segs     [4]transport.Segment
+	sizes    [4]uint32
+	deposit  [64]byte
+	trace    [16]byte
+}
+
+// appendTrace appends tc as a trace service context encoded in the
+// scratch. A zero context appends nothing, keeping untraced messages
+// byte-identical. Replies echo the request's context this way, so the
+// client side of the trace can attribute the reply's deposits.
+func (x *sendScratch) appendTrace(scs []giop.ServiceContext, tc trace.Context) []giop.ServiceContext {
+	if !tc.Valid() {
+		return scs
+	}
+	return append(scs, giop.TraceContext{
+		TraceID: uint64(tc.Trace), SpanID: uint64(tc.Span),
+	}.EncodeTo(x.trace[:]))
+}
+
 // countTrainSent counts one sent deposit train of segs segments and n
 // bytes, inline or on the data plane.
 func (c *conn) countTrainSent(segs int, n int64) {
@@ -613,14 +693,16 @@ func (c *conn) resolveData(token uint64) (transport.Conn, error) {
 // page-aligned buffer from the pool and reads the payload straight
 // into it — the zero-copy receive of §4.5. When tc is valid, the whole
 // transfer is recorded as one deposit_recv span (Err marks an abort).
-func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
-	op string) ([]*zcbuf.Buffer, error) {
+// The buffers are appended to bufs[:0], the message envelope's storage.
+func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext,
+	tc trace.Context, op string) ([]*zcbuf.Buffer, error) {
+	bufs = bufs[:0]
 	data, ok := giop.Find(contexts, giop.ZCDepositContextID)
 	if !ok {
-		return nil, nil
+		return bufs, nil
 	}
-	di, err := giop.DecodeDepositInfo(data)
-	if err != nil {
+	di := &c.announced
+	if err := di.Decode(data); err != nil {
 		return nil, err
 	}
 	total, err := di.Total()
@@ -628,7 +710,7 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 		return nil, err
 	}
 	if di.Inline && len(di.Sizes) > 0 {
-		return c.readInline(di, total, tc)
+		return c.readInline(bufs, di, total, tc)
 	}
 	dc, err := c.resolveData(di.Token)
 	if err != nil {
@@ -637,7 +719,7 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 	if len(di.Sizes) == 0 {
 		// Pure announcement: the client advertised its channel so the
 		// server can use it for zero-copy replies.
-		return nil, nil
+		return bufs, nil
 	}
 	tr := c.orb.tracer
 	var t0, got int64
@@ -647,7 +729,6 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 	ttl := c.orb.leaseTTL()
 	dr := c.direct
 	direct := false
-	bufs := make([]*zcbuf.Buffer, 0, len(di.Sizes))
 	for _, size := range di.Sizes {
 		if dr != nil {
 			b, claimed, err := c.claimDirect(dr, int(size), ttl)
@@ -716,7 +797,7 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 // is read from the control stream straight into it. The train needs no
 // data channel, so an unresolvable token only retires the channel for
 // later trains and replies; it does not fail this request.
-func (c *conn) readInline(di giop.DepositInfo, total int64,
+func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int64,
 	tc trace.Context) ([]*zcbuf.Buffer, error) {
 	if total > inlineDepositMax {
 		return nil, fmt.Errorf("inline deposit train of %d bytes exceeds %d", total, inlineDepositMax)
@@ -724,7 +805,6 @@ func (c *conn) readInline(di giop.DepositInfo, total int64,
 	f := &c.frame
 	f.settle(inlineTrainKey(di.Sizes))
 	ttl := c.orb.leaseTTL()
-	bufs := make([]*zcbuf.Buffer, 0, len(di.Sizes))
 	for _, size := range di.Sizes {
 		b, got, err := f.trainSegment(int(size))
 		if err != nil {
@@ -808,10 +888,13 @@ func (c *conn) recordDepositRecv(tc trace.Context, op string, t0, bytes int64,
 	})
 }
 
+// releaseAll releases every buffer in bufs and clears the slice, so
+// reused storage keeps no reference to a released buffer.
 func releaseAll(bufs []*zcbuf.Buffer) {
 	for _, b := range bufs {
 		b.Release()
 	}
+	clear(bufs)
 }
 
 // readLoop processes inbound messages until the connection dies — the
@@ -859,14 +942,17 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 			c.protocolError("Request on client connection")
 			return false
 		}
-		req, err := giop.UnmarshalRequestHeader(dec)
-		if err != nil {
-			c.freeInline(dec, body)
+		r := requestPool.Get().(*request)
+		r.dec, r.body = dec, body
+		req := &r.hdr
+		if err := req.Unmarshal(dec, c.orb.internOp); err != nil {
+			c.orb.freeRequest(r)
 			c.protocolError("bad request header: %v", err)
 			return false
 		}
 		tc := c.traceCtx(req.ServiceContexts)
-		deposits, err := c.readDeposits(req.ServiceContexts, tc, req.Operation)
+		r.tc = tc
+		deposits, err := c.readDeposits(r.deposits, req.ServiceContexts, tc, req.Operation)
 		if err != nil {
 			var dt *errDepositTransfer
 			if asErr(err, &dt) {
@@ -883,17 +969,18 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 						Op: req.Operation, Err: true, Start: trace.Now(),
 					})
 				}
-				c.orb.replySystemException(c, req,
-					&SystemException{Name: "TRANSIENT", Completed: CompletedNo}, tc)
-				c.freeInline(dec, body)
+				c.orb.replySystemException(c, r,
+					&SystemException{Name: "TRANSIENT", Completed: CompletedNo})
+				c.orb.freeRequest(r)
 				return true
 			}
 			// A malformed deposit announcement is a protocol error.
-			c.freeInline(dec, body)
+			c.orb.freeRequest(r)
 			c.protocolError("deposit: %v", err)
 			return false
 		}
-		c.dispatchRequest(req, dec, body, deposits, tc, inline)
+		r.deposits = deposits
+		c.dispatchRequest(r, inline)
 		return true
 
 	case giop.MsgReply:
@@ -902,16 +989,18 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 			c.protocolError("Reply on server connection")
 			return false
 		}
-		rep, err := giop.UnmarshalReplyHeader(dec)
-		if err != nil {
-			c.freeInline(dec, body)
+		msg := replyMsgPool.Get().(*replyMsg)
+		msg.dec, msg.body = dec, body
+		rep := &msg.hdr
+		if err := rep.Unmarshal(dec); err != nil {
+			c.orb.freeReply(msg)
 			c.protocolError("bad reply header: %v", err)
 			return false
 		}
 		// The server echoes the request's trace context in its reply,
 		// so the reply-side deposit read lands in the same trace.
 		tc := c.traceCtx(rep.ServiceContexts)
-		deposits, err := c.readDeposits(rep.ServiceContexts, tc, "")
+		deposits, err := c.readDeposits(msg.deposits, rep.ServiceContexts, tc, "")
 		if err != nil {
 			var dt *errDepositTransfer
 			if asErr(err, &dt) {
@@ -928,19 +1017,15 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 						Err: true, Start: trace.Now(),
 					})
 				}
-				c.freeInline(dec, body)
-				msg := replyMsgPool.Get().(*replyMsg)
-				msg.hdr.RequestID = rep.RequestID
 				msg.err = &SystemException{Name: "TRANSIENT", Completed: CompletedMaybe}
 				c.deliver(msg)
 				return true
 			}
-			c.freeInline(dec, body)
+			c.orb.freeReply(msg)
 			c.protocolError("reply deposit: %v", err)
 			return false
 		}
-		msg := replyMsgPool.Get().(*replyMsg)
-		msg.hdr, msg.dec, msg.deposits, msg.body = rep, dec, deposits, body
+		msg.deposits = deposits
 		c.deliver(msg)
 		return true
 
@@ -1011,33 +1096,33 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 }
 
 // dispatchRequest runs admission control and hands one request to the
-// servant layer. Requests beyond the MaxInFlight cap are shed with
-// TRANSIENT instead of queueing (the deposits were already consumed,
-// so the data channel's framing survives the rejection). inline=true
-// dispatches on the calling goroutine — the event engine's bounded
-// worker pool — while the legacy tier spawns a handler goroutine to
-// keep per-connection pipelining.
-func (c *conn) dispatchRequest(req giop.RequestHeader, dec *cdr.Decoder, body []byte,
-	deposits []*zcbuf.Buffer, tc trace.Context, inline bool) {
+// servant layer, which from here on owns r. Requests beyond the
+// MaxInFlight cap are shed with TRANSIENT instead of queueing (the
+// deposits were already consumed, so the data channel's framing
+// survives the rejection). inline=true dispatches on the calling
+// goroutine — the event engine's bounded worker pool — while the
+// legacy tier spawns a handler goroutine to keep per-connection
+// pipelining.
+func (c *conn) dispatchRequest(r *request, inline bool) {
 	o := c.orb
 	if !o.acquireSlot() {
-		releaseAll(deposits)
-		o.shedRequest(c, req, tc)
-		c.freeInline(dec, body)
+		releaseAll(r.deposits)
+		o.shedRequest(c, r)
+		o.freeRequest(r)
 		return
 	}
 	if inline {
-		o.handleRequest(c, req, dec, deposits, tc)
+		o.handleRequest(c, r)
 		o.releaseSlot()
-		c.freeInline(dec, body)
+		o.freeRequest(r)
 		return
 	}
 	o.wg.Add(1)
 	go func() {
 		defer o.wg.Done()
 		defer o.releaseSlot()
-		defer c.freeInline(dec, body)
-		o.handleRequest(c, req, dec, deposits, tc)
+		defer o.freeRequest(r)
+		o.handleRequest(c, r)
 	}()
 }
 

@@ -258,19 +258,23 @@ func (e *engine) stop() {
 func (e *engine) dispatcher() {
 	defer e.wg.Done()
 	events := make([]syscall.EpollEvent, engineWakeupBatch)
+	// The harvest closure and what it reports are built once per
+	// dispatcher, not per wakeup: Read's argument escapes.
+	var n int
+	var err error
+	harvest := func(fd uintptr) bool {
+		n, err = syscall.EpollWait(int(fd), events, 0)
+		if err == syscall.EINTR {
+			n, err = 0, nil
+		}
+		// false with nothing harvested parks this goroutine in the
+		// netpoller until the set becomes readable again.
+		return n > 0 || err != nil
+	}
 	for {
 		e.pollMu.Lock()
-		var n int
-		var err error
-		rerr := e.rawEp.Read(func(fd uintptr) bool {
-			n, err = syscall.EpollWait(int(fd), events, 0)
-			if err == syscall.EINTR {
-				n, err = 0, nil
-			}
-			// false with nothing harvested parks this goroutine in
-			// the netpoller until the set becomes readable again.
-			return n > 0 || err != nil
-		})
+		n, err = 0, nil
+		rerr := e.rawEp.Read(harvest)
 		e.pollMu.Unlock()
 		if rerr != nil {
 			// The epoll file was closed: engine shutdown.

@@ -42,19 +42,11 @@ func bulkBytes(v any) ([]byte, bool) {
 // payloads stay on disk here. ok reports whether every ZC value is
 // deposit-eligible: a zero-length ZC value returns ok=false (segs and
 // sizes nil), because the wire protocol forbids zero-length deposit
-// blocks — the caller must marshal the whole call instead.
-func collectDeposits(types []*typecode.TypeCode, vals []any) (segs []transport.Segment, sizes []uint32, ok bool, err error) {
-	nzc := 0
-	for _, tc := range types {
-		if tc.IsZCOctetSeq() {
-			nzc++
-		}
-	}
-	if nzc == 0 {
-		return nil, nil, true, nil
-	}
-	segs = make([]transport.Segment, 0, nzc)
-	sizes = make([]uint32, 0, nzc)
+// blocks — the caller must marshal the whole call instead. The results
+// are appended to segs[:0] and sizes[:0], the caller's storage.
+func collectDeposits(types []*typecode.TypeCode, vals []any, segs []transport.Segment,
+	sizes []uint32) ([]transport.Segment, []uint32, bool, error) {
+	segs, sizes = segs[:0], sizes[:0]
 	for i, tc := range types {
 		if !tc.IsZCOctetSeq() {
 			continue
@@ -135,17 +127,18 @@ func isBulk(tc *typecode.TypeCode) bool {
 // data channel. ZC-typed values always come back as *zcbuf.Buffer: a
 // deposited buffer on the fast path, or a wrapper around the copied
 // bytes on the fallback path. It returns any deposits it did not
-// consume (so the caller can release them on error).
-func (o *ORB) unmarshalValues(dec *cdr.Decoder, types []*typecode.TypeCode,
+// consume (so the caller can release them on error). The values are
+// appended to vals[:0], the caller's storage.
+func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.TypeCode,
 	deposits []*zcbuf.Buffer, haveDeposits bool) ([]any, []*zcbuf.Buffer, error) {
-	vals := make([]any, len(types))
+	vals = vals[:0]
 	di := 0
 	for i, tc := range types {
 		if tc.IsZCOctetSeq() && haveDeposits {
 			if di >= len(deposits) {
 				return nil, nil, fmt.Errorf("orb: parameter %d: missing deposit block", i)
 			}
-			vals[i] = deposits[di]
+			vals = append(vals, deposits[di])
 			di++
 			continue
 		}
@@ -158,7 +151,7 @@ func (o *ORB) unmarshalValues(dec *cdr.Decoder, types []*typecode.TypeCode,
 			if err != nil {
 				return nil, deposits[di:], fmt.Errorf("orb: parameter %d: %w", i, err)
 			}
-			vals[i] = v
+			vals = append(vals, v)
 			continue
 		}
 		v, err := typecode.UnmarshalValue(dec, tc)
@@ -173,7 +166,7 @@ func (o *ORB) unmarshalValues(dec *cdr.Decoder, types []*typecode.TypeCode,
 				v = zcbuf.Wrap(b)
 			}
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
 	if di != len(deposits) {
 		return nil, deposits[di:], fmt.Errorf("orb: %d unclaimed deposit blocks", len(deposits)-di)

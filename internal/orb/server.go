@@ -23,12 +23,12 @@ import (
 // after the reply is written — a servant echoing a request buffer back
 // must therefore Retain it.
 //
-// tc is the trace context the client sent (zero when untraced); every
-// server-side span — unmarshal, dispatch, reply send — joins it, and
-// replies echo it so the client can attribute reply deposits.
-func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
-	deposits []*zcbuf.Buffer, tc trace.Context) {
+// r.tc is the trace context the client sent (zero when untraced);
+// every server-side span — unmarshal, dispatch, reply send — joins it,
+// and replies echo it so the client can attribute reply deposits.
+func (o *ORB) handleRequest(c *conn, r *request) {
 	o.stats.RequestsServed.Add(1)
+	req, dec, deposits, tc := &r.hdr, r.dec, r.deposits, r.tc
 
 	s, found := o.servant(string(req.ObjectKey))
 
@@ -38,32 +38,32 @@ func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
 		releaseAll(deposits)
 		repoID, err := dec.ReadString()
 		if err != nil {
-			o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedNo}, tc)
+			o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedNo})
 			return
 		}
 		ok := found && (repoID == s.Interface().RepoID ||
 			repoID == "IDL:omg.org/CORBA/Object:1.0")
-		o.replyValues(c, req, nil, []*typecode.TypeCode{typecode.TCBoolean}, []any{ok}, tc)
+		o.replyValues(c, r, nil, []*typecode.TypeCode{typecode.TCBoolean}, []any{ok})
 		return
 	case "_non_existent":
 		releaseAll(deposits)
 		if !found {
-			o.replySystemException(c, req, &SystemException{Name: "OBJECT_NOT_EXIST", Completed: CompletedNo}, tc)
+			o.replySystemException(c, r, &SystemException{Name: "OBJECT_NOT_EXIST", Completed: CompletedNo})
 			return
 		}
-		o.replyValues(c, req, nil, []*typecode.TypeCode{typecode.TCBoolean}, []any{false}, tc)
+		o.replyValues(c, r, nil, []*typecode.TypeCode{typecode.TCBoolean}, []any{false})
 		return
 	}
 
 	if !found {
 		releaseAll(deposits)
-		o.replySystemException(c, req, &SystemException{Name: "OBJECT_NOT_EXIST", Completed: CompletedNo}, tc)
+		o.replySystemException(c, r, &SystemException{Name: "OBJECT_NOT_EXIST", Completed: CompletedNo})
 		return
 	}
 	op, ok := s.Interface().Ops[req.Operation]
 	if !ok {
 		releaseAll(deposits)
-		o.replySystemException(c, req, &SystemException{Name: "BAD_OPERATION", Completed: CompletedNo}, tc)
+		o.replySystemException(c, r, &SystemException{Name: "BAD_OPERATION", Completed: CompletedNo})
 		return
 	}
 
@@ -72,7 +72,8 @@ func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
 	if tc.Valid() {
 		t0 = trace.Now()
 	}
-	args, leftover, err := o.unmarshalValues(dec, inTypes, deposits, len(deposits) > 0)
+	args, leftover, err := o.unmarshalValues(r.args, dec, inTypes, deposits, len(deposits) > 0)
+	r.args = args
 	if tc.Valid() {
 		o.tracer.Record(trace.Span{
 			Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindUnmarshal,
@@ -82,7 +83,7 @@ func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
 	if err != nil {
 		releaseAll(leftover)
 		o.logf("orb: demarshal %s: %v", req.Operation, err)
-		o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedNo}, tc)
+		o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedNo})
 		return
 	}
 
@@ -113,31 +114,54 @@ func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
 		var fwd *LocationForward
 		switch {
 		case asErr(err, &usr):
-			o.replyUserException(c, req, usr, tc)
+			o.replyUserException(c, r, usr)
 		case asErr(err, &sys):
-			o.replySystemException(c, req, sys, tc)
+			o.replySystemException(c, r, sys)
 		case asErr(err, &fwd):
-			o.replyLocationForward(c, req, fwd, tc)
+			o.replyLocationForward(c, r, fwd)
 		default:
 			o.logf("orb: %s raised: %v", req.Operation, err)
-			o.replySystemException(c, req, &SystemException{Name: "UNKNOWN", Completed: CompletedMaybe}, tc)
+			o.replySystemException(c, r, &SystemException{Name: "UNKNOWN", Completed: CompletedMaybe})
 		}
 		return
 	}
 
 	types := op.replyTypeList()
-	vals := make([]any, 0, len(types))
+	vals := r.reply[:0]
 	if op.Result != nil && op.Result.Kind() != typecode.Void {
 		vals = append(vals, result)
 	}
 	vals = append(vals, outs...)
+	r.reply = vals
 	if len(vals) != len(types) {
 		o.logf("orb: %s returned %d values, want %d", req.Operation, len(vals), len(types))
-		o.replySystemException(c, req, &SystemException{Name: "INTERNAL", Completed: CompletedYes}, tc)
+		o.replySystemException(c, r, &SystemException{Name: "INTERNAL", Completed: CompletedYes})
 		return
 	}
-	o.replyValues(c, req, op, types, vals, tc)
+	o.replyValues(c, r, op, types, vals)
 }
+
+// internOp is the request header's operation interner: it returns the
+// operation's name as the target servant's op table (or the ORB's
+// implicit operations) spells it, so a known operation decodes without
+// allocating and its name, which spans and the skeleton keep, never
+// aliases the message body.
+func (o *ORB) internOp(key, op []byte) (string, bool) {
+	if s, ok := o.servant(string(key)); ok {
+		if d, ok := s.Interface().Ops[string(op)]; ok && d.Name == string(op) {
+			return d.Name, true
+		}
+	}
+	for _, name := range implicitOps {
+		if name == string(op) {
+			return name, true
+		}
+	}
+	return "", false
+}
+
+// implicitOps are the CORBA object operations the ORB answers itself.
+var implicitOps = [...]string{"_is_a", "_non_existent"}
 
 // shedRequest rejects a request that exceeded the admission cap
 // (Options.MaxInFlight): the client gets an immediate TRANSIENT system
@@ -147,37 +171,42 @@ func (o *ORB) handleRequest(c *conn, req giop.RequestHeader, dec *cdr.Decoder,
 // shed silently (replySystemException already suppresses replies the
 // client never waits for). Deposits announced with the request were
 // consumed by the caller, so the data channel's framing stays intact.
-func (o *ORB) shedRequest(c *conn, req giop.RequestHeader, tc trace.Context) {
+func (o *ORB) shedRequest(c *conn, r *request) {
 	o.stats.ShedRequests.Add(1)
-	if tc.Valid() {
+	if tc := r.tc; tc.Valid() {
 		o.tracer.Record(trace.Span{
 			Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindShed,
-			Op: req.Operation, Err: true, Start: trace.Now(),
+			Op: r.hdr.Operation, Err: true, Start: trace.Now(),
 		})
 	}
-	o.replySystemException(c, req, &SystemException{
+	o.replySystemException(c, r, &SystemException{
 		Name: "TRANSIENT", Minor: shedMinor, Completed: CompletedNo,
-	}, tc)
+	})
 }
 
-// echoTrace appends the request's trace context to a reply header so
-// the client side of the trace can attribute the reply's deposits. A
-// zero context appends nothing, keeping untraced replies byte-identical.
-func echoTrace(rep *giop.ReplyHeader, tc trace.Context) {
-	if tc.Valid() {
-		rep.ServiceContexts = append(rep.ServiceContexts, giop.TraceContext{
-			TraceID: uint64(tc.Trace), SpanID: uint64(tc.Span),
-		}.Encode())
+// replyHeader starts the reply to r with the given status, echoing the
+// request's trace context (built in r's send scratch) so the client
+// side of the trace can attribute the reply's deposits. A zero context
+// adds nothing, keeping untraced replies byte-identical.
+func replyHeader(r *request, status giop.ReplyStatus) giop.ReplyHeader {
+	return giop.ReplyHeader{
+		ServiceContexts: r.send.appendTrace(r.send.contexts[:0], r.tc),
+		RequestID:       r.hdr.RequestID,
+		Status:          status,
 	}
 }
 
-// replyValues sends a NO_EXCEPTION reply carrying the given values,
-// depositing ZC octet streams on the data channel when available.
-// Reply buffers handed in as *zcbuf.Buffer are released after the
-// write.
-func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
-	types []*typecode.TypeCode, vals []any, tc trace.Context) {
-	rep := giop.ReplyHeader{RequestID: req.RequestID, Status: giop.ReplyNoException}
+// replyValues sends a NO_EXCEPTION reply to r carrying the given
+// values, depositing ZC octet streams on the data channel when
+// available. Reply buffers handed in as *zcbuf.Buffer are released
+// after the write.
+func (o *ORB) replyValues(c *conn, r *request, op *Operation,
+	types []*typecode.TypeCode, vals []any) {
+	tc, scx := r.tc, &r.send
+	rep := giop.ReplyHeader{
+		ServiceContexts: scx.contexts[:0],
+		RequestID:       r.hdr.RequestID, Status: giop.ReplyNoException,
+	}
 	useZC := c.usableData()
 
 	var deposits []transport.Segment
@@ -186,9 +215,9 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 		var sizes []uint32
 		var zcOK bool
 		var err error
-		deposits, sizes, zcOK, err = collectDeposits(types, vals)
+		deposits, sizes, zcOK, err = collectDeposits(types, vals, scx.segs[:], scx.sizes[:])
 		if err != nil {
-			o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedYes}, tc)
+			o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedYes})
 			return
 		}
 		// zcOK=false (a zero-length ZC value, which the wire protocol
@@ -198,22 +227,22 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 			inline = c.inlineTrain(deposits)
 			rep.ServiceContexts = append(rep.ServiceContexts, giop.DepositInfo{
 				Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
-			}.Encode())
+			}.EncodeTo(scx.deposit[:]))
 		} else {
 			deposits = nil
 		}
 	}
-	echoTrace(&rep, tc)
+	rep.ServiceContexts = scx.appendTrace(rep.ServiceContexts, tc)
 
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	rep.Marshal(e)
 	if err := o.marshalValues(e, types, vals, skipZC); err != nil {
 		cdr.PutEncoder(e)
 		o.logf("orb: reply marshal: %v", err)
-		o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedYes}, tc)
+		o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedYes})
 		return
 	}
-	err := c.send(giop.MsgReply, e.Bytes(), deposits, inline, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), deposits, inline, tc, r.hdr.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		var dw *errDataWrite
@@ -242,19 +271,18 @@ func (o *ORB) replyValues(c *conn, req giop.RequestHeader, op *Operation,
 
 // replyUserException sends a USER_EXCEPTION reply: the exception's
 // repository ID followed by its members.
-func (o *ORB) replyUserException(c *conn, req giop.RequestHeader, ex *UserException, tc trace.Context) {
-	rep := giop.ReplyHeader{RequestID: req.RequestID, Status: giop.ReplyUserException}
-	echoTrace(&rep, tc)
+func (o *ORB) replyUserException(c *conn, r *request, ex *UserException) {
+	rep := replyHeader(r, giop.ReplyUserException)
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	rep.Marshal(e)
 	e.WriteString(ex.Type.RepoID())
 	if err := typecode.MarshalValue(e, ex.Type, ex.Fields); err != nil {
 		cdr.PutEncoder(e)
 		o.logf("orb: user exception marshal: %v", err)
-		o.replySystemException(c, req, &SystemException{Name: "MARSHAL", Completed: CompletedYes}, tc)
+		o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedYes})
 		return
 	}
-	err := c.send(giop.MsgReply, e.Bytes(), nil, false, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), nil, false, r.tc, r.hdr.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.close(err)
@@ -263,16 +291,15 @@ func (o *ORB) replyUserException(c *conn, req giop.RequestHeader, ex *UserExcept
 
 // replyLocationForward sends a LOCATION_FORWARD reply carrying the new
 // object reference; the client ORB retries against it transparently.
-func (o *ORB) replyLocationForward(c *conn, req giop.RequestHeader, fwd *LocationForward, tc trace.Context) {
-	if !req.ResponseExpected {
+func (o *ORB) replyLocationForward(c *conn, r *request, fwd *LocationForward) {
+	if !r.hdr.ResponseExpected {
 		return
 	}
-	rep := giop.ReplyHeader{RequestID: req.RequestID, Status: giop.ReplyLocationForward}
-	echoTrace(&rep, tc)
+	rep := replyHeader(r, giop.ReplyLocationForward)
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	rep.Marshal(e)
 	fwd.To.Marshal(e)
-	err := c.send(giop.MsgReply, e.Bytes(), nil, false, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), nil, false, r.tc, r.hdr.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.close(err)
@@ -280,18 +307,17 @@ func (o *ORB) replyLocationForward(c *conn, req giop.RequestHeader, fwd *Locatio
 }
 
 // replySystemException sends a SYSTEM_EXCEPTION reply.
-func (o *ORB) replySystemException(c *conn, req giop.RequestHeader, ex *SystemException, tc trace.Context) {
-	if !req.ResponseExpected {
+func (o *ORB) replySystemException(c *conn, r *request, ex *SystemException) {
+	if !r.hdr.ResponseExpected {
 		return
 	}
-	rep := giop.ReplyHeader{RequestID: req.RequestID, Status: giop.ReplySystemException}
-	echoTrace(&rep, tc)
+	rep := replyHeader(r, giop.ReplySystemException)
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	rep.Marshal(e)
 	e.WriteString(ex.RepoID())
 	e.WriteULong(ex.Minor)
 	e.WriteULong(uint32(ex.Completed))
-	err := c.send(giop.MsgReply, e.Bytes(), nil, false, tc, req.Operation, trace.KindReplySend)
+	err := c.send(giop.MsgReply, e.Bytes(), nil, false, r.tc, r.hdr.Operation, trace.KindReplySend)
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.close(err)

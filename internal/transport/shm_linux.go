@@ -162,7 +162,7 @@ type shmConn struct {
 	noPromote bool        // first write was not ZCDC: plain stream forever
 
 	wmu   sync.Mutex
-	gbufs net.Buffers // stream-mode gather scratch
+	gbufs gather // stream-mode gather scratch
 
 	rmu      sync.Mutex
 	probed   bool   // acceptor: promotion probe done
@@ -544,17 +544,15 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 	// Multi-slot lease: the whole train's descriptor slots are credited
 	// in one ring reservation and published with one head store, so the
 	// peer's scatter loop sees all N records at once.
-	bufs := c.gbufs[:0]
+	bufs := c.gbufs.bufs[:0]
 	for _, s := range segs {
 		if len(s) > 0 {
 			bufs = append(bufs, s)
 		}
 	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
 	total, err := rp.prod.WriteVec(bufs)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
+	clear(bufs)
+	c.gbufs.bufs = bufs[:0]
 	c.countWrite(total, len(segs))
 	return total, err
 }

@@ -185,8 +185,8 @@ func (l *tcpListener) Addr() string { return l.l.Addr().String() }
 type tcpConn struct {
 	c     net.Conn
 	stats *Stats
-	wmu   sync.Mutex  // serializes writes so gathers stay contiguous
-	gbufs net.Buffers // writev scratch, guarded by wmu
+	wmu   sync.Mutex // serializes writes so gathers stay contiguous
+	gbufs gather     // writev scratch, guarded by wmu
 	// rv is the readv state of ReadScatter (nil where the socket is not
 	// exposed or the platform has no readv): the reader owns it.
 	rv *scatterReader
@@ -253,7 +253,7 @@ func (c *tcpConn) writeTrain(train []Segment) (int64, error) {
 	defer c.wmu.Unlock()
 	var total int64
 	flush := func() error {
-		if len(c.gbufs) == 0 {
+		if len(c.gbufs.bufs) == 0 {
 			return nil
 		}
 		n, err := writev(c.c, &c.gbufs)
@@ -265,7 +265,7 @@ func (c *tcpConn) writeTrain(train []Segment) (int64, error) {
 		s := &train[i]
 		if s.File == nil {
 			if len(s.B) > 0 {
-				c.gbufs = append(c.gbufs, s.B)
+				c.gbufs.bufs = append(c.gbufs.bufs, s.B)
 			}
 			continue
 		}
@@ -289,26 +289,35 @@ func (c *tcpConn) countWrite(n int64) {
 	}
 }
 
-// writev appends the non-empty segs to the batch already in *scratch
-// and writes the whole batch to w back to back (one writev on a
-// socket). scratch is the connection's reusable gather array, guarded
-// by its write lock: reusing it keeps steady-state gather writes from
-// allocating a net.Buffers per call. It is left empty, holding no
-// reference that would pin caller buffers until the next write.
-func writev(w io.Writer, scratch *net.Buffers, segs ...[]byte) (int64, error) {
+// gather is a connection's reusable writev state, guarded by its write
+// lock. bufs is the batch; view is the copy of its slice header that
+// net.Buffers.WriteTo consumes. WriteTo's receiver escapes, so view
+// lives here, on the connection, rather than on writev's stack, where
+// it would be moved to the heap on every call.
+type gather struct {
+	bufs, view net.Buffers
+}
+
+// writev appends the non-empty segs to the batch already in g.bufs and
+// writes the whole batch to w back to back (one writev on a socket).
+// Reusing g keeps steady-state gather writes allocation-free. The
+// batch is left empty, holding no reference that would pin caller
+// buffers until the next write.
+func writev(w io.Writer, g *gather, segs ...[]byte) (int64, error) {
 	for _, s := range segs {
 		if len(s) > 0 {
-			*scratch = append(*scratch, s)
+			g.bufs = append(g.bufs, s)
 		}
 	}
 	var total int64
-	for _, s := range *scratch {
+	for _, s := range g.bufs {
 		total += int64(len(s))
 	}
-	bufs := *scratch // WriteTo consumes this copy of the slice header
-	n, err := bufs.WriteTo(w)
-	clear(*scratch)
-	*scratch = (*scratch)[:0]
+	g.view = g.bufs
+	n, err := g.view.WriteTo(w)
+	g.view = nil
+	clear(g.bufs)
+	g.bufs = g.bufs[:0]
 	if err != nil {
 		return n, fmt.Errorf("transport: gather write: %w", err)
 	}

@@ -251,3 +251,27 @@ func TestTransportNames(t *testing.T) {
 		t.Fatal("copying name")
 	}
 }
+
+// TestTCPWriteGatherAllocs pins the control writev at zero allocations:
+// the gather batch and the slice header net.Buffers.WriteTo consumes
+// both live on the connection.
+func TestTCPWriteGatherAllocs(t *testing.T) {
+	cli, srv := connPair(t, &TCP{Stats: &Stats{}}, "127.0.0.1:0")
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := srv.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	segs := [][]byte{make([]byte, 12), make([]byte, 100), make([]byte, 4096)}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cli.WriteGather(segs...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("tcp WriteGather of %d segments: %v allocs, want 0", len(segs), allocs)
+	}
+}
