@@ -30,7 +30,7 @@ endif
 vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
-	GOOS=darwin $(GO) vet ./internal/transport/ ./internal/orb/ ./internal/zcbuf/ ./internal/shmem/ ./internal/events/ ./internal/naming/
+	GOOS=darwin $(GO) vet ./internal/transport/ ./internal/orb/ ./internal/zcbuf/ ./internal/shmem/ ./internal/events/ ./internal/naming/ ./internal/ttcp/
 
 # Golden wire-vector suite (internal/giop/testdata): regenerate
 # deliberately with `go test ./internal/giop -run TestWireVectors -update`.

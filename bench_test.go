@@ -97,20 +97,19 @@ func benchCorba(b *testing.B, mk func() transport.Transport, zeroCopy bool) {
 	}
 }
 
-// --- Gathered deposits: SendBuffers trains vs sequential deposits ---------
+// --- Gathered deposits: N-buffer trains vs sequential deposits -------------
 
 // gatherBlock is the per-segment payload of the gather series (the
 // acceptance point is 8×128 KiB per train).
 const gatherBlock = 128 << 10
 
-// benchGatherTrain measures one SendBuffers train of segs registered
-// buffers per op on the tcp:// plane: one vectored data write and one
-// reply per train, with per-buffer completions gating reuse. Trains run
-// with window 2 — the per-buffer completion callbacks exist precisely
-// so the next train's buffers can be reused while the previous train's
-// kernel references drain. The run asserts the single-writev-per-train
-// contract from the client's transport counters: exactly one control
-// write plus one data-plane gather write per train.
+// benchGatherTrain measures one train of segs ZC buffers per op (one
+// call with segs ZC arguments) on the tcp:// plane: one vectored data
+// write and one reply per train. Trains run with window 2, each window
+// slot reusing its buffers once its previous train's reply is
+// collected. The run asserts the single-writev-per-train contract from
+// the client's transport counters: exactly one control write plus one
+// data-plane gather write per train.
 func benchGatherTrain(b *testing.B, segs, block int) {
 	cst := &transport.Stats{}
 	sink, err := ttcp.NewCorbaSinkConfig(ttcp.SinkConfig{

@@ -24,9 +24,9 @@
 // over the paper's block sizes runs with -sweep, and
 // -window N pipelines up to N CORBA requests in flight; every summary
 // line reports requests/s alongside Mbit/s. -segs N (both sides) runs
-// the gathered-deposit tier: each request carries N registered buffers
-// as one deposit train (SendBuffers — a single vectored write per
-// train, per-buffer completions gating reuse). -chaos injects a seeded
+// the gathered-deposit tier: each request is an ordinary call with N
+// ZC buffer arguments, which travel as one deposit train (a single
+// vectored write per train). -chaos injects a seeded
 // transport fault schedule (see -chaos-seed) into the CORBA client and
 // enables the retry policy, reporting fired faults and recoveries.
 //
@@ -79,7 +79,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "client: sweep the paper's block sizes 4K..16M")
 	target := flag.Int64("bytes", 32<<20, "sweep: bytes per point")
 	window := flag.Int("window", 1, "CORBA client: pipelined in-flight requests (1 = synchronous)")
-	segs := flag.Int("segs", 0, "CORBA mode: gather this many registered buffers per request into one deposit train (SendBuffers); both sides need the same value (implies -zerocopy)")
+	segs := flag.Int("segs", 0, "CORBA mode: send this many ZC buffers per request, gathered into one deposit train; both sides need the same value (implies -zerocopy)")
 	chaos := flag.Bool("chaos", false, "CORBA client: inject seeded transport faults and enable the retry policy")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed for -chaos")
 	eventsN := flag.Int("events", 0, "fan-out mode: run a pub/sub benchmark with this many co-located subscribers")
@@ -245,8 +245,8 @@ func main() {
 			st.DepositsSent.Load(), st.DepositBytesSent.Load(), st.ZCFallbacks.Load())
 		printSpeculation("client", st)
 		if *segs > 0 {
-			fmt.Printf("ttcp: gather trains=%d (%d segments), completions=%d\n",
-				st.GatherDeposits.Load(), st.GatherSegments.Load(), st.GatherCompletions.Load())
+			fmt.Printf("ttcp: gather trains=%d (%d segments)\n",
+				st.GatherDeposits.Load(), st.GatherSegments.Load())
 		}
 		if *shm {
 			fmt.Printf("ttcp: shm deposits=%d (%d bytes), claims=%d, misses=%d\n",

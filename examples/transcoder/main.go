@@ -10,7 +10,7 @@
 // default zero-copy ORBs every frame travels by direct deposit; pass
 // -standard to force the copying marshal path and compare, or -gather
 // to ship each frame's metadata and payload as one gathered deposit
-// train (encode_zc via SendBuffers: a single vectored write per frame).
+// train (encode_zc: a single vectored write per frame).
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	height := flag.Int("h", 544, "frame height (multiple of 8)")
 	quality := flag.Int("q", 4, "encoder quantization step")
 	standard := flag.Bool("standard", false, "disable the zero-copy extension (standard marshaling)")
-	gather := flag.Bool("gather", false, "send frame metadata and payload as one gathered deposit train (encode_zc via SendBuffers)")
+	gather := flag.Bool("gather", false, "send frame metadata and payload as one gathered deposit train (encode_zc, a single vectored write per frame)")
 	flag.Parse()
 	zc := !*standard
 	if *gather && *standard {
@@ -127,8 +127,8 @@ func main() {
 		ms.DepositsSent.Load(), ms.DepositBytesSent.Load(),
 		ms.PayloadCopies.Load(), ms.PayloadCopyBytes.Load(), ms.ZCFallbacks.Load())
 	if *gather {
-		fmt.Printf("master ORB: gather trains=%d (%d segments), completions=%d\n",
-			ms.GatherDeposits.Load(), ms.GatherSegments.Load(), ms.GatherCompletions.Load())
+		fmt.Printf("master ORB: gather trains=%d (%d segments)\n",
+			ms.GatherDeposits.Load(), ms.GatherSegments.Load())
 	}
 	if zc && ms.PayloadCopyBytes.Load() == 0 {
 		fmt.Println("zero-copy regime held: no user-space payload copies end to end")

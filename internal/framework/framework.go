@@ -7,7 +7,6 @@
 package framework
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -92,7 +91,7 @@ func (s *EncoderServant) Encode(info media.Media_FrameInfo, frame *zcbuf.Buffer)
 
 // Encode_zc implements Media_EncoderHandler: the gathered form of
 // Encode. The metadata arrives as its own deposited segment (one
-// SendBuffers train carries meta and frame), so both sides of the
+// deposit train carries meta and frame), so both sides of the
 // frame+metadata send share a single vectored write.
 func (s *EncoderServant) Encode_zc(meta, frame *zcbuf.Buffer) (*zcbuf.Buffer, error) {
 	info, err := media.UnmarshalFrameInfo(meta)
@@ -134,8 +133,8 @@ type Farm struct {
 	// "frame": submit to completed result, spanning queueing, transfer
 	// and remote encode) plus the frame-latency histogram.
 	Tracer *trace.Tracer
-	// Gather switches frame delivery to encode_zc via SendBuffers: the
-	// marshaled FrameInfo and the frame payload leave as one gathered
+	// Gather switches frame delivery to encode_zc: the marshaled
+	// FrameInfo and the frame payload leave as one gathered
 	// deposit train (a single vectored write on the data plane) instead
 	// of a marshaled header plus a separate single-segment deposit.
 	Gather bool
@@ -319,15 +318,17 @@ type encJob struct {
 }
 
 // gatherWorker drains queue through encode_zc: each frame's marshaled
-// metadata and its payload leave as one SendBuffers deposit train (a
-// single vectored write), with up to inflight trains outstanding per
-// worker. Replies are reaped oldest-first, which bounds the window the
-// same way the pipelined path does.
+// metadata and its payload leave as one deposit train (a single
+// vectored write), with up to inflight trains outstanding per worker.
+// Replies are reaped oldest-first, which bounds the window the same
+// way the pipelined path does. A call borrows both buffers until its
+// reply is reaped.
 func (f *Farm) gatherWorker(wi int, stub media.Media_EncoderStub, inflight int,
 	queue <-chan encJob, results []Result, inBytes, outBytes *atomic.Int64) {
 	type pending struct {
 		idx       int
 		info      media.Media_FrameInfo
+		meta      *zcbuf.Buffer
 		data      *zcbuf.Buffer
 		call      *orb.Call
 		submitted int64
@@ -341,6 +342,7 @@ func (f *Farm) gatherWorker(wi int, stub media.Media_EncoderStub, inflight int,
 			outBytes.Add(int64(r.Data.Len()))
 		}
 		f.recordFrame(wi, p.submitted, int64(p.data.Len()), err != nil)
+		p.meta.Release()
 		// Keep the buffer alive for redeliver when the failure is worth
 		// another worker.
 		if !reassignable(r.Err) {
@@ -366,22 +368,9 @@ func (f *Farm) gatherWorker(wi int, stub media.Media_EncoderStub, inflight int,
 		}
 		inBytes.Add(int64(j.f.Data.Len()))
 		submitted := trace.Now()
-		// The per-buffer completion releases the metadata segment the
-		// moment the train no longer needs it; the frame buffer's own
-		// reference is released at reap (or kept for redeliver).
-		call, err := stub.Ref.SendBuffers(context.Background(), media.EncodeZCOp,
-			[]*zcbuf.Buffer{meta, j.f.Data}, func(i int, _ error) {
-				if i == 0 {
-					meta.Release()
-				}
-			})
-		if err != nil {
-			meta.Release()
-			fail(j, err)
-			continue
-		}
+		call := stub.Ref.InvokeAsync(media.EncodeZCOp, []any{meta, j.f.Data})
 		window = append(window, pending{idx: j.idx, info: j.f.Info,
-			data: j.f.Data, call: call, submitted: submitted})
+			meta: meta, data: j.f.Data, call: call, submitted: submitted})
 	}
 	for _, p := range window {
 		reap(p)

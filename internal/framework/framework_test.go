@@ -177,9 +177,6 @@ func TestFarmGatherTranscodesFrames(t *testing.T) {
 	if got := ms.GatherSegments.Load(); got != 16 {
 		t.Fatalf("GatherSegments=%d, want 16 (meta+frame per train)", got)
 	}
-	if got := ms.GatherCompletions.Load(); got != 16 {
-		t.Fatalf("GatherCompletions=%d, want 16", got)
-	}
 	if n := ms.PayloadCopyBytes.Load(); n != 0 {
 		t.Fatalf("master copied %d payload bytes in gather mode", n)
 	}

@@ -25,7 +25,7 @@ func EncodeArgs(info Media_FrameInfo, frame *zcbuf.Buffer) []any {
 // EncodeZCOp is the runtime operation descriptor of
 // Media::Encoder::encode_zc — the gathered form of encode, whose two
 // ZC octet streams (marshaled FrameInfo + raw frame) travel as one
-// deposit train via orb.ObjectRef.SendBuffers.
+// deposit train of an ordinary call.
 var EncodeZCOp = Media_EncoderIface.Ops["encode_zc"]
 
 // MarshalFrameInfo packs info into the meta segment of an encode_zc

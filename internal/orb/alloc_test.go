@@ -67,12 +67,12 @@ func TestInvokeAllocsGate(t *testing.T) {
 }
 
 // gatherAllocBudget gates the steady-state allocation count of one
-// 8-segment SendBuffers train (client and server combined, tracing
-// on). The per-train ledger (gatherState and its slices) plus the
+// 8-segment train (client and server combined, tracing on): an
+// InvokeAsync with eight ZC arguments in a reused []any. The
 // per-segment deposit bookkeeping must stay within the same budget as
 // a single-buffer invoke: coalescing eight segments may not cost
-// per-segment garbage. Measured 8 allocs/op; the budget is that plus 2.
-const gatherAllocBudget = 10
+// per-segment garbage. Measured 7 allocs/op; the budget is that plus 2.
+const gatherAllocBudget = 9
 
 // TestGatherAllocsGate is the allocation regression gate for the
 // scatter/gather deposit path.
@@ -86,9 +86,9 @@ func TestGatherAllocsGate(t *testing.T) {
 	p, ct, _ := tracedTCPPair(t, true)
 	op := storeIface.Ops["put8"]
 	var pl zcbuf.Pool
-	bufs := make([]*zcbuf.Buffer, 8)
+	args := make([]any, 8)
 	var want uint32
-	for i := range bufs {
+	for i := range args {
 		b, err := pl.Get(4096)
 		if err != nil {
 			t.Fatal(err)
@@ -98,15 +98,11 @@ func TestGatherAllocsGate(t *testing.T) {
 			b.Bytes()[j] = byte(i + j)
 		}
 		want += checksum(b.Bytes())
-		bufs[i] = b
+		args[i] = b
 	}
 
 	run := func() error {
-		call, err := p.ref.SendBuffers(t.Context(), op, bufs, nil)
-		if err != nil {
-			return err
-		}
-		res, _, err := call.Wait()
+		res, _, err := p.ref.InvokeAsync(op, args).Wait()
 		if err != nil {
 			return err
 		}
@@ -123,7 +119,7 @@ func TestGatherAllocsGate(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := run(); err != nil {
-				b.Fatalf("SendBuffers: %v", err)
+				b.Fatalf("train: %v", err)
 			}
 		}
 	})

@@ -210,10 +210,16 @@ func freeCall(c *Call) {
 // reply. The returned Call must be completed with Wait (exactly once).
 // Any immediate failure — marshal error, dead connection — is deferred
 // to Wait, so callers can fire a window of requests and collect
-// results in order. The argument buffers must stay live until Wait
-// returns for oneway operations, and may be reused as soon as
-// InvokeAsync returns otherwise (the request body and payloads are
-// fully written before it returns).
+// results in order. Every ZC octet stream argument joins one deposit
+// train, so a call with N of them is a single vectored data-plane
+// write.
+//
+// The call borrows its argument buffers until its reply is collected
+// (Wait, or a Pipeline's ReplyFunc): a LOCATION_FORWARD or a pipelined
+// retry re-sends them, so they must not be modified or released before
+// then. No data plane holds a reference once the send returns, so a
+// oneway call, which completes inside InvokeAsync, borrows nothing
+// after it returns.
 func (r *ObjectRef) InvokeAsync(op *Operation, args []any) *Call {
 	return r.startCtx(context.Background(), op, args, r.orb.tracer.NewTrace(), 1)
 }

@@ -20,7 +20,7 @@ import (
 // internal/gentest keeps them honest) — only the per-element interface
 // boxing and typecode walk are gone.
 //
-// Registration is keyed by TypeCode pointer identity, not structural
+// The registry is keyed by TypeCode pointer identity, not structural
 // equality: the TypeCode vars in generated contracts are shared by
 // stubs, skeletons and the ORB, so lookups hit for SII calls, while
 // structurally equal TypeCodes built dynamically (DII, interface

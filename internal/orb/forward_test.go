@@ -6,6 +6,7 @@ import (
 
 	"zcorba/internal/ior"
 	"zcorba/internal/transport"
+	"zcorba/internal/zcbuf"
 )
 
 // forwarder redirects every invocation to another object reference.
@@ -25,7 +26,8 @@ func TestLocationForwardTransparentRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(serverB.Shutdown)
-	realRef, err := serverB.Activate("store", newStoreServant())
+	target := newStoreServant()
+	realRef, err := serverB.Activate("store", target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +67,25 @@ func TestLocationForwardTransparentRetry(t *testing.T) {
 	if serverB.Stats().DepositsReceived.Load() != 1 {
 		t.Fatalf("forwarded leg used %d deposits",
 			serverB.Stats().DepositsReceived.Load())
+	}
+
+	// An asynchronous call borrows its arguments until Wait, which
+	// follows the forward and re-sends both deposits to the target.
+	var pl zcbuf.Pool
+	bufs, want := gatherBufs(t, &pl, 2, 128<<10)
+	defer releaseBufs(bufs)
+	res, _, err = cref.InvokeAsync(storeIface.Ops["put2"], []any{bufs[0], bufs[1]}).Wait()
+	if err != nil {
+		t.Fatalf("forwarded async put2: %v", err)
+	}
+	target.mu.Lock()
+	got := target.lastSum
+	target.mu.Unlock()
+	if res.(uint32) != want || got != want {
+		t.Fatalf("forwarded async put2: reply %v, target checksum %d, want %d", res, got, want)
+	}
+	if n := serverB.Stats().DepositsReceived.Load(); n != 3 {
+		t.Fatalf("target received %d deposits, want 3", n)
 	}
 }
 

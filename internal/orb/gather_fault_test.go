@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -9,13 +10,13 @@ import (
 	"zcorba/internal/zcbuf"
 )
 
-// TestSendBuffersTruncateMidTrain cuts the data channel partway
+// TestGatherTrainTruncateMidTrain cuts the data channel partway
 // through an 8-segment deposit train (after ~2.5 segments' worth of
-// bytes). The invocation must complete on the marshaled fallback, the
-// server must reclaim the partially received buffers, and every
-// per-buffer callback must still fire exactly once — completion means
-// the fallback consumed the bytes, so the error is nil.
-func TestSendBuffersTruncateMidTrain(t *testing.T) {
+// bytes). The invocation must complete on the marshaled fallback, and
+// the server must reclaim the partially received buffers. The fallback
+// re-send happens inside InvokeAsync, so buffers cleared after it
+// returns do not reach the server.
+func TestGatherTrainTruncateMidTrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 	inj := transport.NewFaultInjector(404).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassData,
@@ -28,22 +29,12 @@ func TestSendBuffersTruncateMidTrain(t *testing.T) {
 	var pl zcbuf.Pool
 	bufs, want := gatherBufs(t, &pl, 8, 16<<10)
 	defer releaseBufs(bufs)
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put8"], bufs, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	res, _, err := call.Wait()
+	res, err := sendTrain(p.ref, storeIface.Ops["put8"], bufs)
 	if err != nil {
 		t.Fatalf("Wait after truncated train: %v", err)
 	}
 	if res.(uint32) != want {
 		t.Fatal("checksum mismatch after fallback")
-	}
-	for i, e := range log.assertOnce(t, 8) {
-		if e != nil {
-			t.Fatalf("buffer %d completion error after successful fallback: %v", i, e)
-		}
 	}
 	if got := p.client.Stats().DataChanFallbacks.Load(); got < 1 {
 		t.Fatalf("client DataChanFallbacks = %d, want >= 1", got)
@@ -65,12 +56,12 @@ func TestSendBuffersTruncateMidTrain(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestSendBuffersStallMidTrainLeaseExpires stalls the train's data
+// TestGatherTrainStallMidTrainLeaseExpires stalls the train's data
 // write long past the server's deposit-lease TTL: the server's sweeper
 // reclaims the partially announced train (releasing every granted
 // buffer), the data channel is retired, and the call completes on the
-// marshaled path with all callbacks fired.
-func TestSendBuffersStallMidTrainLeaseExpires(t *testing.T) {
+// marshaled path with the original bytes.
+func TestGatherTrainStallMidTrainLeaseExpires(t *testing.T) {
 	before := runtime.NumGoroutine()
 	inj := transport.NewFaultInjector(505).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassData,
@@ -84,22 +75,12 @@ func TestSendBuffersStallMidTrainLeaseExpires(t *testing.T) {
 	var pl zcbuf.Pool
 	bufs, want := gatherBufs(t, &pl, 8, 16<<10)
 	defer releaseBufs(bufs)
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put8"], bufs, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	res, _, err := call.Wait()
+	res, err := sendTrain(p.ref, storeIface.Ops["put8"], bufs)
 	if err != nil {
 		t.Fatalf("Wait after stalled train: %v", err)
 	}
 	if res.(uint32) != want {
 		t.Fatal("checksum mismatch after fallback")
-	}
-	for i, e := range log.assertOnce(t, 8) {
-		if e != nil {
-			t.Fatalf("buffer %d completion error after successful fallback: %v", i, e)
-		}
 	}
 	if got := p.server.Stats().LeaseExpiries.Load(); got < 1 {
 		t.Fatalf("server LeaseExpiries = %d, want >= 1", got)
@@ -118,11 +99,10 @@ func TestSendBuffersStallMidTrainLeaseExpires(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestSendBuffersControlResetReportsErrors kills the control stream on
+// TestGatherTrainControlResetReportsErrors kills the control stream on
 // the request write, before any fallback is possible: the call fails
-// with COMM_FAILURE and every per-buffer callback fires exactly once
-// with a non-nil error.
-func TestSendBuffersControlResetReportsErrors(t *testing.T) {
+// with COMM_FAILURE and keeps no reference to its buffers.
+func TestGatherTrainControlResetReportsErrors(t *testing.T) {
 	inj := transport.NewFaultInjector(606).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassControl,
 		Kind: transport.FaultReset, Nth: 1,
@@ -134,19 +114,10 @@ func TestSendBuffersControlResetReportsErrors(t *testing.T) {
 	var pl zcbuf.Pool
 	bufs, _ := gatherBufs(t, &pl, 4, 8<<10)
 	defer releaseBufs(bufs)
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"],
-		bufs[:2], log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	if _, _, err := call.Wait(); err == nil {
-		t.Fatal("call succeeded through a reset control stream")
-	}
-	for i, e := range log.assertOnce(t, 2) {
-		if e == nil {
-			t.Fatalf("buffer %d completed without error after a failed train", i)
-		}
+	_, err := sendTrain(p.ref, storeIface.Ops["put2"], bufs[:2])
+	var se *SystemException
+	if !errors.As(err, &se) || se.Name != "COMM_FAILURE" {
+		t.Fatalf("want COMM_FAILURE through a reset control stream, got %v", err)
 	}
 	for i, b := range bufs[:2] {
 		if b.Refs() != 1 {

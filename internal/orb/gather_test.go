@@ -1,46 +1,30 @@
 package orb
 
 import (
-	"sync"
 	"testing"
 
 	"zcorba/internal/transport"
 	"zcorba/internal/zcbuf"
 )
 
-// completionLog collects SendBuffers per-buffer callbacks.
-type completionLog struct {
-	mu   sync.Mutex
-	errs map[int][]error
-}
-
-func newCompletionLog() *completionLog {
-	return &completionLog{errs: map[int][]error{}}
-}
-
-func (l *completionLog) cb(i int, err error) {
-	l.mu.Lock()
-	l.errs[i] = append(l.errs[i], err)
-	l.mu.Unlock()
-}
-
-// assertOnce asserts every index in [0, n) completed exactly once, and
-// returns the per-index errors.
-func (l *completionLog) assertOnce(t *testing.T, n int) []error {
-	t.Helper()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]error, n)
-	for i := 0; i < n; i++ {
-		if got := len(l.errs[i]); got != 1 {
-			t.Fatalf("buffer %d completed %d times, want 1 (%v)", i, got, l.errs[i])
-		}
-		out[i] = l.errs[i][0]
+// sendTrain sends bufs as op's ZC arguments in one InvokeAsync — a
+// gathered deposit train is an ordinary call — and clears every buffer
+// right after InvokeAsync returns, before Wait. That breaks the
+// borrowing rule on purpose: with no forward or retry in play it
+// checks the other half of the ownership contract, that no plane holds
+// a reference once the send returns. A reply computed from the
+// original bytes proves it.
+func sendTrain(ref *ObjectRef, op *Operation, bufs []*zcbuf.Buffer) (any, error) {
+	args := make([]any, len(bufs))
+	for i, b := range bufs {
+		args[i] = b
 	}
-	if len(l.errs) != n {
-		t.Fatalf("%d distinct buffers completed, want %d", len(l.errs), n)
+	call := ref.InvokeAsync(op, args)
+	for _, b := range bufs {
+		clear(b.Bytes())
 	}
-	return out
+	res, _, err := call.Wait()
+	return res, err
 }
 
 // gatherBufs takes n pool buffers filled with distinct patterns and
@@ -70,35 +54,25 @@ func releaseBufs(bufs []*zcbuf.Buffer) {
 	}
 }
 
-// TestSendBuffersGatherDeposits sends an 8-buffer train over the
-// tcp and inproc deposit planes: one call carries every segment, the
-// server scatters them into per-buffer claims, and each buffer
-// completes exactly once with a nil error.
-func TestSendBuffersGatherDeposits(t *testing.T) {
+// TestGatherTrainDeposits sends an 8-buffer train over the tcp and
+// inproc deposit planes: one call carries every segment, the server
+// scatters them into per-buffer claims, and the call holds no
+// reference to a buffer once it completes.
+func TestGatherTrainDeposits(t *testing.T) {
 	for _, mk := range []func(*testing.T, bool) *pair{tcpPair, inprocPair} {
 		p := mk(t, true)
 		var pl zcbuf.Pool
 		bufs, want := gatherBufs(t, &pl, 8, 32<<10)
-		log := newCompletionLog()
-		call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put8"], bufs, log.cb)
-		if err != nil {
-			t.Fatalf("SendBuffers: %v", err)
-		}
-		res, _, err := call.Wait()
+		res, err := sendTrain(p.ref, storeIface.Ops["put8"], bufs)
 		if err != nil {
 			t.Fatalf("Wait: %v", err)
 		}
 		if res.(uint32) != want {
 			t.Fatalf("checksum = %v, want %d", res, want)
 		}
-		for _, e := range log.assertOnce(t, 8) {
-			if e != nil {
-				t.Fatalf("completion error: %v", e)
-			}
-		}
 		for i, b := range bufs {
 			if b.Refs() != 1 {
-				t.Fatalf("buffer %d refs = %d after completion, want 1", i, b.Refs())
+				t.Fatalf("buffer %d refs = %d after the call, want 1", i, b.Refs())
 			}
 		}
 		cs := p.client.Stats()
@@ -108,44 +82,17 @@ func TestSendBuffersGatherDeposits(t *testing.T) {
 		if got := cs.GatherSegments.Load(); got != 8 {
 			t.Fatalf("GatherSegments = %d, want 8", got)
 		}
-		if got := cs.GatherCompletions.Load(); got != 8 {
-			t.Fatalf("GatherCompletions = %d, want 8", got)
-		}
 		if got := p.server.Stats().GatherScatters.Load(); got != 1 {
 			t.Fatalf("server GatherScatters = %d, want 1", got)
-		}
-
-		// A plain Invoke with the same eight ZC arguments forms the
-		// same single train: no SendBuffers needed for one writev.
-		args := make([]any, len(bufs))
-		for i, b := range bufs {
-			args[i] = b
-		}
-		res, _, err = p.ref.Invoke(storeIface.Ops["put8"], args)
-		if err != nil {
-			t.Fatalf("Invoke: %v", err)
-		}
-		if res.(uint32) != want {
-			t.Fatalf("Invoke checksum = %v, want %d", res, want)
-		}
-		if got := cs.GatherDeposits.Load(); got != 2 {
-			t.Fatalf("Invoke: GatherDeposits = %d, want 1 more", got-1)
-		}
-		if got := cs.GatherSegments.Load(); got != 16 {
-			t.Fatalf("Invoke: GatherSegments = %d, want 8 more", got-8)
-		}
-		if got := p.server.Stats().GatherScatters.Load(); got != 2 {
-			t.Fatalf("Invoke: server GatherScatters = %d, want 1 more", got-1)
 		}
 		releaseBufs(bufs)
 	}
 }
 
-// TestSendBuffersSingleWritev asserts the coalescing contract of the
-// tentpole: an 8-segment train costs exactly one data-plane writev
-// (plus the control-message writev), visible as transport write
-// counts.
-func TestSendBuffersSingleWritev(t *testing.T) {
+// TestGatherTrainSingleWritev asserts the coalescing contract: an
+// 8-segment train costs exactly one data-plane writev (plus the
+// control-message writev), visible as transport write counts.
+func TestGatherTrainSingleWritev(t *testing.T) {
 	st := &transport.Stats{}
 	p := newPair(t,
 		Options{Transport: &transport.TCP{}, ZeroCopy: true},
@@ -156,11 +103,7 @@ func TestSendBuffersSingleWritev(t *testing.T) {
 		t.Helper()
 		bufs, want := gatherBufs(t, &pl, 8, 16<<10)
 		defer releaseBufs(bufs)
-		call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put8"], bufs, nil)
-		if err != nil {
-			t.Fatalf("SendBuffers: %v", err)
-		}
-		res, _, err := call.Wait()
+		res, err := sendTrain(p.ref, storeIface.Ops["put8"], bufs)
 		if err != nil || res.(uint32) != want {
 			t.Fatalf("Wait: res=%v err=%v", res, err)
 		}
@@ -179,71 +122,26 @@ func TestSendBuffersSingleWritev(t *testing.T) {
 	}
 }
 
-// TestSendBuffersValidation: shape errors surface before any buffer is
-// retained or any callback fires.
-func TestSendBuffersValidation(t *testing.T) {
-	p := inprocPair(t, true)
-	var pl zcbuf.Pool
-	bufs, _ := gatherBufs(t, &pl, 2, 4096)
-	defer releaseBufs(bufs)
-	log := newCompletionLog()
-
-	if _, err := p.ref.SendBuffers(t.Context(), nil, bufs, log.cb); err == nil {
-		t.Fatal("nil operation accepted")
-	}
-	if _, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put8"], bufs, log.cb); err == nil {
-		t.Fatal("wrong buffer count accepted")
-	}
-	if _, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["swap"], bufs, log.cb); err == nil {
-		t.Fatal("non-ZC operation accepted")
-	}
-	if _, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"],
-		[]*zcbuf.Buffer{bufs[0], nil}, log.cb); err == nil {
-		t.Fatal("nil buffer accepted")
-	}
-	log.mu.Lock()
-	if len(log.errs) != 0 {
-		t.Fatalf("callbacks fired on validation failure: %v", log.errs)
-	}
-	log.mu.Unlock()
-	for i, b := range bufs {
-		if b.Refs() != 1 {
-			t.Fatalf("buffer %d refs = %d after rejected sends, want 1", i, b.Refs())
-		}
-	}
-}
-
-// TestSendBuffersMarshaledPath: without a data channel the train rides
-// the standard marshaled path — the call still succeeds and every
-// buffer completes (completion means reuse-safe, not zero-copied).
-func TestSendBuffersMarshaledPath(t *testing.T) {
+// TestGatherTrainMarshaledPath: without a data channel the train rides
+// the standard marshaled path and the call still succeeds.
+func TestGatherTrainMarshaledPath(t *testing.T) {
 	p := inprocPair(t, false)
 	var pl zcbuf.Pool
 	bufs, want := gatherBufs(t, &pl, 2, 8<<10)
 	defer releaseBufs(bufs)
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"], bufs, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	res, _, err := call.Wait()
+	res, err := sendTrain(p.ref, storeIface.Ops["put2"], bufs)
 	if err != nil || res.(uint32) != want {
 		t.Fatalf("Wait: res=%v err=%v", res, err)
-	}
-	for _, e := range log.assertOnce(t, 2) {
-		if e != nil {
-			t.Fatalf("completion error: %v", e)
-		}
 	}
 	if got := p.client.Stats().GatherDeposits.Load(); got != 0 {
 		t.Fatalf("GatherDeposits = %d on the marshaled path, want 0", got)
 	}
 }
 
-// TestSendBuffersZeroLengthFallsBack: a zero-length segment cannot be
+// TestGatherTrainZeroLengthFallsBack: a zero-length segment cannot be
 // announced as a deposit block (the wire format forbids it), so the
-// whole train degrades to the marshaled path and still completes.
-func TestSendBuffersZeroLengthFallsBack(t *testing.T) {
+// whole train degrades to the marshaled path and still succeeds.
+func TestGatherTrainZeroLengthFallsBack(t *testing.T) {
 	p := tcpPair(t, true)
 	var pl zcbuf.Pool
 	bufs, _ := gatherBufs(t, &pl, 2, 8<<10)
@@ -255,20 +153,9 @@ func TestSendBuffersZeroLengthFallsBack(t *testing.T) {
 	defer empty.Release()
 	empty.SetLen(0)
 	want := checksum(bufs[0].Bytes())
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"],
-		[]*zcbuf.Buffer{bufs[0], empty}, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	res, _, err := call.Wait()
+	res, err := sendTrain(p.ref, storeIface.Ops["put2"], []*zcbuf.Buffer{bufs[0], empty})
 	if err != nil || res.(uint32) != want {
 		t.Fatalf("Wait: res=%v err=%v", res, err)
-	}
-	for _, e := range log.assertOnce(t, 2) {
-		if e != nil {
-			t.Fatalf("completion error: %v", e)
-		}
 	}
 	if got := p.client.Stats().GatherDeposits.Load(); got != 0 {
 		t.Fatalf("GatherDeposits = %d for a zero-length train, want 0", got)

@@ -18,22 +18,30 @@ import (
 
 // bulkBytes extracts the raw bytes of a bulk value, accepting the
 // pooled buffer form, a plain byte slice, and (reading the region into
-// memory) a file-backed payload.
+// memory) a file-backed payload. A typed nil buffer or file is not a
+// bulk value.
 func bulkBytes(v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case *zcbuf.Buffer:
-		return x.Bytes(), true
+		if x != nil {
+			return x.Bytes(), true
+		}
 	case []byte:
 		return x, true
 	case *zcbuf.File:
-		b, err := x.Bytes()
-		if err != nil {
-			return nil, false
+		if x != nil {
+			if b, err := x.Bytes(); err == nil {
+				return b, true
+			}
 		}
-		return b, true
-	default:
-		return nil, false
 	}
+	return nil, false
+}
+
+// errNotZC reports a value that cannot travel as ZC octet stream
+// parameter i: a wrong type, or a typed nil buffer or file.
+func errNotZC(i int, v any) error {
+	return fmt.Errorf("orb: parameter %d: %T is nil or not a ZC octet stream", i, v)
 }
 
 // collectDeposits gathers the payload segments for every ZC octet
@@ -53,16 +61,22 @@ func collectDeposits(types []*typecode.TypeCode, vals []any, segs []transport.Se
 		}
 		switch x := vals[i].(type) {
 		case *zcbuf.Buffer:
+			if x == nil {
+				return nil, nil, false, errNotZC(i, x)
+			}
 			segs = append(segs, transport.Segment{B: x.Bytes()})
 			sizes = append(sizes, uint32(x.Len()))
 		case []byte:
 			segs = append(segs, transport.Segment{B: x})
 			sizes = append(sizes, uint32(len(x)))
 		case *zcbuf.File:
+			if x == nil {
+				return nil, nil, false, errNotZC(i, x)
+			}
 			segs = append(segs, transport.Segment{File: x.OS(), Off: x.Offset(), N: x.Len()})
 			sizes = append(sizes, uint32(x.Len()))
 		default:
-			return nil, nil, false, fmt.Errorf("orb: parameter %d: %T is not a ZC octet stream", i, vals[i])
+			return nil, nil, false, errNotZC(i, vals[i])
 		}
 		if sizes[len(sizes)-1] == 0 {
 			return nil, nil, false, nil
@@ -88,7 +102,7 @@ func (o *ORB) marshalValues(e *cdr.Encoder, types []*typecode.TypeCode, vals []a
 			}
 			b, ok := bulkBytes(v)
 			if !ok {
-				return fmt.Errorf("orb: parameter %d: %T is not a ZC octet stream", i, v)
+				return errNotZC(i, v)
 			}
 			o.stats.ZCFallbacks.Add(1)
 			v = b

@@ -278,9 +278,6 @@ type Stats struct {
 	// GatherSegments counts the segments inside them.
 	GatherDeposits atomic.Int64
 	GatherSegments atomic.Int64
-	// GatherCompletions counts per-buffer completion callbacks fired
-	// for buffers handed to SendBuffers.
-	GatherCompletions atomic.Int64
 	// GatherScatters counts multi-segment trains scattered into
 	// per-buffer claims on the receive side.
 	GatherScatters atomic.Int64
@@ -668,7 +665,6 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"shm_misses_total", "ZC-SHM profiles unusable by this client.", &s.ShmMisses},
 		{"gather_deposits_total", "Multi-segment deposit trains sent.", &s.GatherDeposits},
 		{"gather_segments_total", "Segments inside multi-segment deposit trains.", &s.GatherSegments},
-		{"gather_completions_total", "Per-buffer completion callbacks fired.", &s.GatherCompletions},
 		{"gather_scatters_total", "Multi-segment trains scattered on the receive side.", &s.GatherScatters},
 		{"engine_wakeups_total", "Epoll waits that returned ready connections.", &s.EngineWakeups},
 		{"shed_requests_total", "Requests rejected by admission control (TRANSIENT).", &s.ShedRequests},

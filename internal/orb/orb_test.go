@@ -47,6 +47,11 @@ var storeIface = NewInterface("IDL:test/Store:1.0", "Store",
 		Result:     typecode.TCZCOctetSeq,
 	},
 	&Operation{
+		Name:   "half_nil",
+		Params: []Param{{Name: "rest", Type: typecode.TCZCOctetSeq, Dir: Out}},
+		Result: typecode.TCZCOctetSeq,
+	},
+	&Operation{
 		Name:       "echo",
 		Idempotent: true,
 		Params:     []Param{{Name: "data", Type: typecode.TCZCOctetSeq, Dir: In}},
@@ -92,7 +97,7 @@ var storeIface = NewInterface("IDL:test/Store:1.0", "Store",
 )
 
 // putManyOp builds a putN operation taking n ZC octet streams — the
-// scatter/gather deposit surface exercised by the SendBuffers tests.
+// scatter/gather deposit surface exercised by the gather train tests.
 func putManyOp(n int) *Operation {
 	params := make([]Param, n)
 	for i := range params {
@@ -110,6 +115,7 @@ func putManyOp(n int) *Operation {
 type storeServant struct {
 	mu       sync.Mutex
 	lastSum  uint32
+	lastHalf *zcbuf.Buffer // result buffer of the last half_nil
 	notified chan uint32
 	slowDur  time.Duration
 }
@@ -158,6 +164,14 @@ func (s *storeServant) Invoke(op string, args []any) (any, []any, error) {
 			out[i] = byte(i % 251)
 		}
 		return out, nil, nil
+	case "half_nil":
+		// A valid result next to a nil ZC out value the ORB cannot
+		// send.
+		b := zcbuf.Wrap(pattern(4096))
+		s.mu.Lock()
+		s.lastHalf = b
+		s.mu.Unlock()
+		return b, []any{(*zcbuf.Buffer)(nil)}, nil
 	case "echo":
 		buf := args[0].(*zcbuf.Buffer)
 		// Returning the request buffer transfers a reference to the

@@ -199,9 +199,11 @@ func replyHeader(r *request, status giop.ReplyStatus) giop.ReplyHeader {
 // replyValues sends a NO_EXCEPTION reply to r carrying the given
 // values, depositing ZC octet streams on the data channel when
 // available. Reply buffers handed in as *zcbuf.Buffer are released
-// after the write.
+// after the write, or after the MARSHAL answer when a value cannot be
+// sent.
 func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 	types []*typecode.TypeCode, vals []any) {
+	defer releaseValues(vals)
 	tc, scx := r.tc, &r.send
 	rep := giop.ReplyHeader{
 		ServiceContexts: scx.contexts[:0],
@@ -258,13 +260,22 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 			c.close(err)
 		}
 	}
-	// The ORB consumed the servant's reply buffers (and file payloads).
+}
+
+// releaseValues releases the servant's reply buffers and file
+// payloads, which the ORB consumes. A typed nil is skipped: it was
+// answered with MARSHAL.
+func releaseValues(vals []any) {
 	for _, v := range vals {
 		switch b := v.(type) {
 		case *zcbuf.Buffer:
-			b.Release()
+			if b != nil {
+				b.Release()
+			}
 		case *zcbuf.File:
-			b.Release()
+			if b != nil {
+				b.Release()
+			}
 		}
 	}
 }

@@ -152,9 +152,6 @@ func (x *Exporter) WriteProm(w io.Writer) error {
 			"Backoff pauses before retries (ns).", t.RetryBackoffNS.Snapshot())
 		writePromHist(bw, ns+"_frame_latency_ns",
 			"Farm frame round-trip latency (ns).", t.FrameLatencyNS.Snapshot())
-		writePromHist(bw, ns+"_completion_latency_ns",
-			"Gathered-deposit per-buffer completion latency (ns).",
-			t.CompletionLatencyNS.Snapshot())
 	}
 	return bw.Flush()
 }

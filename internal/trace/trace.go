@@ -151,10 +151,6 @@ type Tracer struct {
 	RetryBackoffNS Histogram
 	// FrameLatencyNS observes farm frame round trips.
 	FrameLatencyNS Histogram
-	// CompletionLatencyNS observes the delay between handing a
-	// registered buffer to SendBuffers and its per-buffer completion
-	// callback firing (the buffer-reuse window).
-	CompletionLatencyNS Histogram
 }
 
 // DefaultSlabSpans is the slab capacity used by New when cap <= 0.
@@ -279,7 +275,7 @@ func (t *Tracer) Reset() {
 	}
 	for _, h := range []*Histogram{
 		&t.InvokeLatencyNS, &t.DispatchLatencyNS, &t.DepositBytes,
-		&t.RetryBackoffNS, &t.FrameLatencyNS, &t.CompletionLatencyNS,
+		&t.RetryBackoffNS, &t.FrameLatencyNS,
 	} {
 		for i := range h.counts {
 			h.counts[i].Store(0)

@@ -12,7 +12,6 @@
 package ttcp
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -42,9 +41,8 @@ const (
 	// zero-copy deposits straight into a ring mapped by both processes.
 	ModeShmCorba Mode = "shm-corba"
 	// ModeGatherCorba is the CORBA TTCP using gathered deposits: each
-	// request carries N registered buffers as one deposit train
-	// (orb.ObjectRef.SendBuffers — a single vectored write per train,
-	// per-buffer completion callbacks gating reuse).
+	// request carries N ZC buffers as one deposit train (an ordinary
+	// call with N ZC parameters — a single vectored write per train).
 	ModeGatherCorba Mode = "gather-corba"
 )
 
@@ -454,12 +452,13 @@ func (g *gatherSinkServant) Invoke(op string, args []any) (any, []any, error) {
 	return n, nil, nil
 }
 
-// CorbaSendGather transmits trains of segs registered buffers through
-// the gather sink: each train is one SendBuffers invocation (a single
-// vectored write carries all segs blocks), with up to window trains in
-// flight. A train's buffers are reused only after its per-buffer
-// completion callbacks report them safe, so the registered set cycles
-// without copies. Blocks in the result counts blocks (trains × segs).
+// CorbaSendGather transmits trains of segs buffers through the gather
+// sink: each train is one InvokeAsync of zputv with segs ZC arguments
+// (a single vectored write carries all segs blocks), with up to window
+// trains in flight. A window slot's buffers and argument list are
+// reused only after its previous train's reply is collected, so the
+// set cycles without copies. Blocks in the result counts blocks
+// (trains × segs).
 func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, window int) (Result, error) {
 	if segs < 1 {
 		segs = 1
@@ -482,31 +481,21 @@ func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, wi
 	op := GatherStoreIface(segs).Ops["zputv"]
 	want := uint32(blockSize) * uint32(segs)
 
-	// One registered buffer set per window slot; a slot is reused only
-	// after its previous train's reply AND completions arrive.
+	// One argument list of segs pool buffers per window slot.
 	type slot struct {
-		bufs []*zcbuf.Buffer
-		regs []*zcbuf.Registration
+		args []any
 		call *orb.Call
-		free chan struct{} // one token per completed buffer
 	}
 	var pool zcbuf.Pool
-	slots := make([]*slot, window)
+	slots := make([]slot, window)
 	defer func() {
 		for _, s := range slots {
-			if s == nil {
-				continue
-			}
-			for _, r := range s.regs {
-				r.Close()
-			}
-			for _, b := range s.bufs {
-				b.Release()
+			for _, a := range s.args {
+				a.(*zcbuf.Buffer).Release()
 			}
 		}
 	}()
 	for k := range slots {
-		s := &slot{free: make(chan struct{}, segs)}
 		for i := 0; i < segs; i++ {
 			b, err := pool.Get(blockSize)
 			if err != nil {
@@ -516,16 +505,8 @@ func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, wi
 			for j := range p {
 				p[j] = byte(j)
 			}
-			s.bufs = append(s.bufs, b)
-			r, err := zcbuf.Register(b)
-			if err != nil {
-				b.Release()
-				s.bufs = s.bufs[:len(s.bufs)-1]
-				return res, err
-			}
-			s.regs = append(s.regs, r)
+			slots[k].args = append(slots[k].args, b)
 		}
-		slots[k] = s
 	}
 
 	reap := func(s *slot) error {
@@ -537,30 +518,21 @@ func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, wi
 		if n, _ := r.(uint32); n != want {
 			return fmt.Errorf("acknowledged %d of %d bytes", n, want)
 		}
-		for i := 0; i < segs; i++ {
-			<-s.free
-		}
 		return nil
 	}
 
-	ctx := context.Background()
 	start := time.Now()
 	for t := 0; t < trains; t++ {
-		s := slots[t%window]
+		s := &slots[t%window]
 		if s.call != nil {
 			if err := reap(s); err != nil {
 				return res, fmt.Errorf("ttcp: train %d: %w", t-window, err)
 			}
 		}
-		call, err := ref.SendBuffers(ctx, op, s.bufs,
-			func(int, error) { s.free <- struct{}{} })
-		if err != nil {
-			return res, fmt.Errorf("ttcp: train %d: %w", t, err)
-		}
-		s.call = call
+		s.call = ref.InvokeAsync(op, s.args)
 	}
 	for k := 0; k < window; k++ {
-		s := slots[(trains+k)%window]
+		s := &slots[(trains+k)%window]
 		if s.call == nil {
 			continue
 		}

@@ -85,7 +85,7 @@ func TestCorbaBenchStandardAndZC(t *testing.T) {
 
 // TestCorbaBenchGather runs the gathered-deposit tier end to end: the
 // sink serves a zputv gather sink, and each windowed train carries its
-// registered buffers copy-free through one SendBuffers invocation.
+// buffers copy-free through one call with four ZC arguments.
 func TestCorbaBenchGather(t *testing.T) {
 	sink, err := NewCorbaSinkConfig(SinkConfig{
 		Transport: &transport.TCP{}, ZeroCopy: true, GatherSegs: 4,
@@ -121,9 +121,6 @@ func TestCorbaBenchGather(t *testing.T) {
 	}
 	if got := st.GatherSegments.Load(); got != 24 {
 		t.Fatalf("GatherSegments=%d, want 24", got)
-	}
-	if got := st.GatherCompletions.Load(); got != 24 {
-		t.Fatalf("GatherCompletions=%d, want 24", got)
 	}
 	copies := st.PayloadCopyBytes.Load() + sink.ORB.Stats().PayloadCopyBytes.Load()
 	if copies != 0 {
