@@ -34,8 +34,11 @@ vet:
 
 # Golden wire-vector suite (internal/giop/testdata): regenerate
 # deliberately with `go test ./internal/giop -run TestWireVectors -update`.
+# The ORB never fragments, so fragment reassembly runs only for foreign
+# GIOP 1.1 peers; the raw-GIOP train is checked on both server tiers.
 conformance:
 	$(GO) test -count=1 -run 'TestWireVectors|TestUntraced' ./internal/giop/
+	$(GO) test -count=1 -run 'TestFragmentReassemblyWireLevel' ./internal/orb/
 
 # Short-budget fuzz pass over the wire-facing decoders (seeded from
 # the golden vectors and saved crash corpora); raise FUZZTIME for a

@@ -481,8 +481,8 @@ func wireVectors() []wireVector {
 		{
 			// A fragmented request: the initial Request message carries
 			// the MoreFragments flag and the first body chunk; a Fragment
-			// message carries the rest. GIOP 1.1 headers, as the sender
-			// emits for oversized bodies.
+			// message carries the rest. GIOP 1.1 headers, as a GIOP 1.1
+			// peer may emit.
 			name: "fragment",
 			build: func(order cdr.ByteOrder) []byte {
 				h := vecRequestPlain()

@@ -404,9 +404,8 @@ func tooLarge(size, max int) error {
 
 // sendMessage writes a GIOP message (header gather-joined with body)
 // and then the deposit payload segments on the data channel, all under
-// the send mutex so control and data streams stay ordered. Request and
-// Reply bodies larger than fragmentThreshold are split into
-// GIOP 1.1-style Fragment messages.
+// the send mutex so control and data streams stay ordered. Every
+// message leaves as one GIOP 1.0 frame, whatever its size.
 func (c *conn) sendMessage(t giop.MsgType, body []byte, deposits []transport.Segment) error {
 	return c.send(t, body, deposits, false, trace.Context{}, "", 0)
 }
@@ -459,32 +458,31 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, i
 	if tc.Valid() {
 		t0 = trace.Now()
 	}
+	if max := c.orb.maxMessageSize(); len(body) > max {
+		return tooLarge(len(body), max)
+	}
+	giop.EncodeHeader(c.hdrBuf[:], giop.Header{
+		Major: 1, Minor: 0,
+		Flags: byte(cdr.NativeOrder),
+		Type:  t,
+		Size:  uint32(len(body)),
+	})
+	// Header, body and an inline train leave in one control writev.
+	c.segs = append(c.segs, c.hdrBuf[:], body)
 	var train []transport.Segment
 	var trainBytes int64
 	if inline {
 		train, deposits = deposits, nil
 		for i := range train {
+			c.segs = append(c.segs, train[i].B)
 			trainBytes += int64(len(train[i].B))
 		}
 	}
-	max := c.orb.maxMessageSize()
-	if (t == giop.MsgRequest || t == giop.MsgReply) && len(body) > fragmentThreshold {
-		if err := c.sendFragmented(t, body, train, max); err != nil {
-			return err
-		}
-	} else {
-		if len(body) > max {
-			return tooLarge(len(body), max)
-		}
-		giop.EncodeHeader(c.hdrBuf[:], giop.Header{
-			Major: 1, Minor: 0,
-			Flags: byte(cdr.NativeOrder),
-			Type:  t,
-			Size:  uint32(len(body)),
-		})
-		if err := c.writeCtrlLocked(body, train); err != nil {
-			return err
-		}
+	_, err := c.ctrl.WriteGather(c.segs...)
+	clear(c.segs)
+	c.segs = c.segs[:0]
+	if err != nil {
+		return err
 	}
 	if tc.Valid() {
 		tr.Record(trace.Span{
@@ -572,19 +570,6 @@ func (c *conn) countTrainSent(segs int, n int64) {
 	}
 }
 
-// writeCtrlLocked writes hdrBuf, body and the byte segments of train as
-// one control writev (sendMu held).
-func (c *conn) writeCtrlLocked(body []byte, train []transport.Segment) error {
-	c.segs = append(c.segs, c.hdrBuf[:], body)
-	for i := range train {
-		c.segs = append(c.segs, train[i].B)
-	}
-	_, err := c.ctrl.WriteGather(c.segs...)
-	clear(c.segs)
-	c.segs = c.segs[:0]
-	return err
-}
-
 // writeDepositsLocked is the data-plane deposit send (sendMu held):
 // every train that does not ride inline, of one segment or thirty-two,
 // on every plane, in one call to the data plane. A byte-only train is
@@ -614,46 +599,6 @@ func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) 
 	clear(c.segs)
 	c.segs = c.segs[:0]
 	return n, err
-}
-
-// sendFragmented emits body as an initial message plus Fragment
-// continuations, chunked at fragmentThreshold bytes and bounded by max;
-// an inline train rides the last fragment's writev. The caller holds
-// sendMu.
-func (c *conn) sendFragmented(t giop.MsgType, body []byte, train []transport.Segment, max int) error {
-	if len(body) > max {
-		return tooLarge(len(body), max)
-	}
-	first := true
-	for len(body) > 0 {
-		chunk := body
-		if len(chunk) > fragmentThreshold {
-			chunk = chunk[:fragmentThreshold]
-		}
-		body = body[len(chunk):]
-		h := giop.Header{
-			Major: 1, Minor: 1,
-			Flags: byte(cdr.NativeOrder),
-			Type:  t,
-			Size:  uint32(len(chunk)),
-		}
-		if !first {
-			h.Type = giop.MsgFragment
-		}
-		if len(body) > 0 {
-			h.Flags |= giop.FlagMoreFragments
-		}
-		giop.EncodeHeader(c.hdrBuf[:], h)
-		var tail []transport.Segment
-		if len(body) == 0 {
-			tail = train
-		}
-		if err := c.writeCtrlLocked(chunk, tail); err != nil {
-			return err
-		}
-		first = false
-	}
-	return nil
 }
 
 // setData installs dc as the connection's data channel and discovers —

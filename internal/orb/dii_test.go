@@ -143,90 +143,126 @@ func TestLocate(t *testing.T) {
 	}
 }
 
-func TestSendSideFragmentation(t *testing.T) {
-	// A body of two full fragments and a partial third must arrive
-	// intact through the reassembler.
-	p := newPair(t, Options{Transport: &transport.TCP{}}, Options{Transport: &transport.TCP{}})
-	data := pattern(2*fragmentThreshold + 100_000)
+// TestBulkRequestIsOneWrite: a standard-path body of several MiB is
+// sent as one GIOP frame, so it leaves the client as one control write
+// and arrives intact.
+func TestBulkRequestIsOneWrite(t *testing.T) {
+	cli := new(transport.Stats)
+	p := newPair(t, Options{Transport: &transport.TCP{}}, Options{Transport: &transport.TCP{Stats: cli}})
+	// Connect first, so the measured call writes only its request.
+	if _, _, err := p.ref.Invoke(storeIface.Ops["swap"], []any{"x"}); err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(2<<20 + 100_000)
+	writes := cli.Writes.Load()
 	res, _, err := p.ref.Invoke(storeIface.Ops["put_std"], []any{data})
 	if err != nil {
-		t.Fatalf("fragmented put_std: %v", err)
+		t.Fatalf("bulk put_std: %v", err)
 	}
 	if res.(uint32) != checksum(data) {
-		t.Fatal("checksum mismatch across fragmentation")
+		t.Fatal("bulk put_std: checksum mismatch")
+	}
+	if got := cli.Writes.Load() - writes; got != 1 {
+		t.Fatalf("bulk put_std left the client in %d writes, want 1", got)
 	}
 }
 
-// TestFragmentReassemblyWireLevel speaks raw GIOP to the ORB: a
-// hand-fragmented _is_a request must be reassembled and answered.
+// TestFragmentReassemblyWireLevel speaks raw GIOP to the ORB as a
+// GIOP 1.1 peer may: a hand-fragmented _is_a request must be
+// reassembled and answered on both server tiers, and the bytes
+// reassembly moved to grow the body are counted as payload copies.
 func TestFragmentReassemblyWireLevel(t *testing.T) {
-	server, err := New(Options{Transport: &transport.TCP{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Shutdown)
-	if _, err := server.Activate("calc", dynCalc()); err != nil {
-		t.Fatal(err)
-	}
+	for _, tier := range serverTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			server, err := New(Options{Transport: &transport.TCP{}, Engine: tier.engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(server.Shutdown)
+			if _, err := server.Activate("calc", dynCalc()); err != nil {
+				t.Fatal(err)
+			}
 
-	tr := &transport.TCP{}
-	c, err := tr.Dial(server.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+			tr := &transport.TCP{}
+			c, err := tr.Dial(server.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	// Build the full request body: header + string arg.
-	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
-	(&giop.RequestHeader{
-		RequestID: 7, ResponseExpected: true,
-		ObjectKey: []byte("calc"), Operation: "_is_a", Principal: []byte{},
-	}).Marshal(e)
-	e.WriteString("IDL:test/Calc:1.0")
-	body := e.Bytes()
+			// Build the full request body: header + string arg.
+			e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+			(&giop.RequestHeader{
+				RequestID: 7, ResponseExpected: true,
+				ObjectKey: []byte("calc"), Operation: "_is_a", Principal: []byte{},
+			}).Marshal(e)
+			e.WriteString("IDL:test/Calc:1.0")
+			body := e.Bytes()
 
-	// Send it as three fragments.
-	third := len(body) / 3
-	chunks := [][]byte{body[:third], body[third : 2*third], body[2*third:]}
-	for i, chunk := range chunks {
-		h := giop.Header{Major: 1, Minor: 1, Flags: byte(cdr.NativeOrder),
-			Type: giop.MsgRequest, Size: uint32(len(chunk))}
-		if i > 0 {
-			h.Type = giop.MsgFragment
-		}
-		if i < len(chunks)-1 {
-			h.Flags |= giop.FlagMoreFragments
-		}
-		var hdr [giop.HeaderSize]byte
-		giop.EncodeHeader(hdr[:], h)
-		if _, err := c.WriteGather(hdr[:], chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
+			// Send it as three fragments.
+			third := len(body) / 3
+			chunks := [][]byte{body[:third], body[third : 2*third], body[2*third:]}
+			for i, chunk := range chunks {
+				h := giop.Header{Major: 1, Minor: 1, Flags: byte(cdr.NativeOrder),
+					Type: giop.MsgRequest, Size: uint32(len(chunk))}
+				if i > 0 {
+					h.Type = giop.MsgFragment
+				}
+				if i < len(chunks)-1 {
+					h.Flags |= giop.FlagMoreFragments
+				}
+				var hdr [giop.HeaderSize]byte
+				giop.EncodeHeader(hdr[:], h)
+				if _, err := c.WriteGather(hdr[:], chunk); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Read the reply and check the boolean result.
-	rh, err := giop.ReadHeader(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rh.Type != giop.MsgReply {
-		t.Fatalf("got %v", rh.Type)
-	}
-	rbody := make([]byte, rh.Size)
-	if _, err := io.ReadFull(c, rbody); err != nil {
-		t.Fatal(err)
-	}
-	dec := cdr.NewDecoder(rh.Order(), giop.HeaderSize, rbody)
-	rep, err := giop.UnmarshalReplyHeader(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RequestID != 7 || rep.Status != giop.ReplyNoException {
-		t.Fatalf("reply %+v", rep)
-	}
-	ok, err := dec.ReadBoolean()
-	if err != nil || !ok {
-		t.Fatalf("_is_a result %v %v", ok, err)
+			// Read the reply and check the boolean result.
+			rh, err := giop.ReadHeader(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rh.Type != giop.MsgReply {
+				t.Fatalf("got %v", rh.Type)
+			}
+			rbody := make([]byte, rh.Size)
+			if _, err := io.ReadFull(c, rbody); err != nil {
+				t.Fatal(err)
+			}
+			dec := cdr.NewDecoder(rh.Order(), giop.HeaderSize, rbody)
+			rep, err := giop.UnmarshalReplyHeader(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RequestID != 7 || rep.Status != giop.ReplyNoException {
+				t.Fatalf("reply %+v", rep)
+			}
+			ok, err := dec.ReadBoolean()
+			if err != nil || !ok {
+				t.Fatalf("_is_a result %v %v", ok, err)
+			}
+
+			// A fresh server's first body is exactly the first fragment,
+			// so the second grows it by append, moving the first
+			// fragment's bytes; the third, when it outgrows that, grows
+			// it to size, moving the first two fragments' bytes.
+			a, b := len(chunks[0]), len(chunks[1])
+			copies, moved := 1, a
+			if grown := cap(append(make([]byte, a), make([]byte, b)...)); len(body) > grown {
+				copies, moved = 2, a+a+b
+			}
+			st := &server.stats
+			if tier.engine && engineSupported() && st.EngineConns.Load() == 0 {
+				t.Fatal("the engine tier did not serve the connection")
+			}
+			if got := st.PayloadCopies.Load(); got != int64(copies) {
+				t.Errorf("reassembly counted %d payload copies, want %d", got, copies)
+			}
+			if got := st.PayloadCopyBytes.Load(); got != int64(moved) {
+				t.Errorf("reassembly counted %d payload copy bytes, want %d", got, moved)
+			}
+		})
 	}
 }
 

@@ -40,22 +40,23 @@ func enginePair(t *testing.T, serverOpts Options) *pair {
 
 // TestEngineRoundTrip drives the full request mix through an
 // engine-tier server: standard marshaling, zero-copy deposits, user
-// exceptions, oneways, and fragmented request bodies all flow through
-// the dispatcher pool's inline handleMessage path.
+// exceptions, oneways, and bulk request bodies all flow through the
+// dispatcher pool's inline handleMessage path. Fragment trains, which
+// only a GIOP 1.1 peer sends, are TestFragmentReassemblyWireLevel's.
 func TestEngineRoundTrip(t *testing.T) {
 	p := newPair(t,
 		Options{Transport: &transport.TCP{}, Engine: true, ZeroCopy: true},
 		Options{Transport: &transport.TCP{}, ZeroCopy: true})
 
-	// A body above the fragment threshold, so the engine's incremental
-	// reassembly sees a real fragment train.
-	data := pattern(fragmentThreshold + 64<<10)
+	// A bulk body, which the engine's incremental reads assemble from
+	// many nonblocking reads.
+	data := pattern(1<<20 + 64<<10)
 	res, _, err := p.ref.Invoke(storeIface.Ops["put_std"], []any{data})
 	if err != nil {
-		t.Fatalf("fragmented put_std: %v", err)
+		t.Fatalf("bulk put_std: %v", err)
 	}
 	if res.(uint32) != checksum(data) {
-		t.Fatalf("fragmented put_std: checksum mismatch")
+		t.Fatalf("bulk put_std: checksum mismatch")
 	}
 
 	buf := zcbuf.Wrap(pattern(32 << 10))

@@ -17,8 +17,9 @@ import (
 const inlineDepositMax = 64 << 10
 
 // framer is the one GIOP framer: an incremental assembler that turns
-// the control byte stream into logical messages, reassembling 1.1-style
-// fragment trains. It never reads; its driver does. The legacy read
+// the control byte stream into logical messages, reassembling the
+// fragment trains a GIOP 1.1 peer may send (this ORB sends every
+// message as one frame). It never reads; its driver does. The legacy read
 // loop fills next() with blocking scatter reads, the event engine with
 // nonblocking ones that may stop anywhere, and both get the same
 // messages and the same verdict on a malformed stream.
@@ -204,13 +205,16 @@ func (f *framer) begin() error {
 		// would carry the outgrown buffer into the next heap goal.
 		body := f.body
 		f.body = nil
+		if total > cap(body) && len(body) > 0 {
+			// Growing moves the train's bytes so far: a payload copy,
+			// counted as a speculation miss counts its carry.
+			f.orb.stats.PayloadCopies.Add(1)
+			f.orb.stats.PayloadCopyBytes.Add(int64(len(body)))
+		}
 		if total > cap(body) && !h.MoreFragments() {
 			// Last fragment: the message's size is known now, so grow
-			// once to exactly that instead of append's amortized 1.25x.
-			// A bulk standard-path request then churns buffers of one
-			// size (payload plus headers) whose freed spans fit each
-			// other; the over-allocated body fitted none of them, and
-			// how far the heap grew to place it depended on timing.
+			// once to exactly that instead of append's amortized 1.25x,
+			// which would leave a quarter of a bulk body spare.
 			whole := make([]byte, total)
 			copy(whole, body)
 			body = whole

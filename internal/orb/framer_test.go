@@ -131,8 +131,7 @@ func feedFramer(o *ORB, stream []byte, step func() int, predBody, predTrain int)
 
 // TestReassemblySizesLastFragmentExactly: the last fragment tells the
 // message's size, so reassembly grows to it once. append's amortized
-// quarter made the body of a threshold-sized payload plus headers the
-// one odd-sized buffer of every bulk standard-path request. Both feeds
+// quarter would leave a bulk train's body a quarter spare. Both feeds
 // of the one framer are checked: whole regions, as the legacy loop
 // reads, and page-sized pieces, as the event engine may see them.
 func TestReassemblySizesLastFragmentExactly(t *testing.T) {
@@ -172,5 +171,23 @@ func TestReassemblySizesLastFragmentExactly(t *testing.T) {
 			t.Fatalf("step %d: body of %d bytes holds %d spare: grown by append, not to size",
 				step, len(body), slack)
 		}
+	}
+}
+
+// TestGetBodyKeepsSmallFreeBody: a free body too small for a bulk
+// message goes back to the free list, so the small message after the
+// bulk one reuses it instead of allocating.
+func TestGetBodyKeepsSmallFreeBody(t *testing.T) {
+	o := &ORB{bodyFree: make(chan []byte, bodyFreeSlots)}
+	o.putBody(o.getBody(64))
+	// Above maxPooledBody, so the bulk body itself is not kept.
+	o.putBody(o.getBody(maxPooledBody + 1))
+	allocs, reuses := o.stats.BodyAllocs.Load(), o.stats.BodyReuses.Load()
+	o.getBody(64)
+	if got := o.stats.BodyReuses.Load() - reuses; got != 1 {
+		t.Fatalf("small body after a bulk one: %d reuses, want 1", got)
+	}
+	if got := o.stats.BodyAllocs.Load() - allocs; got != 0 {
+		t.Fatalf("small body after a bulk one: %d allocations, want 0", got)
 	}
 }

@@ -121,12 +121,6 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// fragmentThreshold splits Request/Reply bodies larger than this many
-// bytes into GIOP Fragment messages, so a single standard-path bulk
-// transfer cannot monopolize a connection's framing (and so the
-// reassembly path is exercised in production).
-const fragmentThreshold = 1 << 20
-
 // maxMessageSize resolves the effective control-message bound.
 func (o *ORB) maxMessageSize() int {
 	if o.opts.MaxMessageSize <= 0 || o.opts.MaxMessageSize > giop.MaxMessageSize {
@@ -180,9 +174,10 @@ const maxPooledBody = 1 << 20
 const bodyFreeSlots = 64
 
 // getBody returns a body buffer of length n, reusing free-list storage
-// when its capacity suffices. The free list is a buffered channel
-// rather than a sync.Pool so recycling a slice never heap-allocates a
-// slice header on the hot path.
+// when its capacity suffices; a free body too small for n goes back for
+// the next message. The free list is a buffered channel rather than a
+// sync.Pool so recycling a slice never heap-allocates a slice header on
+// the hot path.
 func (o *ORB) getBody(n int) []byte {
 	select {
 	case b := <-o.bodyFree:
@@ -190,6 +185,7 @@ func (o *ORB) getBody(n int) []byte {
 			o.stats.BodyReuses.Add(1)
 			return b[:n]
 		}
+		o.putBody(b)
 	default:
 	}
 	o.stats.BodyAllocs.Add(1)
@@ -223,7 +219,8 @@ type Stats struct {
 	BodyReuses atomic.Int64
 	// PayloadCopies and PayloadCopyBytes count user-space copies of
 	// bulk parameter bytes made by the marshaling engine (the copies
-	// the zero-copy path eliminates).
+	// the zero-copy path eliminates) and by the framer (a speculation
+	// miss, or growing a foreign fragment train's body).
 	PayloadCopies    atomic.Int64
 	PayloadCopyBytes atomic.Int64
 	// SpeculationHits and SpeculationMisses judge the framer's
