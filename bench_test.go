@@ -104,12 +104,12 @@ func benchCorba(b *testing.B, mk func() transport.Transport, zeroCopy bool) {
 const gatherBlock = 128 << 10
 
 // benchGatherTrain measures one train of segs ZC buffers per op (one
-// call with segs ZC arguments) on the tcp:// plane: one vectored data
-// write and one reply per train. Trains run with window 2, each window
-// slot reusing its buffers once its previous train's reply is
-// collected. The run asserts the single-writev-per-train contract from
-// the client's transport counters: exactly one control write plus one
-// data-plane gather write per train.
+// call with segs ZC arguments) on the tcp:// plane: one vectored
+// control write and one reply per train. Trains run with window 2,
+// each window slot reusing its buffers once its previous train's reply
+// is collected. The run asserts the single-writev-per-train contract
+// from the client's transport counters: exactly one write per train,
+// carrying the message and every segment.
 func benchGatherTrain(b *testing.B, segs, block int) {
 	cst := &transport.Stats{}
 	sink, err := ttcp.NewCorbaSinkConfig(ttcp.SinkConfig{
@@ -140,10 +140,10 @@ func benchGatherTrain(b *testing.B, segs, block int) {
 		sink.ORB.Stats().PayloadCopyBytes.Load(); n != 0 {
 		b.Fatalf("gather bench copied %d payload bytes", n)
 	}
-	// One GIOP control write + one vectored data write per train; any
-	// more means a train was split into multiple data-plane syscalls.
-	if dw := cst.Snapshot().Writes - w0; dw != int64(2*b.N) {
-		b.Fatalf("%d writes for %d trains, want exactly 2 per train", dw, b.N)
+	// One vectored control write per train; any more means a train
+	// was split into multiple syscalls.
+	if dw := cst.Snapshot().Writes - w0; dw != int64(b.N) {
+		b.Fatalf("%d writes for %d trains, want exactly 1 per train", dw, b.N)
 	}
 }
 

@@ -84,7 +84,7 @@ func dumpComponent(comp ior.TaggedComponent) {
 			fmt.Printf("  component ZCDeposit (undecodable: %v)\n", err)
 			return
 		}
-		fmt.Printf("  component ZCDeposit: arch %q, data channel %s:%d\n",
+		fmt.Printf("  component ZCDeposit: arch %q, deposits on the control stream (endpoint %s:%d)\n",
 			z.Arch, z.Host, z.Port)
 	case ior.TagZCShm:
 		z, err := ior.DecodeZCShm(comp.Data)

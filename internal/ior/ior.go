@@ -34,8 +34,8 @@ const (
 // would register these with the OMG; any value outside the assigned
 // space works for a prototype, exactly as in the paper's MICO fork.
 const (
-	// TagZCDeposit advertises the direct-deposit data channel and the
-	// server's architecture signature.
+	// TagZCDeposit advertises that the server takes direct-deposit
+	// trains on its control stream, with its architecture signature.
 	TagZCDeposit uint32 = 0x5A430001
 	// TagZCShm advertises a shared-memory data plane endpoint: the
 	// server's host identity (for co-location discovery) and the Unix
@@ -77,7 +77,10 @@ type ZCDeposit struct {
 	// Direct deposit requires client and server signatures to match
 	// (the paper's homogeneity precondition).
 	Arch string
-	// Host and Port locate the server's data channel listener.
+	// Host and Port name the server's control endpoint, which carries
+	// its deposit trains; a client never dials them. A reference minted
+	// before deposits moved onto the control stream names a separate
+	// data listener here, and is served the same way.
 	Host string
 	Port uint16
 }

@@ -130,8 +130,8 @@ func TestGatherAllocsGate(t *testing.T) {
 		t.Logf("steady-state 8-segment gather send: %d allocs/op, %d B/op (budget %d)",
 			allocs, res.AllocedBytesPerOp(), gatherAllocBudget)
 	}
-	// 32 KiB of train is within inlineDepositMax: it rides the control
-	// writev, so its trace is the control_send span that carries it.
+	// The train rides the control writev, so its trace is the
+	// control_send span that carries it.
 	if ct.SpanCount(trace.KindControlSend) == 0 || p.client.Stats().GatherDeposits.Load() == 0 {
 		t.Fatal("alloc gate measured without traced gather trains")
 	}

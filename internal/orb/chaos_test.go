@@ -111,41 +111,60 @@ func TestChaosResetBeforeReply(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestChaosTruncateMidDeposit cuts the deposit data channel partway
-// through the payload (a train above inlineDepositMax, so it takes the
-// data channel). The invocation must still complete — degraded to the
-// standard marshaled GIOP path — and the server must reclaim the
-// aborted deposit buffer.
+// refConn returns the connection a reference's calls currently take.
+func refConn(r *ObjectRef) *conn {
+	r.connMu.Lock()
+	defer r.connMu.Unlock()
+	if len(r.conns) == 0 {
+		return nil
+	}
+	return r.conns[0]
+}
+
+// TestChaosTruncateMidDeposit cuts the client's control write partway
+// through a deposit train: every stream-plane train rides the control
+// stream, so the cut tears the connection itself. The attempt fails
+// with COMM_FAILURE, the retry policy redials, and the call completes
+// with its deposit intact on a fresh connection; the server gives back
+// the partly filled buffer and nothing degrades to the marshaled path.
 func TestChaosTruncateMidDeposit(t *testing.T) {
 	before := runtime.NumGoroutine()
 	inj := transport.NewFaultInjector(202).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassData,
-		Kind: transport.FaultTruncate, Nth: 2, TruncateAt: 1024,
+		Op: transport.OpWrite, Class: transport.ClassControl,
+		Kind: transport.FaultTruncate, Nth: 2, TruncateAt: 64 << 10,
 	})
 	p := chaosPair(t, &transport.InProc{}, inj,
 		Options{ZeroCopy: true},
-		Options{ZeroCopy: true, CallTimeout: 5 * time.Second})
+		Options{ZeroCopy: true, CallTimeout: 5 * time.Second, Retry: quickRetry(4)})
 
-	data := pattern(inlineDepositMax + 4<<10)
+	warm := pattern(8 << 10)
+	if res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{warm}); err != nil || res.(uint32) != checksum(warm) {
+		t.Fatalf("warm-up put: res=%v err=%v", res, err)
+	}
+	torn := refConn(p.ref)
+	data := pattern(256 << 10)
 	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{data})
 	if err != nil {
-		t.Fatalf("invoke with truncated deposit: %v", err)
+		t.Fatalf("invoke with truncated train: %v", err)
 	}
 	if res.(uint32) != checksum(data) {
-		t.Fatal("checksum mismatch after fallback")
+		t.Fatal("checksum mismatch after retry")
 	}
-	if got := p.client.Stats().DataChanFallbacks.Load(); got < 1 {
-		t.Fatalf("client DataChanFallbacks = %d, want >= 1", got)
+	if inj.Fired() != 1 {
+		t.Fatalf("injector fired %d faults, want 1", inj.Fired())
 	}
-	if got := p.server.Stats().DepositAborts.Load(); got < 1 {
-		t.Fatalf("server DepositAborts = %d, want >= 1", got)
+	if got := p.client.Stats().Retries.Load(); got < 1 {
+		t.Fatalf("client Retries = %d, want >= 1", got)
 	}
-	// The degraded connection keeps working (marshaled path).
-	data2 := pattern(8 << 10)
-	res, _, err = p.ref.Invoke(storeIface.Ops["put"], []any{data2})
-	if err != nil || res.(uint32) != checksum(data2) {
-		t.Fatalf("degraded connection broken: res=%v err=%v", res, err)
+	if torn.healthy() || refConn(p.ref) == torn {
+		t.Fatal("the torn connection was kept; the retry must redial")
 	}
+	if got := p.client.Stats().DataChanFallbacks.Load(); got != 0 {
+		t.Fatalf("client DataChanFallbacks = %d for a torn control stream, want 0", got)
+	}
+	waitFor(t, "the server to give back the torn train's buffer", func() bool {
+		return p.server.Pool().Stats().Outstanding == 0
+	})
 	if n := p.server.leases.Pending(); n != 0 {
 		t.Fatalf("server deposit leases outstanding: %d", n)
 	}
@@ -192,26 +211,32 @@ func TestChaosTruncatedHeader(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestChaosStalledDepositLeaseExpires stalls the client's deposit write
-// (a data-plane train, above inlineDepositMax) long past the server's
-// deposit-lease TTL. The lease sweeper must
-// reclaim the buffer and retire the data channel, the server answers
-// TRANSIENT, and the client completes the call on the marshaled path.
+// TestChaosStalledDepositLeaseExpires stalls the client's control
+// write partway through a deposit train, long past the server's
+// deposit-lease TTL. The train rides the control stream, so the stall
+// stalls the connection: the lease's expiry closes it, the attempt
+// fails with COMM_FAILURE, and the retry policy completes the call on
+// a fresh connection.
 func TestChaosStalledDepositLeaseExpires(t *testing.T) {
 	before := runtime.NumGoroutine()
 	inj := transport.NewFaultInjector(303).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassData,
-		Kind: transport.FaultStall, Nth: 2, Delay: 600 * time.Millisecond,
+		Op: transport.OpWrite, Class: transport.ClassControl,
+		Kind: transport.FaultSlow, Nth: 2, Chunk: 32 << 10, Delay: 600 * time.Millisecond,
 	})
 	p := chaosPair(t, &transport.InProc{}, inj,
 		Options{ZeroCopy: true, DepositLeaseTTL: 30 * time.Millisecond,
 			CallTimeout: 5 * time.Second},
 		Options{ZeroCopy: true, CallTimeout: 5 * time.Second, Retry: quickRetry(4)})
 
-	data := pattern(inlineDepositMax + 4<<10)
+	warm := pattern(8 << 10)
+	if res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{warm}); err != nil || res.(uint32) != checksum(warm) {
+		t.Fatalf("warm-up put: res=%v err=%v", res, err)
+	}
+	stalled := refConn(p.ref)
+	data := pattern(256 << 10)
 	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{data})
 	if err != nil {
-		t.Fatalf("invoke with stalled deposit: %v", err)
+		t.Fatalf("invoke with stalled train: %v", err)
 	}
 	if res.(uint32) != checksum(data) {
 		t.Fatal("checksum mismatch")
@@ -219,15 +244,21 @@ func TestChaosStalledDepositLeaseExpires(t *testing.T) {
 	if got := p.server.Stats().LeaseExpiries.Load(); got < 1 {
 		t.Fatalf("server LeaseExpiries = %d, want >= 1", got)
 	}
-	if got := p.server.Stats().DepositAborts.Load(); got < 1 {
-		t.Fatalf("server DepositAborts = %d, want >= 1", got)
+	if got := p.client.Stats().Retries.Load(); got < 1 {
+		t.Fatalf("client Retries = %d, want >= 1", got)
 	}
-	if got := p.client.Stats().DataChanFallbacks.Load(); got < 1 {
-		t.Fatalf("client DataChanFallbacks = %d, want >= 1", got)
+	if stalled.healthy() || refConn(p.ref) == stalled {
+		t.Fatal("the stalled connection was kept; the retry must redial")
+	}
+	if got := p.client.Stats().DataChanFallbacks.Load(); got != 0 {
+		t.Fatalf("client DataChanFallbacks = %d for a stalled control stream, want 0", got)
 	}
 	if n := p.server.leases.Pending(); n != 0 {
 		t.Fatalf("server deposit leases outstanding: %d", n)
 	}
+	waitFor(t, "the server to give back the stalled train's buffer", func() bool {
+		return p.server.Pool().Stats().Outstanding == 0
+	})
 	p.client.Shutdown()
 	p.server.Shutdown()
 	assertNoGoroutineLeak(t, before)
@@ -307,8 +338,9 @@ func TestChaosServerRestart(t *testing.T) {
 }
 
 // TestChaosRandomSeeded runs a randomized (but reproducible) fault
-// schedule: resets on both streams plus refused dials, under a burst of
-// idempotent calls. Every call must either succeed with the right
+// schedule: control-stream resets on reads and writes plus refused
+// dials, under a burst of idempotent calls whose deposits ride the
+// control stream. Every call must either succeed with the right
 // answer or fail with a clean CORBA system exception — and nothing may
 // leak afterwards. Set CHAOS_SEED to replay a schedule.
 func TestChaosRandomSeeded(t *testing.T) {
@@ -328,8 +360,6 @@ func TestChaosRandomSeeded(t *testing.T) {
 			Kind: transport.FaultReset, Prob: 0.01, Count: 4}).
 		Add(transport.Rule{Op: transport.OpWrite, Class: transport.ClassControl,
 			Kind: transport.FaultReset, Prob: 0.005, Count: 3}).
-		Add(transport.Rule{Op: transport.OpWrite, Class: transport.ClassData,
-			Kind: transport.FaultReset, Prob: 0.01, Count: 4}).
 		Add(transport.Rule{Op: transport.OpDial,
 			Kind: transport.FaultRefuse, Prob: 0.02, Count: 2})
 	p := chaosPair(t, &transport.InProc{}, inj,

@@ -37,21 +37,23 @@ type ObjectRef struct {
 	rr     atomic.Uint32
 }
 
-// profileEntry is the reference's decoded IIOP profile plus its
-// zero-copy deposit component.
+// profileEntry is the reference's decoded IIOP profile plus what its
+// zero-copy component offers: zcArch is the architecture signature of
+// the server's deposit path (empty when it offers none), and ring the
+// shared-memory data endpoint of a usable ZC-SHM component.
 type profileEntry struct {
 	profile ior.IIOPProfile
-	zcDep   ior.ZCDeposit
-	hasZC   bool
+	zcArch  string
+	ring    string
 }
 
 // current decodes and caches the reference's first IIOP profile with
-// its zero-copy deposit component. A multi-profile reference is
-// parsed whole, but only this profile is dialed. A ZC-SHM component
-// whose host identity and architecture match ours is folded into a
-// synthetic deposit endpoint at the shm path, so the whole
-// dial/token/fallback machinery downstream is reused unchanged; a
-// mismatch counts a ShmMiss and the call takes the standard path.
+// its zero-copy component. A multi-profile reference is parsed whole,
+// but only this profile is dialed. A deposit component means the
+// server takes deposit trains on the control stream; the endpoint it
+// names is not dialled. A ZC-SHM component whose host identity and
+// architecture match ours yields the ring endpoint; a mismatch counts
+// a ShmMiss and the call takes the standard path.
 func (r *ObjectRef) current() (profileEntry, bool) {
 	r.resolveOnce.Do(func() {
 		o := r.orb
@@ -62,15 +64,14 @@ func (r *ObjectRef) current() (profileEntry, bool) {
 		pe := profileEntry{profile: p}
 		if data, ok := p.Component(ior.TagZCDeposit); ok {
 			if z, err := ior.DecodeZCDeposit(data); err == nil {
-				pe.zcDep, pe.hasZC = z, true
+				pe.zcArch = z.Arch
 			}
 		}
-		if !pe.hasZC {
+		if pe.zcArch == "" {
 			if data, ok := p.Component(ior.TagZCShm); ok {
 				if zs, err := ior.DecodeZCShm(data); err == nil {
 					if shmem.Supported() && zs.Arch == o.arch && zs.HostID == o.hostID {
-						pe.zcDep = ior.ZCDeposit{Arch: zs.Arch, Host: zs.Path}
-						pe.hasZC = true
+						pe.zcArch, pe.ring = zs.Arch, zs.Path
 					} else {
 						o.stats.ShmMisses.Add(1)
 					}
@@ -211,13 +212,12 @@ func freeCall(c *Call) {
 // Any immediate failure — marshal error, dead connection — is deferred
 // to Wait, so callers can fire a window of requests and collect
 // results in order. Every ZC octet stream argument joins one deposit
-// train, so a call with N of them is a single vectored data-plane
-// write.
+// train, so a call with N of them is a single vectored write.
 //
 // The call borrows its argument buffers until its reply is collected
 // (Wait, or a Pipeline's ReplyFunc): a LOCATION_FORWARD or a pipelined
 // retry re-sends them, so they must not be modified or released before
-// then. No data plane holds a reference once the send returns, so a
+// then. No plane holds a reference once the send returns, so a
 // oneway call, which completes inside InvokeAsync, borrows nothing
 // after it returns.
 func (r *ObjectRef) InvokeAsync(op *Operation, args []any) *Call {
@@ -308,10 +308,11 @@ func (r *ObjectRef) doneCall(op *Operation, result any, outs []any, err error,
 
 // startCtx marshals and sends the request, registering the reply slot
 // for response-expected operations. It never blocks on the peer beyond
-// the socket write. A send failure confined to the data channel (the
-// deposit write) degrades transparently: the data channel is retired
-// and the request is re-sent with standard marshaling on the same
-// control connection (fallback ladder, docs/FAULTS.md).
+// the socket write. A send failure confined to the shm data channel
+// (the ring deposit) degrades transparently: the data channel is
+// retired and the request is re-sent with standard marshaling on the
+// same control connection (fallback ladder, docs/FAULTS.md). A train
+// that rides the control stream fails with it: COMM_FAILURE.
 //
 // tc is the invocation's trace context (zero when tracing is off) and
 // attempt the 1-based retry attempt it represents; the context rides a
@@ -340,11 +341,8 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	// Zero-copy eligibility: both ORBs opted in and architectures
 	// match (the homogeneity negotiation of §2.1; on mismatch the call
 	// transparently falls back to standard IIOP marshaling).
-	var zc *ior.ZCDeposit
-	if o.opts.ZeroCopy && pe.hasZC && pe.zcDep.Arch == o.arch {
-		zc = &pe.zcDep
-	}
-	c, err := r.getConn(pe.profile, zc)
+	zc := o.opts.ZeroCopy && pe.zcArch == o.arch
+	c, err := r.getConn(pe, zc)
 	if err != nil {
 		o.logf("orb: %s connect %s:%d: %v", op.Name, pe.profile.Host, pe.profile.Port, err)
 		// COMM_FAILURE with CompletedNo: the server never saw the
@@ -357,7 +355,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	if len(args) != len(inParams) {
 		return r.failedCall(op, args, &SystemException{Name: "BAD_PARAM", Completed: CompletedNo}, tc, start, attempt)
 	}
-	useZC := c.usableData()
+	useZC := c.zc && !c.dataDown.Load()
 
 	// The Call is taken now: the request is built in its send scratch.
 	call := callPool.Get().(*Call)
@@ -385,8 +383,8 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		// protocol forbids zero-length deposit blocks): the whole call
 		// takes the marshaled path, keeping the empty announcement.
 		skipZC = zcOK
-		inline = c.inlineTrain(deposits)
-		// Announce the data channel on every request (even with no ZC
+		inline = c.data == nil
+		// Announce deposits on every request (even with no ZC
 		// parameters) so the server can deposit zero-copy replies.
 		req.ServiceContexts = append(req.ServiceContexts, giop.DepositInfo{
 			Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
@@ -476,7 +474,7 @@ func (r *ObjectRef) dropAbandoned(c *conn, id uint32, ch chan *replyMsg) {
 // getConn returns a healthy connection for this reference, consulting
 // the per-ref cache first and rotating across the ORB's connection
 // stripes when ConnsPerEndpoint > 1.
-func (r *ObjectRef) getConn(profile ior.IIOPProfile, zc *ior.ZCDeposit) (*conn, error) {
+func (r *ObjectRef) getConn(pe profileEntry, zc bool) (*conn, error) {
 	o := r.orb
 	stripes := o.connStripes()
 	stripe := 0
@@ -491,7 +489,7 @@ func (r *ObjectRef) getConn(profile ior.IIOPProfile, zc *ior.ZCDeposit) (*conn, 
 		}
 	}
 	r.connMu.Unlock()
-	c, err := o.dialConn(dialAddr(profile.Host, profile.Port), zc, stripe)
+	c, err := o.dialConn(dialAddr(pe.profile.Host, pe.profile.Port), zc, pe.ring, stripe)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,9 @@ import (
 )
 
 // conn is one GIOP connection (the paper's GIOPConn): a control
-// byte-stream carrying GIOP messages plus, when the zero-copy path is
-// active, an associated data channel carrying direct-deposit payloads.
+// byte-stream carrying GIOP messages and, on a stream plane, their
+// direct-deposit payloads too; with a shared-memory data plane, an
+// associated data channel carries the payloads instead.
 //
 // Client-created conns send Requests and receive Replies; server-
 // accepted conns receive Requests and send Replies. Writes of a control
@@ -29,11 +30,11 @@ import (
 //
 // A deposit is a train of segments, on every plane: the payloads of one
 // message leave in one call, and a single-buffer deposit is a train of
-// one. A byte-only train of at most inlineDepositMax on a stream data
-// plane rides the control writev behind its message (inline); every
-// other train leaves through writeDepositsLocked in one call to the
-// data plane. No plane keeps a reference to a segment once that call
-// returns. What the plane can do on the receive side is discovered
+// one. On a connection without a data channel — every stream plane —
+// the train rides the control writev behind its message (inline),
+// whatever its size; on a ring connection it is deposited into the
+// ring. No plane keeps a reference to a segment once that call
+// returns. What the ring can do on the receive side is discovered
 // once, in setData.
 //
 // The pending-reply table is striped across pendingShards independent
@@ -41,18 +42,24 @@ import (
 // on a single mutex (per-message software overhead, the modern cousin
 // of the paper's per-byte copies).
 type conn struct {
-	orb       *ORB
-	ctrl      transport.Conn
-	data      transport.Conn // resolved lazily on the server side
+	orb  *ORB
+	ctrl transport.Conn
+	// data is the shm data channel, resolved lazily on the server side;
+	// nil on a stream plane, whose trains ride ctrl.
+	data      transport.Conn
 	dataToken uint64
 	isServer  bool
+	// zc marks a client connection whose requests may carry deposits
+	// (the peer offered them and the architectures match). A server
+	// learns the same from each request's announcement.
+	zc bool
 
-	// dataDown marks the data channel dead while the control stream
+	// dataDown marks the shm data channel dead while the control stream
 	// stays usable: the graceful-degradation state in which deposits
 	// fall back to the standard marshaled path (docs/FAULTS.md).
 	dataDown atomic.Bool
-	// direct is the data channel's ring-view claim capability (shm),
-	// discovered once by setData; nil on stream channels.
+	// direct is the data channel's ring-view claim capability,
+	// discovered once by setData.
 	direct transport.DirectReader
 	// onLeaseExpire is the deposit-lease expiry hook, built once so
 	// granting a lease does not allocate a closure per transfer;
@@ -133,12 +140,14 @@ var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
 // returns it with freeRequest once the reply is sent, never to the
 // connection: a legacy-tier handler runs while the reader reads the
 // next message. The header's byte fields are views of body and die
-// with it. The slices keep their storage across uses.
+// with it. The slices keep their storage across uses. zc records that
+// the request announced deposits, so its reply may carry them too.
 type request struct {
 	hdr      giop.RequestHeader
 	dec      *cdr.Decoder
 	body     []byte
 	deposits []*zcbuf.Buffer
+	zc       bool
 	tc       trace.Context
 	args     []any
 	reply    []any
@@ -230,10 +239,10 @@ func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 	return c
 }
 
-// markDataDown retires the connection's data channel (once) while the
-// control stream keeps running: subsequent sends marshal payloads the
-// standard way, and subsequent deposit announcements are refused. The
-// close also unblocks any reader parked in a deposit ReadFull.
+// markDataDown retires the connection's shm data channel (once) while
+// the control stream keeps running: subsequent sends marshal payloads
+// the standard way, and subsequent deposit announcements are refused.
+// The close also unblocks any reader parked in a ring claim or read.
 func (c *conn) markDataDown() {
 	if c.dataDown.Swap(true) {
 		return
@@ -245,9 +254,6 @@ func (c *conn) markDataDown() {
 		c.orb.dropDataChan(c.dataToken)
 	}
 }
-
-// usableData reports whether the deposit path is currently available.
-func (c *conn) usableData() bool { return c.data != nil && !c.dataDown.Load() }
 
 // pendingEntries counts registered reply waiters across all shards
 // (tests use it to prove the table does not leak).
@@ -262,18 +268,18 @@ func (c *conn) pendingEntries() int {
 	return n
 }
 
-// errDataWrite marks a send failure confined to the data channel; the
-// control stream already carried the message, so the caller can degrade
-// to the marshaled path instead of tearing the connection down.
+// errDataWrite marks a send failure confined to the shm data channel;
+// the control stream already carried the message, so the caller can
+// degrade to the marshaled path instead of tearing the connection down.
 type errDataWrite struct{ err error }
 
 func (e *errDataWrite) Error() string { return "orb: data channel write: " + e.err.Error() }
 func (e *errDataWrite) Unwrap() error { return e.err }
 
-// errDepositTransfer marks a failed inbound bulk transfer (aborted
-// deposit, dead data channel, token that never arrived). The control
-// stream is still framed correctly, so the receiver degrades instead of
-// killing the connection.
+// errDepositTransfer marks a failed inbound ring transfer (aborted
+// deposit, dead data channel, token that never arrived or names no
+// data channel). The control stream is still framed correctly, so the
+// receiver degrades instead of killing the connection.
 type errDepositTransfer struct{ err error }
 
 func (e *errDepositTransfer) Error() string { return "orb: deposit transfer: " + e.err.Error() }
@@ -402,31 +408,11 @@ func tooLarge(size, max int) error {
 	return fmt.Errorf("message size %d exceeds limit %d", size, max)
 }
 
-// sendMessage writes a GIOP message (header gather-joined with body)
-// and then the deposit payload segments on the data channel, all under
-// the send mutex so control and data streams stay ordered. Every
-// message leaves as one GIOP 1.0 frame, whatever its size.
-func (c *conn) sendMessage(t giop.MsgType, body []byte, deposits []transport.Segment) error {
-	return c.send(t, body, deposits, false, trace.Context{}, "", 0)
-}
-
-// inlineTrain reports whether deposits ride the control writev: a
-// byte-only train of at most inlineDepositMax bytes, on a stream data
-// plane that is up. File regions keep sendfile and shm keeps its ring.
-// The caller marks the announcement with the answer and passes it to
-// send, so the two cannot disagree.
-func (c *conn) inlineTrain(deposits []transport.Segment) bool {
-	if len(deposits) == 0 || c.direct != nil || !c.usableData() {
-		return false
-	}
-	total := 0
-	for i := range deposits {
-		if deposits[i].File != nil {
-			return false
-		}
-		total += len(deposits[i].B)
-	}
-	return total <= inlineDepositMax
+// sendMessage writes a GIOP message that carries no deposits (header
+// gather-joined with body) under the send mutex. Every message leaves
+// as one GIOP 1.0 frame, whatever its size.
+func (c *conn) sendMessage(t giop.MsgType, body []byte) error {
+	return c.send(t, body, nil, false, trace.Context{}, "", 0)
 }
 
 // traceCtx extracts the trace context carried in a message's service
@@ -442,13 +428,15 @@ func (c *conn) traceCtx(scs []giop.ServiceContext) trace.Context {
 	return trace.Context{Trace: trace.ID(tcw.TraceID), Span: trace.ID(tcw.SpanID)}
 }
 
-// send is sendMessage with trace attribution: when tc is valid, the
-// control write is recorded as a span of the given kind (control_send
-// client-side, reply_send server-side) and the deposit write as a
-// deposit_send span, both parented on tc's span. inline (see
-// inlineTrain) sends the deposits as the trailing segments of the
-// control writev instead: one write, counted in the control span's
-// bytes, with no deposit_send span.
+// send writes a GIOP message and its deposit train under the send
+// mutex, so control and ring stay ordered. inline (the caller's answer
+// to c.data == nil, which it also marked in the announcement, so the
+// two cannot disagree) sends the train as the trailing segments of the
+// control write; otherwise the train is deposited into the ring after
+// the message. When tc is valid, the control write is recorded as a
+// span of the given kind (control_send client-side, reply_send
+// server-side), counting an inline train in its bytes, and the ring
+// deposit as an shm.deposit span, both parented on tc's span.
 func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, inline bool,
 	tc trace.Context, op string, kind trace.Kind) error {
 	c.sendMu.Lock()
@@ -467,20 +455,13 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, i
 		Type:  t,
 		Size:  uint32(len(body)),
 	})
-	// Header, body and an inline train leave in one control writev.
-	c.segs = append(c.segs, c.hdrBuf[:], body)
+	// Header, body and an inline train leave in one control write.
 	var train []transport.Segment
-	var trainBytes int64
 	if inline {
 		train, deposits = deposits, nil
-		for i := range train {
-			c.segs = append(c.segs, train[i].B)
-			trainBytes += int64(len(train[i].B))
-		}
 	}
-	_, err := c.ctrl.WriteGather(c.segs...)
-	clear(c.segs)
-	c.segs = c.segs[:0]
+	c.segs = append(c.segs, c.hdrBuf[:], body)
+	trainBytes, err := c.writeTrainLocked(c.ctrl, train)
 	if err != nil {
 		return err
 	}
@@ -497,29 +478,22 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, i
 		}
 	}
 	if len(deposits) > 0 {
-		if c.data == nil {
-			return errors.New("orb: deposit payload without data channel")
-		}
 		if c.dataDown.Load() {
 			return &errDataWrite{err: errors.New("data channel down")}
 		}
 		if tc.Valid() {
 			t0 = trace.Now()
 		}
-		n, err := c.writeDepositsLocked(deposits)
+		n, err := c.writeTrainLocked(c.data, deposits)
 		if err != nil {
 			return &errDataWrite{err: err}
 		}
 		c.countTrainSent(len(deposits), n)
-		kind := trace.KindDepositSend
-		if c.direct != nil {
-			kind = trace.KindShmDeposit
-			c.orb.stats.ShmDeposits.Add(1)
-			c.orb.stats.ShmDepositBytes.Add(n)
-		}
+		c.orb.stats.ShmDeposits.Add(1)
+		c.orb.stats.ShmDepositBytes.Add(n)
 		if tc.Valid() {
 			tr.Record(trace.Span{
-				Trace: tc.Trace, Parent: tc.Span, Kind: kind,
+				Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindShmDeposit,
 				Op: op, Bytes: n, Start: t0, Dur: trace.Now() - t0,
 			})
 			tr.DepositBytes.Record(n)
@@ -557,7 +531,7 @@ func (x *sendScratch) appendTrace(scs []giop.ServiceContext, tc trace.Context) [
 }
 
 // countTrainSent counts one sent deposit train of segs segments and n
-// bytes, inline or on the data plane.
+// bytes, inline or into the ring.
 func (c *conn) countTrainSent(segs int, n int64) {
 	s := &c.orb.stats
 	s.DepositsSent.Add(1)
@@ -570,34 +544,43 @@ func (c *conn) countTrainSent(segs int, n int64) {
 	}
 }
 
-// writeDepositsLocked is the data-plane deposit send (sendMu held):
-// every train that does not ride inline, of one segment or thirty-two,
-// on every plane, in one call to the data plane. A byte-only train is
-// one gather write. A train with file regions goes through
-// transport.WriteTrain, which sends them by sendfile on tcp and reads
-// them into memory everywhere else — a payload copy, counted as one per
-// region.
-func (c *conn) writeDepositsLocked(deposits []transport.Segment) (int64, error) {
+// writeTrainLocked writes the segments already gathered in c.segs —
+// a message's header and body on the control stream, none on the ring
+// — and then train, on w in one call, and returns the train's bytes
+// (sendMu held). With byte segments only it is one gather write. A
+// train with file regions goes through transport.WriteTrain, which
+// sends them by sendfile on tcp and reads them into memory everywhere
+// else — a payload copy, counted as one per region — and refuses a
+// region past the end of its file before anything is written.
+func (c *conn) writeTrainLocked(w transport.Conn, train []transport.Segment) (int64, error) {
+	var n int64
 	files := 0
-	for i := range deposits {
-		if deposits[i].File != nil {
+	for i := range train {
+		n += train[i].Len()
+		if train[i].File != nil {
 			files++
 		}
 	}
-	if files > 0 {
-		n, copied, err := transport.WriteTrain(c.data, deposits)
-		if copied > 0 {
-			c.orb.stats.PayloadCopies.Add(int64(files))
-			c.orb.stats.PayloadCopyBytes.Add(copied)
+	if files == 0 {
+		for i := range train {
+			c.segs = append(c.segs, train[i].B)
 		}
+		_, err := w.WriteGather(c.segs...)
+		clear(c.segs)
+		c.segs = c.segs[:0]
 		return n, err
 	}
-	for i := range deposits {
-		c.segs = append(c.segs, deposits[i].B)
+	segs := make([]transport.Segment, 0, len(c.segs)+len(train))
+	for _, b := range c.segs {
+		segs = append(segs, transport.Segment{B: b})
 	}
-	n, err := c.data.WriteGather(c.segs...)
 	clear(c.segs)
 	c.segs = c.segs[:0]
+	_, copied, err := transport.WriteTrain(w, append(segs, train...))
+	if copied > 0 {
+		c.orb.stats.PayloadCopies.Add(int64(files))
+		c.orb.stats.PayloadCopyBytes.Add(copied)
+	}
 	return n, err
 }
 
@@ -608,22 +591,20 @@ func (c *conn) setData(dc transport.Conn, token uint64) {
 	c.direct, _ = dc.(transport.DirectReader)
 }
 
-// resolveData returns the data channel carrying deposits referenced by
-// token. Clients own their channel; servers look the token up in the
-// registry (waiting out the cross-socket race).
+// resolveData returns the shm data channel carrying deposits
+// referenced by token. Clients own their channel; servers with a data
+// listener look the token up in the registry (waiting out the
+// cross-socket race). Anywhere else an unknown token fails at once.
 func (c *conn) resolveData(token uint64) (transport.Conn, error) {
 	if c.dataDown.Load() {
 		return nil, &errDepositTransfer{err: errors.New("data channel down")}
 	}
-	if !c.isServer {
-		if c.data == nil || token != c.dataToken {
-			return nil, &errDepositTransfer{
-				err: fmt.Errorf("reply references unknown data channel %#x", token)}
-		}
-		return c.data, nil
-	}
 	if c.data != nil && token == c.dataToken {
 		return c.data, nil
+	}
+	if !c.isServer || c.orb.dataLis == nil {
+		return nil, &errDepositTransfer{
+			err: fmt.Errorf("deposit references unknown data channel %#x", token)}
 	}
 	dc, err := c.orb.waitDataChan(token, c.orb.opts.CallTimeout)
 	if err != nil {
@@ -636,35 +617,39 @@ func (c *conn) resolveData(token uint64) (transport.Conn, error) {
 // readDeposits consumes the direct-deposit payloads announced by a
 // ZCDeposit service context: for each advertised size it takes a
 // page-aligned buffer from the pool and reads the payload straight
-// into it — the zero-copy receive of §4.5. When tc is valid, the whole
-// transfer is recorded as one deposit_recv span (Err marks an abort).
-// The buffers are appended to bufs[:0], the message envelope's storage.
+// into it — the zero-copy receive of §4.5 — or claims it in place from
+// the ring. announced reports whether the message carried the context.
+// When tc is valid, a ring transfer is recorded as one deposit_recv (or
+// shm.claim) span, Err marking an abort. The buffers are appended to
+// bufs[:0], the message envelope's storage. The announced total is
+// bounded by giop.MaxDepositTotal before any buffer is taken.
 func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext,
-	tc trace.Context, op string) ([]*zcbuf.Buffer, error) {
+	tc trace.Context, op string) (_ []*zcbuf.Buffer, announced bool, _ error) {
 	bufs = bufs[:0]
 	data, ok := giop.Find(contexts, giop.ZCDepositContextID)
 	if !ok {
-		return bufs, nil
+		return bufs, false, nil
 	}
 	di := &c.announced
 	if err := di.Decode(data); err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	total, err := di.Total()
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	if di.Inline && len(di.Sizes) > 0 {
-		return c.readInline(bufs, di, total, tc)
+	if di.Inline {
+		bufs, err = c.readInline(bufs, di, total, tc)
+		return bufs, true, err
 	}
 	dc, err := c.resolveData(di.Token)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	if len(di.Sizes) == 0 {
-		// Pure announcement: the client advertised its channel so the
+		// Pure announcement: the client advertised its ring so the
 		// server can use it for zero-copy replies.
-		return bufs, nil
+		return bufs, true, nil
 	}
 	tr := c.orb.tracer
 	var t0, got int64
@@ -680,7 +665,7 @@ func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext
 			if err != nil {
 				releaseAll(bufs)
 				c.recordDepositRecv(tc, op, t0, got, true, direct)
-				return nil, &errDepositTransfer{err: fmt.Errorf("shm claim: %w", err)}
+				return nil, true, &errDepositTransfer{err: fmt.Errorf("shm claim: %w", err)}
 			}
 			if claimed {
 				direct = true
@@ -698,7 +683,7 @@ func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext
 		if err != nil {
 			releaseAll(bufs)
 			c.recordDepositRecv(tc, op, t0, got, true, direct)
-			return nil, &errDepositTransfer{err: err}
+			return nil, true, &errDepositTransfer{err: err}
 		}
 		// Lease the buffer for the duration of the blocking read: if
 		// the sender aborts mid-transfer, the sweeper expires the lease,
@@ -717,7 +702,7 @@ func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext
 			b.Release()
 			releaseAll(bufs)
 			c.recordDepositRecv(tc, op, t0, got, true, direct)
-			return nil, &errDepositTransfer{err: fmt.Errorf("deposit read: %w", err)}
+			return nil, true, &errDepositTransfer{err: fmt.Errorf("deposit read: %w", err)}
 		}
 		bufs = append(bufs, b)
 		c.orb.stats.DepositsReceived.Add(1)
@@ -730,22 +715,21 @@ func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext
 	if tc.Valid() {
 		tr.DepositBytes.Record(got)
 	}
-	return bufs, nil
+	return bufs, true, nil
 }
 
 // readInline receives a train that rode the control stream behind its
-// message. The bound is checked before any buffer is taken: a larger
-// announcement is a framing violation (an error that is not an
-// errDepositTransfer, so the caller answers MessageError and closes).
-// Each segment lands in a page-aligned pool buffer — on a speculation
-// hit the very buffer the message's read already filled — and the rest
-// is read from the control stream straight into it. The train needs no
-// data channel, so an unresolvable token only retires the channel for
-// later trains and replies; it does not fail this request.
+// message. Each segment lands in a page-aligned pool buffer — on a
+// speculation hit the very buffer the message's read already filled —
+// and the rest is read from the control stream straight into it. The
+// train needs no data channel, so its token is not looked up. Any
+// failure tears the control stream (an error that is not an
+// errDepositTransfer, so the caller closes the connection).
 func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int64,
 	tc trace.Context) ([]*zcbuf.Buffer, error) {
-	if total > inlineDepositMax {
-		return nil, fmt.Errorf("inline deposit train of %d bytes exceeds %d", total, inlineDepositMax)
+	if len(di.Sizes) == 0 {
+		// Pure announcement: the reply may carry deposits.
+		return bufs, nil
 	}
 	f := &c.frame
 	f.settle(inlineTrainKey(di.Sizes))
@@ -783,11 +767,6 @@ func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int6
 	}
 	if tc.Valid() {
 		c.orb.tracer.DepositBytes.Record(total)
-	}
-	if !c.dataDown.Load() {
-		if _, err := c.resolveData(di.Token); err != nil {
-			c.markDataDown()
-		}
 	}
 	return bufs, nil
 }
@@ -897,11 +876,12 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 		}
 		tc := c.traceCtx(req.ServiceContexts)
 		r.tc = tc
-		deposits, err := c.readDeposits(r.deposits, req.ServiceContexts, tc, req.Operation)
+		deposits, zc, err := c.readDeposits(r.deposits, req.ServiceContexts, tc, req.Operation)
+		r.zc = zc
 		if err != nil {
 			var dt *errDepositTransfer
 			if asErr(err, &dt) {
-				// The bulk transfer aborted but the control stream
+				// The ring transfer aborted but the control stream
 				// is still framed: retire the data channel, answer
 				// TRANSIENT, and keep serving (degraded) instead of
 				// killing every in-flight call on the connection.
@@ -945,11 +925,11 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 		// The server echoes the request's trace context in its reply,
 		// so the reply-side deposit read lands in the same trace.
 		tc := c.traceCtx(rep.ServiceContexts)
-		deposits, err := c.readDeposits(msg.deposits, rep.ServiceContexts, tc, "")
+		deposits, _, err := c.readDeposits(msg.deposits, rep.ServiceContexts, tc, "")
 		if err != nil {
 			var dt *errDepositTransfer
 			if asErr(err, &dt) {
-				// The reply's bulk payload was lost; fail just this
+				// The reply's ring payload was lost; fail just this
 				// call (TRANSIENT — the server did execute it) and
 				// degrade the channel, keeping the connection and
 				// its other in-flight calls alive.
@@ -993,7 +973,7 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 		e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 		lrep := giop.LocateReplyHeader{RequestID: lreq.RequestID, Status: status}
 		lrep.Marshal(e)
-		err = c.sendMessage(giop.MsgLocateReply, e.Bytes(), nil)
+		err = c.sendMessage(giop.MsgLocateReply, e.Bytes())
 		cdr.PutEncoder(e)
 		if err != nil {
 			c.close(err)
@@ -1043,8 +1023,8 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 // dispatchRequest runs admission control and hands one request to the
 // servant layer, which from here on owns r. Requests beyond the
 // MaxInFlight cap are shed with TRANSIENT instead of queueing (the
-// deposits were already consumed, so the data channel's framing
-// survives the rejection). inline=true dispatches on the calling
+// deposits were already consumed, so the stream's framing survives the
+// rejection). inline=true dispatches on the calling
 // goroutine — the event engine's bounded worker pool — while the
 // legacy tier spawns a handler goroutine to keep per-connection
 // pipelining.
@@ -1083,13 +1063,13 @@ func (c *conn) freeInline(dec *cdr.Decoder, body []byte) {
 func (c *conn) protocolError(format string, args ...any) {
 	err := fmt.Errorf("orb: protocol error: "+format, args...)
 	c.orb.logf("%v", err)
-	_ = c.sendMessage(giop.MsgMessageError, nil, nil)
+	_ = c.sendMessage(giop.MsgMessageError, nil)
 	c.close(err)
 }
 
 // sendCloseConnection notifies the peer of an orderly shutdown.
 func (c *conn) sendCloseConnection() {
-	_ = c.sendMessage(giop.MsgCloseConnection, nil, nil)
+	_ = c.sendMessage(giop.MsgCloseConnection, nil)
 }
 
 // locate issues a LocateRequest for the given object key and returns
@@ -1107,7 +1087,7 @@ func (c *conn) locate(id uint32, key []byte, timeout time.Duration) (giop.Locate
 
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	(&giop.LocateRequestHeader{RequestID: id, ObjectKey: key}).Marshal(e)
-	err := c.sendMessage(giop.MsgLocateRequest, e.Bytes(), nil)
+	err := c.sendMessage(giop.MsgLocateRequest, e.Bytes())
 	cdr.PutEncoder(e)
 	if err != nil {
 		c.mu.Lock()
@@ -1184,7 +1164,7 @@ func (c *conn) abandon(id uint32, ch chan *replyMsg, failErr error) (*replyMsg, 
 	replyChanPool.Put(ch)
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	(&giop.CancelRequestHeader{RequestID: id}).Marshal(e)
-	err := c.sendMessage(giop.MsgCancelRequest, e.Bytes(), nil)
+	err := c.sendMessage(giop.MsgCancelRequest, e.Bytes())
 	cdr.PutEncoder(e)
 	if err == nil {
 		c.orb.stats.CancelsSent.Add(1)

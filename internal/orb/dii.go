@@ -108,7 +108,7 @@ func (r *ObjectRef) Locate() (LocateStatus, error) {
 	if !ok {
 		return 0, &SystemException{Name: "INV_OBJREF", Completed: CompletedNo}
 	}
-	c, err := o.dialConn(dialAddr(profile.Host, profile.Port), nil, 0)
+	c, err := o.dialConn(dialAddr(profile.Host, profile.Port), false, "", 0)
 	if err != nil {
 		return 0, err
 	}

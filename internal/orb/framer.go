@@ -8,13 +8,13 @@ import (
 	"zcorba/internal/zcbuf"
 )
 
-// inlineDepositMax bounds a deposit train that rides the control
-// stream: a byte-only train of at most this many bytes leaves as the
-// trailing segments of the message's control writev instead of on the
-// data channel, and the receiver's speculative read sizes its regions
-// from it. Above it, the data plane's own read is the cheaper syscall
-// (docs/PERF.md, "inline crossover").
-const inlineDepositMax = 64 << 10
+// speculateMax caps what the framer speculates: a predicted body or
+// train region larger than this is not offered, so a bulk message is
+// read as it would be without speculation. It decides nothing about
+// where a train goes. Speculating a 1 MiB train region while the
+// servant still held the previous one raised a bulk connection's peak
+// RSS by about 1.3 MB (docs/PERF.md, "One stream").
+const speculateMax = 64 << 10
 
 // framer is the one GIOP framer: an incremental assembler that turns
 // the control byte stream into logical messages, reassembling the
@@ -37,7 +37,7 @@ const inlineDepositMax = 64 << 10
 // carry, from which the stream is then replayed ahead of the socket;
 // the move is counted as a payload copy and a speculation miss. Both
 // predicted sizes come only from accepted messages and are capped by
-// inlineDepositMax, so bulk frames are read exactly as without
+// speculateMax, so bulk frames and trains are read exactly as without
 // speculation.
 //
 // Every declared size is checked against the ORB's bound before the
@@ -161,7 +161,7 @@ func (f *framer) advance(n int) (hdr giop.Header, body []byte, ok bool, err erro
 	}
 	f.open, f.specd, f.guess = true, f.guess && f.dep != nil, false
 	size := len(body)
-	if f.cur.Type == giop.MsgFragment || size > inlineDepositMax {
+	if f.cur.Type == giop.MsgFragment || size > speculateMax {
 		size = 0
 	}
 	f.predBody, f.lastBody = stable(size, f.lastBody), size
@@ -263,7 +263,7 @@ func (f *framer) miss() {
 
 // settle closes the train of the last completed message: train is the
 // size of its inline train when that is one segment within
-// inlineDepositMax, else 0. It judges a speculative read that offered a
+// speculateMax, else 0. It judges a speculative read that offered a
 // train region — a hit when the train matches it, else the region's
 // bytes move to carry — and updates the train prediction. It runs once
 // per message: from the inline-train receive, or from next() for a
@@ -316,7 +316,7 @@ func (f *framer) trainSegment(size int) (*zcbuf.Buffer, int, error) {
 // inlineTrainKey is what settle compares and predicts for a train of
 // the given sizes.
 func inlineTrainKey(sizes []uint32) int {
-	if len(sizes) == 1 && sizes[0] <= inlineDepositMax {
+	if len(sizes) == 1 && sizes[0] <= speculateMax {
 		return int(sizes[0])
 	}
 	return 0

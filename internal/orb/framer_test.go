@@ -38,9 +38,14 @@ func scatter(regions [][]byte, src []byte) int {
 	return n
 }
 
+// harnessTrainMax bounds the inline trains feedFramer takes: the ORB
+// accepts up to giop.MaxDepositTotal, but a hostile size must not make
+// the fuzzer allocate that much per input.
+const harnessTrainMax = 1 << 20
+
 // inlineSizes returns the train sizes a Request or Reply announces as
-// inline (nil for anything else), and readInline's verdict on a train
-// over the bound.
+// inline (nil for anything else), and a verdict on a train over the
+// harness's bound.
 func inlineSizes(hdr giop.Header, body []byte) ([]uint32, error) {
 	d := cdr.NewDecoder(hdr.Order(), giop.HeaderSize, body)
 	var scs []giop.ServiceContext
@@ -70,8 +75,8 @@ func inlineSizes(hdr giop.Header, body []byte) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if total > inlineDepositMax {
-		return nil, fmt.Errorf("inline deposit train of %d bytes exceeds %d", total, inlineDepositMax)
+	if total > harnessTrainMax {
+		return nil, fmt.Errorf("inline deposit train of %d bytes exceeds %d", total, harnessTrainMax)
 	}
 	return di.Sizes, nil
 }

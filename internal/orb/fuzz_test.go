@@ -204,7 +204,7 @@ func FuzzFramer(f *testing.F) {
 	f.Add(sizeChange, []byte{}, uint16(0), uint16(0))
 	f.Add(sizeChange, []byte{255, 7, 255}, uint16(first), uint16(4096))
 	f.Add(sizeChange, []byte{255}, uint16(first+8), uint16(60<<10))
-	f.Add(inlineStream(4096, inlineDepositMax+1), []byte{255}, uint16(first), uint16(4096))
+	f.Add(inlineStream(4096, speculateMax+1), []byte{255}, uint16(first), uint16(4096))
 	// A 64 KiB bound keeps hostile sizes from allocating per input.
 	o := framerORB(64 << 10)
 	f.Fuzz(func(t *testing.T, data, cuts []byte, predBody, predTrain uint16) {

@@ -90,8 +90,9 @@ func TestGatherTrainDeposits(t *testing.T) {
 }
 
 // TestGatherTrainSingleWritev asserts the coalescing contract: an
-// 8-segment train costs exactly one data-plane writev (plus the
-// control-message writev), visible as transport write counts.
+// 8-segment train costs exactly one writev — its message's control
+// write, which carries header, body and all eight segments — visible as
+// transport write counts.
 func TestGatherTrainSingleWritev(t *testing.T) {
 	st := &transport.Stats{}
 	p := newPair(t,
@@ -108,21 +109,19 @@ func TestGatherTrainSingleWritev(t *testing.T) {
 			t.Fatalf("Wait: res=%v err=%v", res, err)
 		}
 	}
-	run() // warm: channel setup writes settle
+	run() // warm: connection setup settles
 	before := st.Snapshot()
 	run()
 	after := st.Snapshot()
-	// One gather write for the control message (header+body) and one
-	// for the whole 8-segment deposit train.
-	if got := after.Writes - before.Writes; got != 2 {
-		t.Fatalf("writes per train = %d, want 2 (1 control + 1 data writev)", got)
+	if got := after.Writes - before.Writes; got != 1 {
+		t.Fatalf("writes per train = %d, want 1 (the control writev)", got)
 	}
 	if got := after.GatherSegments - before.GatherSegments; got != 10 {
-		t.Fatalf("gather segments per train = %d, want 10 (2 control + 8 data)", got)
+		t.Fatalf("gather segments per train = %d, want 10 (header, body and 8 segments)", got)
 	}
 }
 
-// TestGatherTrainMarshaledPath: without a data channel the train rides
+// TestGatherTrainMarshaledPath: without zero-copy ORBs the train rides
 // the standard marshaled path and the call still succeeds.
 func TestGatherTrainMarshaledPath(t *testing.T) {
 	p := inprocPair(t, false)

@@ -33,8 +33,8 @@ func settledWrites(st *transport.Stats, min int64) int64 {
 // TestInlineDeposit: a page train rides its message's control writev,
 // as a request argument and as a reply result, on both server tiers.
 // The sending side then makes exactly one socket write per call — the
-// message's control writev — so the data channel is never written, and
-// the train still counts as one deposit on each side.
+// message's control writev — and the train still counts as one deposit
+// on each side.
 func TestInlineDeposit(t *testing.T) {
 	const calls, size = 8, 4096
 	for _, tier := range serverTiers {
@@ -70,14 +70,14 @@ func TestInlineDeposit(t *testing.T) {
 				if dir == "reply" {
 					sender, receiver, st = p.server, p.client, srv
 				}
-				call() // dials both channels
+				call() // dials the connection
 				writes := settledWrites(st, 1)
 				sent, recv := sender.Stats().DepositsSent.Load(), receiver.Stats().DepositsReceived.Load()
 				for i := 0; i < calls; i++ {
 					call()
 				}
 				if got := settledWrites(st, writes+calls) - writes; got != calls {
-					t.Fatalf("%s side made %d socket writes for %d calls: the data channel was written",
+					t.Fatalf("%s side made %d socket writes for %d calls, want one each",
 						dir, got, calls)
 				}
 				if got := sender.Stats().DepositsSent.Load() - sent; got != calls {
@@ -96,8 +96,9 @@ func TestInlineDeposit(t *testing.T) {
 
 // TestSpeculationSizeChanges drives one connection through every
 // layout change the speculative read must survive, three calls at each
-// step: 4 KiB, 60 KiB (a bigger inline train), a body 100 B longer, a
-// 1 MiB train (the data plane), and back to 4 KiB. Every byte is
+// step: 4 KiB, 60 KiB (a bigger train), a body 100 B longer, a 1 MiB
+// train (over the speculation cap), and back to 4 KiB. Every train
+// rides the control writev. Every byte is
 // verified, and the server's hits and misses are exactly those of the
 // rule: a layout is predicted once two messages in a row agreed on it.
 func TestSpeculationSizeChanges(t *testing.T) {
@@ -118,12 +119,13 @@ func TestSpeculationSizeChanges(t *testing.T) {
 		{60 << 10, "", true, 1, 2, 1, "60 KiB"},
 		// The grown body misses; two more calls re-establish it.
 		{60 << 10, strings.Repeat("x", 100), true, 1, 1, 1, "body +100 B"},
-		// The shorter control body misses; the data-plane train is
-		// not a region, so the layout is hit again from the third call.
-		{1 << 20, "", false, 2, 1, 1, "1 MiB"},
-		// The inline marker lengthens the announcement, so the body
-		// misses once more before the page layout is hit again.
-		{4 << 10, "", true, 1, 1, 1, "4 KiB again"},
+		// The shorter control body misses; a train over speculateMax
+		// is never a region, so the body alone is hit from the third
+		// call.
+		{1 << 20, "", true, 1, 1, 1, "1 MiB"},
+		// The body keeps its size, so it hits at once; the page train
+		// is predicted again, and hit, from the third call.
+		{4 << 10, "", true, 1, 3, 0, "4 KiB again"},
 	}
 	for _, tier := range serverTiers {
 		t.Run(tier.name, func(t *testing.T) {
@@ -162,11 +164,11 @@ func TestSpeculationSizeChanges(t *testing.T) {
 }
 
 // TestPipelinedMixedTrains keeps a window of calls in flight on one
-// connection, alternating trains that ride inline with trains that
-// take the data plane. Control and data streams must stay in step: every
-// call gets back the checksum of its own payload.
+// connection, alternating trains the framer may speculate with trains
+// over its cap. The stream must stay framed: every call gets back the
+// checksum of its own payload.
 func TestPipelinedMixedTrains(t *testing.T) {
-	sizes := []int{4 << 10, inlineDepositMax + 8<<10, 100, inlineDepositMax, 3 << 20, 32 << 10}
+	sizes := []int{4 << 10, speculateMax + 8<<10, 100, speculateMax, 3 << 20, 32 << 10}
 	for _, tier := range serverTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			p, _, _ := countedPair(t, tier.engine)

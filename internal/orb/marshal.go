@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the split marshal path of §4.4: values whose
-// type is a ZC octet stream are diverted to the data channel as
+// type is a ZC octet stream are diverted into the deposit train as
 // payload segments (direct deposit), everything else goes through the
 // general CDR interpreter into the GIOP body. The standard path's
 // octet-stream copies are charged to Stats so experiments can assert
@@ -137,8 +137,8 @@ func isBulk(tc *typecode.TypeCode) bool {
 }
 
 // unmarshalValues reads values described by types from dec, consuming
-// deposit buffers (in order) for ZC octet streams that traveled on the
-// data channel. ZC-typed values always come back as *zcbuf.Buffer: a
+// deposit buffers (in order) for ZC octet streams that traveled as
+// deposits. ZC-typed values always come back as *zcbuf.Buffer: a
 // deposited buffer on the fast path, or a wrapper around the copied
 // bytes on the fallback path. It returns any deposits it did not
 // consume (so the caller can release them on error). The values are

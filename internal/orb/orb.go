@@ -42,20 +42,22 @@ type Options struct {
 	// ListenAddr is the control (IIOP) endpoint. Empty means the
 	// transport's default ("127.0.0.1:0" for TCP, auto for inproc).
 	ListenAddr string
-	// DataListenAddr is the direct-deposit data endpoint; empty means
-	// pick automatically. Scheme URIs (tcp://, inproc://, shm://)
-	// select the data-plane transport independently of the control
-	// plane, so a TCP control stream can carry a shared-memory data
-	// plane. Ignored unless ZeroCopy is set.
+	// DataListenAddr is the shared-memory data endpoint (an shm://
+	// URI; empty with DataTransport unset opens none). Deposits on a
+	// stream plane ride the control connection, so New refuses a
+	// stream-scheme address (tcp://, inproc://, or a bare one). Ignored
+	// unless ZeroCopy is set.
 	DataListenAddr string
-	// DataTransport, if set, carries the data plane instead of a
-	// transport resolved from DataListenAddr's scheme (fault-injection
-	// tests wrap the shm transport this way). Ignored unless ZeroCopy
-	// is set.
+	// DataTransport, if set, is the shm transport that listens for and
+	// dials the shared-memory data plane in place of a default one
+	// (fault-injection tests embed their injector this way); New
+	// refuses any other. Ignored unless ZeroCopy is set.
 	DataTransport transport.Transport
-	// ZeroCopy enables the direct-deposit fast path: the ORB opens a
-	// data listener, advertises it in IORs, and clients of this ORB
-	// route eligible payloads around the marshaling engine.
+	// ZeroCopy enables the direct-deposit fast path: the ORB advertises
+	// deposits in its IORs, and clients of this ORB route eligible
+	// payloads around the marshaling engine. On a stream plane a
+	// message's deposit train rides its control connection; with an
+	// shm data endpoint it is deposited into a shared-memory ring.
 	ZeroCopy bool
 	// Collocation short-circuits invocations on objects served by
 	// this same ORB, skipping marshaling entirely (§2.1's local-call
@@ -74,10 +76,11 @@ type Options struct {
 	// value disables retries. See RetryPolicy and docs/FAULTS.md.
 	Retry RetryPolicy
 	// DepositLeaseTTL bounds how long a receiver blocks waiting for an
-	// announced deposit payload before reclaiming the buffer and
-	// retiring the data channel. 0 uses CallTimeout; negative disables
-	// leasing (an aborted sender can then stall a read loop until the
-	// connection dies).
+	// announced deposit payload before reclaiming the buffer and closing
+	// the stream it stalled: the connection for a train on the control
+	// stream, the shm data channel for a ring deposit. 0 uses
+	// CallTimeout; negative disables leasing (an aborted sender can then
+	// stall a read loop until the connection dies).
 	DepositLeaseTTL time.Duration
 	// MaxMessageSize bounds the control-message bodies this ORB
 	// accepts (and sends): a header advertising more than this many
@@ -86,8 +89,8 @@ type Options struct {
 	// are clamped to it.
 	MaxMessageSize int
 	// ConnsPerEndpoint stripes client traffic to one endpoint across N
-	// control connections (each with its own data channel when
-	// zero-copy is negotiated), reducing head-of-line blocking and
+	// control connections (each with its own shared-memory ring when
+	// the reference offers one), reducing head-of-line blocking and
 	// send-mutex contention under concurrent invokers. 0 or 1 means a
 	// single shared connection.
 	ConnsPerEndpoint int
@@ -237,7 +240,7 @@ type Stats struct {
 	DepositBytesSent atomic.Int64
 	DepositBytesRecv atomic.Int64
 	// ZCFallbacks counts ZC-typed parameters that had to take the
-	// standard path (no data channel or architecture mismatch).
+	// standard path (deposits not negotiated, or the shm ring down).
 	ZCFallbacks atomic.Int64
 	// Collocated counts invocations short-circuited locally.
 	Collocated atomic.Int64
@@ -248,7 +251,8 @@ type Stats struct {
 	// Timeouts counts calls abandoned by the reply-wait deadline.
 	Timeouts atomic.Int64
 	// DataChanFallbacks counts invocations degraded from the ZC-deposit
-	// path to the standard marshaled path after a data-channel failure.
+	// path to the standard marshaled path after an shm data-channel
+	// failure.
 	DataChanFallbacks atomic.Int64
 	// DepositAborts counts inbound bulk transfers that failed mid-read
 	// (the receiver degraded instead of closing the connection).
@@ -271,7 +275,7 @@ type Stats struct {
 	// memory unsupported on this platform).
 	ShmMisses atomic.Int64
 	// GatherDeposits counts multi-segment deposit trains (two or more
-	// payload blocks coalesced into one data-plane batch);
+	// payload blocks coalesced into one write);
 	// GatherSegments counts the segments inside them.
 	GatherDeposits atomic.Int64
 	GatherSegments atomic.Int64
@@ -309,11 +313,9 @@ type ORB struct {
 	tracer *trace.Tracer
 
 	ctrlLis  transport.Listener
-	dataLis  transport.Listener
+	dataLis  transport.Listener // the shm data listener, if any
 	ctrlHost string
 	ctrlPort uint16
-	dataHost string
-	dataPort uint16
 
 	mu       sync.Mutex
 	servants map[string]Servant
@@ -414,6 +416,28 @@ func New(opts Options) (*ORB, error) {
 	o.tokenBase = binary.BigEndian.Uint64(tok[:])
 	o.acceptCond = sync.NewCond(&o.mu)
 
+	// The data channel serves only the shared-memory ring: a stream
+	// plane carries its deposit trains on the control connection, so a
+	// stream data endpoint is refused here, before anything starts.
+	var dtr transport.Transport
+	var daddr string
+	if opts.ZeroCopy && (opts.DataListenAddr != "" || opts.DataTransport != nil) {
+		var scheme string
+		dtr = opts.DataTransport
+		scheme, daddr = transport.SplitScheme(opts.DataListenAddr)
+		if dtr == nil || (scheme != "" && scheme != dtr.Name()) {
+			t, _, err := transport.FromAddr(opts.DataListenAddr, nil)
+			if err != nil {
+				return nil, fmt.Errorf("orb: data listener: %w", err)
+			}
+			dtr = t
+		}
+		if dtr.Name() != "shm" {
+			return nil, fmt.Errorf("orb: data listener %q on %s: the data channel serves only shm; "+
+				"stream planes carry deposits on the control connection", opts.DataListenAddr, dtr.Name())
+		}
+	}
+
 	if opts.Engine {
 		eng, err := newEngine(o)
 		if err != nil {
@@ -451,33 +475,13 @@ func New(opts Options) (*ORB, error) {
 	o.ctrlLis = lis
 	o.ctrlHost, o.ctrlPort = splitEndpoint(lis.Addr())
 
-	if opts.ZeroCopy {
-		daddr := opts.DataListenAddr
-		dtr := opts.DataTransport
-		if dtr == nil {
-			dtr = o.tr
-		}
-		if scheme, rest := transport.SplitScheme(daddr); scheme != "" {
-			if scheme != dtr.Name() {
-				t, _, ferr := transport.FromAddr(daddr, nil)
-				if ferr != nil {
-					_ = lis.Close()
-					return nil, fmt.Errorf("orb: data listener: %w", ferr)
-				}
-				dtr = t
-			}
-			daddr = rest
-		}
-		if daddr == "" && dtr.Name() == "tcp" {
-			daddr = "127.0.0.1:0"
-		}
+	if dtr != nil {
 		dlis, err := dtr.Listen(daddr)
 		if err != nil {
 			_ = lis.Close()
 			return nil, fmt.Errorf("orb: data listener: %w", err)
 		}
 		o.dataLis = dlis
-		o.dataHost, o.dataPort = splitEndpoint(dlis.Addr())
 		o.wg.Add(1)
 		go o.acceptData()
 	}
@@ -532,8 +536,8 @@ func (o *ORB) sweepLoop() {
 	}
 }
 
-// sweepTokens drops data channels whose token was registered but never
-// referenced by a request within twice the call timeout.
+// sweepTokens drops shm data channels whose token was registered but
+// never referenced by a request within twice the call timeout.
 func (o *ORB) sweepTokens(now time.Time) {
 	ttl := 2 * o.opts.CallTimeout
 	var drop []transport.Conn
@@ -592,28 +596,6 @@ func defaultHostID() string {
 		return h
 	}
 	return "localhost"
-}
-
-// dialData dials a data-channel endpoint. Scheme-qualified addresses
-// (the synthesized shm:// deposit endpoints of ZC-SHM references) pick
-// their transport from the scheme; bare addresses use the ORB's, and a
-// configured DataTransport takes over its own scheme.
-func (o *ORB) dialData(addr string) (transport.Conn, error) {
-	scheme, rest := transport.SplitScheme(addr)
-	switch {
-	case scheme == "":
-		return o.tr.Dial(addr)
-	case o.opts.DataTransport != nil && scheme == o.opts.DataTransport.Name():
-		return o.opts.DataTransport.Dial(rest)
-	case scheme == o.tr.Name():
-		return o.tr.Dial(rest)
-	default:
-		t, _, err := transport.FromAddr(addr, nil)
-		if err != nil {
-			return nil, err
-		}
-		return t.Dial(rest)
-	}
 }
 
 // Arch returns the ORB's architecture signature.
@@ -739,19 +721,21 @@ func (o *ORB) Deactivate(key string) {
 // refForLocked builds the ObjectRef/IOR for a local key.
 func (o *ORB) refForLocked(key, repoID string) *ObjectRef {
 	var comps []ior.TaggedComponent
-	if o.opts.ZeroCopy && o.dataLis != nil {
-		if addr := o.dataLis.Addr(); strings.HasPrefix(addr, "shm://") {
-			// Shared-memory data plane: advertise the ZC-SHM profile so
-			// only co-located, architecture-matched clients take it;
-			// everyone else falls back to standard marshaling.
-			comps = append(comps, ior.ZCShm{
-				Arch: o.arch, HostID: o.hostID, Path: addr,
-			}.Encode())
-		} else {
-			comps = append(comps, ior.ZCDeposit{
-				Arch: o.arch, Host: o.dataHost, Port: o.dataPort,
-			}.Encode())
-		}
+	switch {
+	case !o.opts.ZeroCopy:
+	case o.dataLis != nil:
+		// Shared-memory data plane: advertise the ZC-SHM profile so
+		// only co-located, architecture-matched clients take it;
+		// everyone else falls back to standard marshaling.
+		comps = append(comps, ior.ZCShm{
+			Arch: o.arch, HostID: o.hostID, Path: o.dataLis.Addr(),
+		}.Encode())
+	default:
+		// Deposits ride the control stream: the component names the
+		// control endpoint, which a client never dials twice.
+		comps = append(comps, ior.ZCDeposit{
+			Arch: o.arch, Host: o.ctrlHost, Port: o.ctrlPort,
+		}.Encode())
 	}
 	comps = append(comps, o.extraComps[key]...)
 	ref := ior.NewIIOP(repoID, o.ctrlHost, o.ctrlPort, []byte(key), comps...)
@@ -858,13 +842,13 @@ func (o *ORB) removeServerConn(c *conn) {
 	o.mu.Unlock()
 }
 
-// dataPreambleMagic opens every data-channel connection, followed by
-// the 8-byte big-endian token that requests reference through their
+// dataPreambleMagic opens every shm data-channel connection, followed
+// by the 8-byte big-endian token that requests reference through their
 // ZCDeposit service context.
 var dataPreambleMagic = [4]byte{'Z', 'C', 'D', 'C'}
 
-// acceptData accepts inbound data-channel connections and registers
-// them by token.
+// acceptData accepts inbound shm data-channel connections and
+// registers them by token.
 func (o *ORB) acceptData() {
 	defer o.wg.Done()
 	for {
@@ -958,14 +942,15 @@ func (o *ORB) dropDataChan(token uint64) {
 }
 
 // dialConn returns (creating if needed) the client connection to the
-// given control endpoint; zc describes the peer's deposit endpoint if
-// the client should establish a data channel. stripe selects one of
-// the ConnsPerEndpoint connections to the endpoint (0 when striping is
-// off). Hot-path callers cache the result per ObjectRef; this function
-// only runs on cache misses.
-func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, error) {
+// given control endpoint. zc marks a connection whose messages may
+// carry deposits; ring, when zc is set and ring is not empty, is the
+// peer's shared-memory data endpoint, dialled here as the connection's
+// data channel. stripe selects one of the ConnsPerEndpoint connections
+// to the endpoint (0 when striping is off). Hot-path callers cache the
+// result per ObjectRef; this function only runs on cache misses.
+func (o *ORB) dialConn(ctrlAddr string, zc bool, ring string, stripe int) (*conn, error) {
 	key := ctrlAddr
-	if zc != nil {
+	if zc {
 		key += "|zc"
 	}
 	if stripe > 0 {
@@ -981,7 +966,7 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 			o.mu.Unlock()
 			return c, nil
 		}
-		// The cached connection died (e.g. its data channel broke);
+		// The cached connection died (e.g. its control stream tore);
 		// evict it so this call dials fresh.
 		delete(o.clientConns, key)
 	}
@@ -992,22 +977,13 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 		return nil, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}
 	}
 	c := newConn(o, tc, false)
-
-	if zc != nil {
-		dc, err := o.dialData(dialAddr(zc.Host, zc.Port))
-		if err != nil {
-			o.logf("orb: data channel dial failed, falling back: %v", err)
-		} else {
-			token := o.nextToken()
-			var pre [12]byte
-			copy(pre[:4], dataPreambleMagic[:])
-			binary.BigEndian.PutUint64(pre[4:], token)
-			if _, err := dc.Write(pre[:]); err != nil {
-				_ = dc.Close()
-				o.logf("orb: data preamble write failed, falling back: %v", err)
-			} else {
-				c.setData(dc, token)
-			}
+	c.zc = zc
+	if zc && ring != "" {
+		if err := o.dialRing(c, ring); err != nil {
+			// A ring connection without its ring marshals the standard
+			// way, as if the ring had died.
+			c.dataDown.Store(true)
+			o.logf("orb: shm data channel unavailable, falling back: %v", err)
 		}
 	}
 
@@ -1040,6 +1016,30 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 		o.mu.Unlock()
 	}()
 	return c, nil
+}
+
+// dialRing dials the shared-memory data endpoint addr, through the
+// configured DataTransport when there is one, announces a fresh token
+// on it and installs it as c's data channel.
+func (o *ORB) dialRing(c *conn, addr string) error {
+	dtr := o.opts.DataTransport
+	if dtr == nil {
+		dtr = &transport.SHM{}
+	}
+	dc, err := dtr.Dial(addr)
+	if err != nil {
+		return err
+	}
+	token := o.nextToken()
+	var pre [12]byte
+	copy(pre[:4], dataPreambleMagic[:])
+	binary.BigEndian.PutUint64(pre[4:], token)
+	if _, err := dc.Write(pre[:]); err != nil {
+		_ = dc.Close()
+		return fmt.Errorf("data preamble: %w", err)
+	}
+	c.setData(dc, token)
+	return nil
 }
 
 // Shutdown closes listeners and all connections and waits for

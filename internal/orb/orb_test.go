@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"zcorba/internal/ior"
 	"zcorba/internal/transport"
 	"zcorba/internal/typecode"
 	"zcorba/internal/zcbuf"
@@ -706,4 +709,119 @@ func TestDefaultArchFormat(t *testing.T) {
 	if o1.Arch() != a {
 		t.Fatalf("orb arch %q != %q", o1.Arch(), a)
 	}
+}
+
+// countingTCP is a TCP transport that counts the connections its
+// listeners accept and its dials open.
+type countingTCP struct {
+	transport.TCP
+	accepts, dials atomic.Int64
+}
+
+func (t *countingTCP) Listen(addr string) (transport.Listener, error) {
+	l, err := t.TCP.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &countingListener{Listener: l, n: &t.accepts}, nil
+}
+
+func (t *countingTCP) Dial(addr string) (transport.Conn, error) {
+	t.dials.Add(1)
+	return t.TCP.Dial(addr)
+}
+
+type countingListener struct {
+	transport.Listener
+	n *atomic.Int64
+}
+
+func (l *countingListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
+// TestZeroCopyPairOpensOneSocket: a zero-copy tcp pair carries its
+// deposit trains, page and bulk, request and reply, on its one control
+// connection; no data channel is dialled or accepted.
+func TestZeroCopyPairOpensOneSocket(t *testing.T) {
+	srv, cli := &countingTCP{}, &countingTCP{}
+	p := newPair(t,
+		Options{Transport: srv, ZeroCopy: true},
+		Options{Transport: cli, ZeroCopy: true})
+	for _, size := range []int{4 << 10, 1 << 20} {
+		data := pattern(size)
+		res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{zcbuf.Wrap(data)})
+		if err != nil || res.(uint32) != checksum(data) {
+			t.Fatalf("put %d: res=%v err=%v", size, res, err)
+		}
+	}
+	res, _, err := p.ref.Invoke(storeIface.Ops["get"], []any{uint32(1 << 20)})
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	res.(*zcbuf.Buffer).Release()
+	if got := p.client.Stats().DepositsSent.Load(); got != 2 {
+		t.Fatalf("client DepositsSent = %d, want 2", got)
+	}
+	if got := p.client.Stats().DepositsReceived.Load(); got != 1 {
+		t.Fatalf("client DepositsReceived = %d, want 1", got)
+	}
+	if a, d := srv.accepts.Load(), cli.dials.Load(); a != 1 || d != 1 {
+		t.Fatalf("server accepted %d connections, client dialled %d; want 1 and 1", a, d)
+	}
+}
+
+// TestOldDepositReferenceServedOnControlStream: a reference minted when
+// the deposit component named a separate tcp data listener still parses
+// and is served: its endpoint is never dialled, and the train rides the
+// control connection.
+func TestOldDepositReferenceServedOnControlStream(t *testing.T) {
+	cli := &countingTCP{}
+	p := newPair(t,
+		Options{Transport: &transport.TCP{}, ZeroCopy: true},
+		Options{Transport: cli, ZeroCopy: true})
+	prof, ok := p.ref.IOR().IIOP()
+	if !ok {
+		t.Fatal("no IIOP profile")
+	}
+	// Port 1 on loopback: nothing listens there.
+	old := ior.NewIIOP(p.ref.IOR().TypeID, prof.Host, prof.Port, prof.ObjectKey,
+		ior.ZCDeposit{Arch: p.client.Arch(), Host: "127.0.0.1", Port: 1}.Encode())
+	ref := p.client.ObjectFromIOR(old)
+	data := pattern(1 << 20)
+	res, _, err := ref.Invoke(storeIface.Ops["put"], []any{zcbuf.Wrap(data)})
+	if err != nil || res.(uint32) != checksum(data) {
+		t.Fatalf("put through an old reference: res=%v err=%v", res, err)
+	}
+	if got := p.client.Stats().DepositsSent.Load(); got != 1 {
+		t.Fatalf("DepositsSent = %d, want 1 (the train rode the control stream)", got)
+	}
+	if d := cli.dials.Load(); d != 1 {
+		t.Fatalf("client dialled %d connections, want 1", d)
+	}
+}
+
+// TestDataListenAddrServesOnlyShm: the data channel exists only for the
+// shared-memory ring, so New refuses a stream data endpoint instead of
+// opening a listener nothing dials, and starts nothing on the way.
+func TestDataListenAddrServesOnlyShm(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, opts := range []Options{
+		{DataListenAddr: "tcp://127.0.0.1:0"},
+		{DataListenAddr: "inproc://data"},
+		{DataListenAddr: "127.0.0.1:0"},
+		{DataTransport: &transport.TCP{}},
+		{DataTransport: &transport.InProc{}, DataListenAddr: "inproc://data"},
+	} {
+		opts.ZeroCopy = true
+		if o, err := New(opts); err == nil {
+			o.Shutdown()
+			t.Fatalf("New accepted data endpoint %q (DataTransport %T)", opts.DataListenAddr, opts.DataTransport)
+		}
+	}
+	assertNoGoroutineLeak(t, before)
 }

@@ -9,6 +9,8 @@ import (
 
 	"zcorba/internal/cdr"
 	"zcorba/internal/giop"
+	"zcorba/internal/ior"
+	"zcorba/internal/shmem"
 	"zcorba/internal/transport"
 )
 
@@ -57,15 +59,16 @@ func TestFramingViolations(t *testing.T) {
 	}
 	oversize := header(giop.Header{Major: 1, Type: giop.MsgRequest})
 	binary.BigEndian.PutUint32(oversize[8:], giop.MaxMessageSize+1)
-	// A request announcing an inline train one byte over the bound; the
-	// stream ends with the message, so the verdict must come before the
-	// server waits for (or buffers) any of the train.
+	// A request announcing an inline train one byte over
+	// giop.MaxDepositTotal; the stream ends with the message, so the
+	// verdict must come before the server waits for, or takes a buffer
+	// for, any of the train.
 	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
 	(&giop.RequestHeader{
 		RequestID: 1, ResponseExpected: true,
 		ObjectKey: []byte("store"), Operation: "put", Principal: []byte{},
 		ServiceContexts: []giop.ServiceContext{giop.DepositInfo{
-			Arch: "test", Token: 7, Sizes: []uint32{inlineDepositMax + 1}, Inline: true,
+			Arch: "test", Token: 7, Sizes: []uint32{giop.MaxDepositTotal + 1}, Inline: true,
 		}.Encode()},
 	}).Marshal(e)
 	inlineOver := append(header(giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
@@ -98,6 +101,9 @@ func TestFramingViolations(t *testing.T) {
 					got, err := readAllDeadline(c)
 					if err != nil {
 						t.Fatalf("connection survived or was reset: %v (after % x)", err, got)
+					}
+					if n := o.Pool().Stats().Outstanding; n != 0 {
+						t.Fatalf("%d pool buffers taken ahead of any payload", n)
 					}
 					if !row.msgError {
 						if len(got) != 0 {
@@ -187,15 +193,26 @@ func TestCloseConnectionFromClientSide(t *testing.T) {
 	}
 }
 
-// writeUnknownTokenRequest sends a put whose deposit announcement names
-// a data-channel token no client ever registered.
-func writeUnknownTokenRequest(t *testing.T, c transport.Conn, o *ORB) {
+// shmDataAddr returns a fresh shm data endpoint, skipping the test
+// where shared memory is unsupported.
+func shmDataAddr(t *testing.T) string {
+	t.Helper()
+	if !shmem.Supported() {
+		t.Skip("shared memory is unsupported on this platform")
+	}
+	return "shm://" + t.TempDir() + "/data.sock"
+}
+
+// writePutRequest sends a put whose deposit announcement names a
+// data-channel token no client ever registered, followed by payload
+// when the announcement marks it inline.
+func writePutRequest(t *testing.T, c transport.Conn, o *ORB, payload []byte, inline bool) {
 	t.Helper()
 	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
 	req := giop.RequestHeader{
-		ServiceContexts: []giop.ServiceContext{
-			giop.DepositInfo{Arch: o.Arch(), Token: 0xDEAD, Sizes: []uint32{4096}}.Encode(),
-		},
+		ServiceContexts: []giop.ServiceContext{giop.DepositInfo{
+			Arch: o.Arch(), Token: 0xDEAD, Sizes: []uint32{uint32(len(payload))}, Inline: inline,
+		}.Encode()},
 		RequestID: 1, ResponseExpected: true,
 		ObjectKey: []byte("store"), Operation: "put", Principal: []byte{},
 	}
@@ -203,33 +220,29 @@ func writeUnknownTokenRequest(t *testing.T, c transport.Conn, o *ORB) {
 	var hdr [giop.HeaderSize]byte
 	giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
 		Type: giop.MsgRequest, Size: uint32(len(e.Bytes()))})
-	if _, err := c.WriteGather(hdr[:], e.Bytes()); err != nil {
+	segs := [][]byte{hdr[:], e.Bytes()}
+	if inline {
+		segs = append(segs, payload)
+	}
+	if _, err := c.WriteGather(segs...); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// dataWaiterCount reports how many tokens have a reader waiting on them.
-func (o *ORB) dataWaiterCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.dataWaiters)
+// writeUnknownTokenRequest sends a put whose (not inline) deposit
+// announcement names a data-channel token no client ever registered.
+func writeUnknownTokenRequest(t *testing.T, c transport.Conn, o *ORB) {
+	t.Helper()
+	writePutRequest(t, c, o, make([]byte, 4096), false)
 }
 
-func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
-	// A request referencing a data-channel token that never arrives must
-	// fail bounded in time — and fail *softly*: the server answers a
-	// TRANSIENT system exception (CompletedNo, so clients may retry) and
-	// keeps the control connection alive for later requests.
-	o := startServer(t, Options{ZeroCopy: true, CallTimeout: 200 * time.Millisecond})
-	c := dialRaw(t, o)
-	writeUnknownTokenRequest(t, c, o)
-	start := time.Now()
+// readReply reads one Reply from c and returns its header and a
+// decoder positioned at its body.
+func readReply(t *testing.T, c transport.Conn) (giop.ReplyHeader, *cdr.Decoder) {
+	t.Helper()
 	rh, err := giop.ReadHeader(c)
 	if err != nil {
 		t.Fatalf("read reply header: %v", err)
-	}
-	if time.Since(start) > 4*time.Second {
-		t.Fatal("token wait did not respect the call timeout")
 	}
 	if rh.Type != giop.MsgReply {
 		t.Fatalf("expected Reply, got %v", rh.Type)
@@ -243,36 +256,100 @@ func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RequestID != 1 || rep.Status != giop.ReplySystemException {
-		t.Fatalf("reply %+v, want system exception for id 1", rep)
+	return rep, dec
+}
+
+// dataWaiterCount reports how many tokens have a reader waiting on them.
+func (o *ORB) dataWaiterCount() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.dataWaiters)
+}
+
+// TestInlineTrainIgnoresToken: a train that rides the control stream
+// uses no data channel, so the token its announcement names is never
+// looked up, and an unregistered one cannot hold the reply back for a
+// call timeout (parking an engine dispatcher meanwhile).
+func TestInlineTrainIgnoresToken(t *testing.T) {
+	const timeout = 2 * time.Second
+	for _, tier := range serverTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			o := startServer(t, Options{Engine: tier.engine, ZeroCopy: true, CallTimeout: timeout})
+			c := dialRaw(t, o)
+			data := pattern(4096)
+			start := time.Now()
+			writePutRequest(t, c, o, data, true)
+			rep, dec := readReply(t, c)
+			if d := time.Since(start); d > timeout/4 {
+				t.Fatalf("inline put answered after %v, call timeout %v", d, timeout)
+			}
+			if rep.RequestID != 1 || rep.Status != giop.ReplyNoException {
+				t.Fatalf("reply %+v, want NO_EXCEPTION for id 1", rep)
+			}
+			if sum, err := dec.ReadULong(); err != nil || sum != checksum(data) {
+				t.Fatalf("checksum %d (%v), want %d", sum, err, checksum(data))
+			}
+		})
 	}
-	repoID, err := dec.ReadString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repoID != (&SystemException{Name: "TRANSIENT"}).RepoID() {
-		t.Fatalf("exception %q, want TRANSIENT", repoID)
-	}
-	// The reader that gave up on the token left nothing behind: a peer
-	// naming tokens that never arrive cannot grow the waiter table.
-	if n := o.dataWaiterCount(); n != 0 {
-		t.Fatalf("%d token(s) still have waiters after the TRANSIENT reply", n)
-	}
-	// The control connection survives: a locate request still answers.
-	var hdr [giop.HeaderSize]byte
-	e2 := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
-	(&giop.LocateRequestHeader{RequestID: 2, ObjectKey: []byte("store")}).Marshal(e2)
-	giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
-		Type: giop.MsgLocateRequest, Size: uint32(len(e2.Bytes()))})
-	if _, err := c.WriteGather(hdr[:], e2.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	rh, err = giop.ReadHeader(c)
-	if err != nil {
-		t.Fatalf("connection did not survive the aborted deposit: %v", err)
-	}
-	if rh.Type != giop.MsgLocateReply {
-		t.Fatalf("got %v, want LocateReply on the surviving connection", rh.Type)
+}
+
+// TestDepositUnknownTokenAnswersTransient: a request whose deposits
+// reference a data-channel token that never arrives must fail bounded
+// in time — at once on a server without an shm data channel, within
+// the call timeout on one with it — and fail *softly*: the server
+// answers a TRANSIENT system exception (CompletedNo, so clients may
+// retry) and keeps the control connection alive for later requests.
+func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
+	for _, plane := range []string{"stream", "shm"} {
+		t.Run(plane, func(t *testing.T) {
+			opts := Options{ZeroCopy: true, CallTimeout: 5 * time.Second}
+			bound := time.Second
+			if plane == "shm" {
+				opts.DataListenAddr = shmDataAddr(t)
+				opts.CallTimeout, bound = 200*time.Millisecond, 4*time.Second
+			}
+			o := startServer(t, opts)
+			c := dialRaw(t, o)
+			start := time.Now()
+			writeUnknownTokenRequest(t, c, o)
+			rep, dec := readReply(t, c)
+			if d := time.Since(start); d > bound {
+				t.Fatalf("unknown token answered after %v, want under %v", d, bound)
+			}
+			if rep.RequestID != 1 || rep.Status != giop.ReplySystemException {
+				t.Fatalf("reply %+v, want system exception for id 1", rep)
+			}
+			repoID, err := dec.ReadString()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if repoID != (&SystemException{Name: "TRANSIENT"}).RepoID() {
+				t.Fatalf("exception %q, want TRANSIENT", repoID)
+			}
+			// The reader that gave up on the token left nothing behind: a
+			// peer naming tokens that never arrive cannot grow the waiter
+			// table.
+			if n := o.dataWaiterCount(); n != 0 {
+				t.Fatalf("%d token(s) still have waiters after the TRANSIENT reply", n)
+			}
+			// The control connection survives: a locate request still
+			// answers.
+			var hdr [giop.HeaderSize]byte
+			e2 := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+			(&giop.LocateRequestHeader{RequestID: 2, ObjectKey: []byte("store")}).Marshal(e2)
+			giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+				Type: giop.MsgLocateRequest, Size: uint32(len(e2.Bytes()))})
+			if _, err := c.WriteGather(hdr[:], e2.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			rh, err := giop.ReadHeader(c)
+			if err != nil {
+				t.Fatalf("connection did not survive the aborted deposit: %v", err)
+			}
+			if rh.Type != giop.MsgLocateReply {
+				t.Fatalf("got %v, want LocateReply on the surviving connection", rh.Type)
+			}
+		})
 	}
 }
 
@@ -283,7 +360,7 @@ func TestShutdownInterruptsDataChanWait(t *testing.T) {
 	for _, tier := range serverTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			o := startServer(t, Options{Engine: tier.engine, ZeroCopy: true,
-				CallTimeout: 5 * time.Second})
+				DataListenAddr: shmDataAddr(t), CallTimeout: 5 * time.Second})
 			c := dialRaw(t, o)
 			writeUnknownTokenRequest(t, c, o)
 			waitFor(t, "a reader parked on the token", func() bool { return o.dataWaiterCount() == 1 })
@@ -296,14 +373,19 @@ func TestShutdownInterruptsDataChanWait(t *testing.T) {
 	}
 }
 
-// dialDataRaw opens a raw transport connection to an ORB's data port.
+// dialDataRaw opens a raw connection to an ORB's shm data endpoint.
 func dialDataRaw(t *testing.T, o *ORB) transport.Conn {
 	t.Helper()
-	dep, ok := o.refForLocked("store", "IDL:test/Store:1.0").IOR().ZCDeposit()
+	prof, _ := o.refForLocked("store", "IDL:test/Store:1.0").IOR().IIOP()
+	data, ok := prof.Component(ior.TagZCShm)
 	if !ok {
-		t.Fatal("no deposit component")
+		t.Fatal("no ZC-SHM component")
 	}
-	dc, err := (&transport.TCP{}).Dial(dialAddr(dep.Host, dep.Port))
+	zs, err := ior.DecodeZCShm(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := (&transport.SHM{}).Dial(zs.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +397,8 @@ func dialDataRaw(t *testing.T, o *ORB) transport.Conn {
 // request ever references is closed by the sweeper after twice the call
 // timeout and counted in TokensExpired.
 func TestUnclaimedDataChannelExpires(t *testing.T) {
-	o := startServer(t, Options{ZeroCopy: true, CallTimeout: 100 * time.Millisecond})
+	o := startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t),
+		CallTimeout: 100 * time.Millisecond})
 	dc := dialDataRaw(t, o)
 	var pre [12]byte
 	copy(pre[:4], dataPreambleMagic[:])
@@ -330,7 +413,7 @@ func TestUnclaimedDataChannelExpires(t *testing.T) {
 }
 
 func TestDataChannelBadPreambleDropped(t *testing.T) {
-	o := startServer(t, Options{ZeroCopy: true})
+	o := startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t)})
 	dc := dialDataRaw(t, o)
 	if _, err := dc.Write([]byte("BAD_PREAMBLE")); err != nil {
 		t.Fatal(err)
@@ -342,14 +425,15 @@ func TestDataChannelBadPreambleDropped(t *testing.T) {
 }
 
 func TestDataChannelDeathFallsBackToMarshaled(t *testing.T) {
-	// Killing the data channel out from under an established connection
-	// must not fail calls: the client detects the dead deposit path,
-	// degrades the connection to standard marshaling, and the invocation
-	// completes on the control stream (the acceptance scenario for the
-	// ZC-deposit -> marshaled GIOP fallback ladder).
-	server := startServer(t, Options{ZeroCopy: true})
+	// Killing the shm data channel out from under an established
+	// connection must not fail calls: the client detects the dead
+	// deposit path, degrades the connection to standard marshaling, and
+	// the invocation completes on the control stream (the acceptance
+	// scenario for the ZC-deposit -> marshaled GIOP fallback ladder).
+	server := startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t),
+		HostID: "shm-test-host"})
 	client, err := New(Options{Transport: &transport.TCP{}, ZeroCopy: true,
-		CallTimeout: 2 * time.Second})
+		HostID: "shm-test-host", CallTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,9 +443,12 @@ func TestDataChannelDeathFallsBackToMarshaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the connection pair.
+	// Prime the connection pair through the ring.
 	if _, _, err := cref.Invoke(storeIface.Ops["put"], []any{pattern(4096)}); err != nil {
 		t.Fatal(err)
+	}
+	if n := client.Stats().ShmDeposits.Load(); n != 1 {
+		t.Fatalf("ShmDeposits = %d after priming, want 1", n)
 	}
 	// Kill the client's data channel out from under it.
 	client.mu.Lock()

@@ -14,8 +14,8 @@ import (
 // handleRequest is the MethodDispatcher of Figures 3/4: it maps an
 // inbound GIOP request to a servant operation, demarshals (or adopts
 // deposited) parameters, invokes the implementation, and sends the
-// reply — depositing zero-copy results on the data channel when the
-// client announced one.
+// reply — depositing zero-copy results when the request announced
+// deposits.
 //
 // Buffer ownership: request deposit buffers are released by the ORB
 // after the invocation completes (a servant Retains to keep one);
@@ -170,7 +170,7 @@ var implicitOps = [...]string{"_is_a", "_non_existent"}
 // the backpressure loop docs/FAULTS.md describes. Oneway requests are
 // shed silently (replySystemException already suppresses replies the
 // client never waits for). Deposits announced with the request were
-// consumed by the caller, so the data channel's framing stays intact.
+// consumed by the caller, so the stream's framing stays intact.
 func (o *ORB) shedRequest(c *conn, r *request) {
 	o.stats.ShedRequests.Add(1)
 	if tc := r.tc; tc.Valid() {
@@ -197,10 +197,10 @@ func replyHeader(r *request, status giop.ReplyStatus) giop.ReplyHeader {
 }
 
 // replyValues sends a NO_EXCEPTION reply to r carrying the given
-// values, depositing ZC octet streams on the data channel when
-// available. Reply buffers handed in as *zcbuf.Buffer are released
-// after the write, or after the MARSHAL answer when a value cannot be
-// sent.
+// values, depositing ZC octet streams when the request announced
+// deposits: behind the reply on a stream plane, into the ring on shm.
+// Reply buffers handed in as *zcbuf.Buffer are released after the
+// write, or after the MARSHAL answer when a value cannot be sent.
 func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 	types []*typecode.TypeCode, vals []any) {
 	defer releaseValues(vals)
@@ -209,7 +209,7 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 		ServiceContexts: scx.contexts[:0],
 		RequestID:       r.hdr.RequestID, Status: giop.ReplyNoException,
 	}
-	useZC := c.usableData()
+	useZC := r.zc && !c.dataDown.Load()
 
 	var deposits []transport.Segment
 	skipZC, inline := false, false
@@ -226,7 +226,7 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 		// cannot deposit): marshal the reply values into the body.
 		skipZC = zcOK
 		if len(sizes) > 0 {
-			inline = c.inlineTrain(deposits)
+			inline = c.data == nil
 			rep.ServiceContexts = append(rep.ServiceContexts, giop.DepositInfo{
 				Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
 			}.EncodeTo(scx.deposit[:]))
@@ -249,7 +249,7 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 	if err != nil {
 		var dw *errDataWrite
 		if asErr(err, &dw) && c.healthy() {
-			// Only the reply's deposit write failed; the control stream
+			// Only the reply's ring deposit failed; the control stream
 			// already carried the reply header. Retire the data channel
 			// but keep the connection: the client's deposit read fails
 			// fast (its TRANSIENT error drives the retry), and future

@@ -130,12 +130,12 @@ func TestStatsAndSpanRegression(t *testing.T) {
 // TestTracePropagation asserts the cross-process correlation the trace
 // service context exists for: every server-side span joins the trace
 // the client minted, and the client's spans for one invocation share
-// one trace ID. The payload is above inlineDepositMax, so the deposit
-// spans of the data plane are among them.
+// one trace ID. The payload is above speculateMax; its train rides the
+// control write, whose span counts it.
 func TestTracePropagation(t *testing.T) {
 	p, ct, st := tracedTCPPair(t, true)
 
-	const size = inlineDepositMax + 1024
+	const size = speculateMax + 1024
 	buf := zcbuf.Wrap(pattern(size))
 	if _, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{buf}); err != nil {
 		t.Fatalf("put: %v", err)
@@ -156,8 +156,13 @@ func TestTracePropagation(t *testing.T) {
 		if s.Trace != root.Trace {
 			t.Errorf("client %v span in foreign trace %x (root %x)", s.Kind, s.Trace, root.Trace)
 		}
-		if s.Kind == trace.KindDepositSend && s.Parent != root.Span {
-			t.Errorf("deposit_send parented on %x, want root span %x", s.Parent, root.Span)
+		if s.Kind == trace.KindControlSend {
+			if s.Parent != root.Span {
+				t.Errorf("control_send parented on %x, want root span %x", s.Parent, root.Span)
+			}
+			if s.Bytes <= size {
+				t.Errorf("control_send bytes = %d, want the %d-byte train and its message", s.Bytes, size)
+			}
 		}
 	}
 	// The server joined the same trace via the service context.
@@ -171,15 +176,12 @@ func TestTracePropagation(t *testing.T) {
 			}
 		}
 	}
-	// deposit_recv, unmarshal, dispatch, reply_send.
-	if serverJoined != 4 {
-		t.Errorf("server recorded %d spans in the client's trace, want 4", serverJoined)
+	// unmarshal, dispatch, reply_send.
+	if serverJoined != 3 {
+		t.Errorf("server recorded %d spans in the client's trace, want 3", serverJoined)
 	}
-	// Sizes were attributed to the right spans.
-	for _, s := range st.Spans() {
-		if s.Kind == trace.KindDepositRecv && s.Bytes != size {
-			t.Errorf("deposit_recv bytes = %d, want %d", s.Bytes, size)
-		}
+	if got := st.DepositBytes.Snapshot().Sum; got != size {
+		t.Errorf("server deposit bytes = %d, want %d", got, size)
 	}
 }
 

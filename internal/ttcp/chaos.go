@@ -8,18 +8,17 @@ import (
 )
 
 // Chaos wraps tr with a seeded fault injector tuned for a live
-// benchmark run: sporadic connection resets on both the control and
-// the deposit stream, plus the occasional refused dial. The same seed
-// reproduces the same fault schedule against the same request stream.
-// The returned injector reports how many faults fired and where.
+// benchmark run: sporadic resets of the control stream, which also
+// carries the deposit trains, plus the occasional refused dial. The
+// same seed reproduces the same fault schedule against the same
+// request stream. The returned injector reports how many faults fired
+// and where.
 func Chaos(tr transport.Transport, seed int64) (transport.Transport, *transport.FaultInjector) {
 	inj := transport.NewFaultInjector(seed).
 		Add(transport.Rule{Op: transport.OpRead, Class: transport.ClassControl,
 			Kind: transport.FaultReset, Prob: 0.0005}).
 		Add(transport.Rule{Op: transport.OpWrite, Class: transport.ClassControl,
 			Kind: transport.FaultReset, Prob: 0.0002}).
-		Add(transport.Rule{Op: transport.OpWrite, Class: transport.ClassData,
-			Kind: transport.FaultReset, Prob: 0.0005}).
 		Add(transport.Rule{Op: transport.OpDial,
 			Kind: transport.FaultRefuse, Prob: 0.02, Count: 3})
 	return &transport.Faulty{Inner: tr, Inj: inj}, inj
