@@ -13,12 +13,14 @@ build:
 
 # The tier-1 gate: vet, the full unit suite (which includes the
 # wire-conformance golden vectors), the same suite under -race, the
-# chaos schedules, and (on Linux) the connection-scale tier.
+# chaos schedules, every example (each exits non-zero when its own
+# check fails), and (on Linux) the connection-scale tier.
 test: vet gencheck
 	$(GO) test ./...
 	$(MAKE) conformance
 	$(MAKE) race
 	$(MAKE) chaos
+	$(MAKE) examples
 ifeq ($(UNAME_S),Linux)
 	$(MAKE) scale
 endif
@@ -124,7 +126,6 @@ measure:
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/filetransfer
-	$(GO) run ./examples/discovery
 	$(GO) run ./examples/matrix -n 512
 	$(GO) run ./examples/fanout -consumers 8 -events 128 -size 16384
 	$(GO) run ./examples/transcoder -workers 3 -frames 40

@@ -344,7 +344,6 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	zc := o.opts.ZeroCopy && pe.zcArch == o.arch
 	c, err := r.getConn(pe, zc)
 	if err != nil {
-		o.logf("orb: %s connect %s:%d: %v", op.Name, pe.profile.Host, pe.profile.Port, err)
 		// COMM_FAILURE with CompletedNo: the server never saw the
 		// request, so the retry policy may re-dial later.
 		return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}, tc, start, attempt)
@@ -427,8 +426,6 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 			// control connection.
 			c.markDataDown()
 			o.stats.DataChanFallbacks.Add(1)
-			o.logf("orb: %s deposit write failed, falling back to marshaled path: %v",
-				op.Name, err)
 			if tc.Valid() {
 				o.tracer.Record(trace.Span{
 					Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFallback,

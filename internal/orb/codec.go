@@ -23,9 +23,9 @@ import (
 // The registry is keyed by TypeCode pointer identity, not structural
 // equality: the TypeCode vars in generated contracts are shared by
 // stubs, skeletons and the ORB, so lookups hit for SII calls, while
-// structurally equal TypeCodes built dynamically (DII, interface
-// repository) miss and take the interpreter — exactly the fallback the
-// dynamic path needs, since its values use the generic []any form.
+// structurally equal TypeCodes built by dynamic callers miss and take
+// the interpreter — exactly the fallback the dynamic path needs, since
+// its values use the generic []any form.
 
 // CDRMarshaler is implemented by idlgen-generated types that can write
 // themselves directly onto a CDR stream.
@@ -34,10 +34,10 @@ type CDRMarshaler interface {
 }
 
 // ErrCDRFallback is returned by registered codec functions when the
-// runtime value does not have the generated concrete type (a DII caller
-// passing the generic []any form). The registering codec must return it
-// before writing any bytes so the caller can cleanly re-dispatch to the
-// interpreter.
+// runtime value does not have the generated concrete type (a dynamic
+// caller passing the generic []any form). The registering codec must
+// return it before writing any bytes so the caller can cleanly
+// re-dispatch to the interpreter.
 var ErrCDRFallback = errors.New("orb: value requires interpreter marshaling")
 
 // cdrCodec is a registered encode/decode pair for one TypeCode.

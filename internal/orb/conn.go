@@ -689,15 +689,10 @@ func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext
 		// the sender aborts mid-transfer, the sweeper expires the lease,
 		// closes the data channel (unblocking this ReadFull), and the
 		// error path below returns the buffer to the pool.
-		var lid zcbuf.LeaseID
-		if ttl > 0 {
-			lid = c.orb.leases.Grant(b, time.Now().Add(ttl), c.onLeaseExpire)
-		}
+		lid := c.orb.leases.Grant(b, time.Now().Add(ttl), c.onLeaseExpire)
 		n, err := io.ReadFull(dc, b.Bytes())
 		got += int64(n)
-		if ttl > 0 {
-			c.orb.leases.Settle(lid)
-		}
+		c.orb.leases.Settle(lid)
 		if err != nil {
 			b.Release()
 			releaseAll(bufs)
@@ -744,14 +739,9 @@ func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int6
 			// A peer that stops mid-train stalls the control stream
 			// itself: the lease's expiry closes the connection, which
 			// unblocks this read.
-			var lid zcbuf.LeaseID
-			if ttl > 0 {
-				lid = c.orb.leases.Grant(b, time.Now().Add(ttl), c.onInlineExpire)
-			}
+			lid := c.orb.leases.Grant(b, time.Now().Add(ttl), c.onInlineExpire)
 			_, err = io.ReadFull(c.ctrl, rest)
-			if ttl > 0 {
-				c.orb.leases.Settle(lid)
-			}
+			c.orb.leases.Settle(lid)
 			if err != nil {
 				b.Release()
 				releaseAll(bufs)
@@ -780,14 +770,9 @@ func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int6
 // and the caller must read the record through the copying path.
 func (c *conn) claimDirect(dr transport.DirectReader, size int,
 	ttl time.Duration) (*zcbuf.Buffer, bool, error) {
-	var lid zcbuf.LeaseID
-	if ttl > 0 {
-		lid = c.orb.leases.GrantFunc(size, time.Now().Add(ttl), c.onLeaseExpire)
-	}
+	lid := c.orb.leases.GrantFunc(size, time.Now().Add(ttl), c.onLeaseExpire)
 	view, rel, ok, err := dr.ReadDirect(size)
-	if ttl > 0 {
-		c.orb.leases.Settle(lid)
-	}
+	c.orb.leases.Settle(lid)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -887,7 +872,6 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 				// killing every in-flight call on the connection.
 				c.orb.stats.DepositAborts.Add(1)
 				c.markDataDown()
-				c.orb.logf("orb: request deposit aborted, degrading: %v", err)
 				if tc.Valid() {
 					c.orb.tracer.Record(trace.Span{
 						Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFallback,
@@ -935,7 +919,6 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 				// its other in-flight calls alive.
 				c.orb.stats.DepositAborts.Add(1)
 				c.markDataDown()
-				c.orb.logf("orb: reply deposit aborted, degrading: %v", err)
 				if tc.Valid() {
 					c.orb.tracer.Record(trace.Span{
 						Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFallback,
@@ -1062,7 +1045,6 @@ func (c *conn) freeInline(dec *cdr.Decoder, body []byte) {
 // closes the connection.
 func (c *conn) protocolError(format string, args ...any) {
 	err := fmt.Errorf("orb: protocol error: "+format, args...)
-	c.orb.logf("%v", err)
 	_ = c.sendMessage(giop.MsgMessageError, nil)
 	c.close(err)
 }

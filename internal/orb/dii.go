@@ -1,77 +1,9 @@
 package orb
 
-import (
-	"zcorba/internal/giop"
-	"zcorba/internal/typecode"
-)
+import "zcorba/internal/giop"
 
-// This file provides the dynamic halves of the CORBA programming
-// model: the Dynamic Invocation Interface (build a request without
-// compiled stubs), the Dynamic Skeleton Interface (serve an interface
-// without compiled skeletons), and object location (LocateRequest).
-
-// Request is a dynamically assembled invocation (the DII). Build it
-// with ObjectRef.Request, add typed arguments, then Call.
-//
-//	res, err := ref.Request("resize").
-//	    In(typecode.TCULong, uint32(1920)).
-//	    Returns(typecode.TCBoolean).
-//	    Call()
-type Request struct {
-	ref  *ObjectRef
-	op   Operation
-	args []any
-}
-
-// Request starts building a dynamic invocation of the named operation.
-func (r *ObjectRef) Request(name string) *Request {
-	return &Request{ref: r, op: Operation{Name: name, Result: typecode.TCVoid}}
-}
-
-// In adds an in parameter.
-func (rq *Request) In(tc *typecode.TypeCode, v any) *Request {
-	rq.op.Params = append(rq.op.Params, Param{Type: tc, Dir: In})
-	rq.args = append(rq.args, v)
-	return rq
-}
-
-// Out declares an out parameter (its value is returned by Call).
-func (rq *Request) Out(tc *typecode.TypeCode) *Request {
-	rq.op.Params = append(rq.op.Params, Param{Type: tc, Dir: Out})
-	return rq
-}
-
-// InOut adds an inout parameter.
-func (rq *Request) InOut(tc *typecode.TypeCode, v any) *Request {
-	rq.op.Params = append(rq.op.Params, Param{Type: tc, Dir: InOut})
-	rq.args = append(rq.args, v)
-	return rq
-}
-
-// Returns declares the result type (void if never called).
-func (rq *Request) Returns(tc *typecode.TypeCode) *Request {
-	rq.op.Result = tc
-	return rq
-}
-
-// Raises declares a user exception the operation may raise, so Call
-// can decode it into a *UserException.
-func (rq *Request) Raises(tc *typecode.TypeCode) *Request {
-	rq.op.Exceptions = append(rq.op.Exceptions, tc)
-	return rq
-}
-
-// Oneway marks the request as oneway (no reply).
-func (rq *Request) Oneway() *Request {
-	rq.op.Oneway = true
-	return rq
-}
-
-// Call performs the invocation and returns the result value and the
-// out/inout values in declaration order.
-func (rq *Request) Call() (any, []any, error) {
-	return rq.ref.Invoke(&rq.op, rq.args)
-}
+// This file provides the dynamic skeleton (serve an interface without
+// compiled skeletons) and object location (LocateRequest).
 
 // DynamicServant adapts a plain function to the Servant interface —
 // the DSI. The contract must still be declared so the ORB can

@@ -12,8 +12,8 @@ import (
 	"zcorba/internal/typecode"
 )
 
-// calcIface is a contract served dynamically (DSI) and invoked
-// dynamically (DII).
+// calcIface is a contract served dynamically (DSI) and invoked through
+// hand-built Operations, as a dynamic caller without stubs would.
 var calcIface = NewInterface("IDL:test/Calc:1.0", "Calc",
 	&Operation{
 		Name: "add",
@@ -32,6 +32,19 @@ var calcIface = NewInterface("IDL:test/Calc:1.0", "Calc",
 		},
 		Result: typecode.TCLong,
 	},
+	&Operation{
+		Name:   "echo_type",
+		Params: []Param{{Name: "tc", Type: typecode.TCTypeCode, Dir: In}},
+		Result: typecode.TCTypeCode,
+	},
+)
+
+// paramDescTC is a struct TypeCode with a sequence member and a
+// TypeCode member, sent as a tk_TypeCode value through echo_type.
+var paramDescTC = typecode.StructOf("IDL:test/ParamDesc:1.0", "ParamDesc",
+	typecode.Member{Name: "name", Type: typecode.TCString},
+	typecode.Member{Name: "dims", Type: typecode.SequenceOf(typecode.TCULong, 0)},
+	typecode.Member{Name: "type", Type: typecode.TCTypeCode},
 )
 
 func dynCalc() DynamicServant {
@@ -47,6 +60,8 @@ func dynCalc() DynamicServant {
 					return nil, nil, &SystemException{Name: "BAD_PARAM", Completed: CompletedNo}
 				}
 				return a / b, []any{a % b}, nil
+			case "echo_type":
+				return args[0], nil, nil
 			default:
 				return nil, nil, &SystemException{Name: "BAD_OPERATION"}
 			}
@@ -77,13 +92,9 @@ func calcPair(t *testing.T) (*ObjectRef, *ORB, *ORB) {
 	return cref, client, server
 }
 
-func TestDIIAgainstDSI(t *testing.T) {
+func TestDSIAgainstDynamicCall(t *testing.T) {
 	ref, _, _ := calcPair(t)
-	res, _, err := ref.Request("add").
-		In(typecode.TCLong, int32(40)).
-		In(typecode.TCLong, int32(2)).
-		Returns(typecode.TCLong).
-		Call()
+	res, _, err := ref.Invoke(calcIface.Ops["add"], []any{int32(40), int32(2)})
 	if err != nil {
 		t.Fatalf("add: %v", err)
 	}
@@ -91,12 +102,7 @@ func TestDIIAgainstDSI(t *testing.T) {
 		t.Fatalf("add=%v", res)
 	}
 
-	res, outs, err := ref.Request("divmod").
-		In(typecode.TCLong, int32(17)).
-		In(typecode.TCLong, int32(5)).
-		Out(typecode.TCLong).
-		Returns(typecode.TCLong).
-		Call()
+	res, outs, err := ref.Invoke(calcIface.Ops["divmod"], []any{int32(17), int32(5)})
 	if err != nil {
 		t.Fatalf("divmod: %v", err)
 	}
@@ -105,17 +111,42 @@ func TestDIIAgainstDSI(t *testing.T) {
 	}
 }
 
-func TestDIISystemExceptionFromDSI(t *testing.T) {
+func TestDSISystemException(t *testing.T) {
 	ref, _, _ := calcPair(t)
-	_, _, err := ref.Request("divmod").
-		In(typecode.TCLong, int32(1)).
-		In(typecode.TCLong, int32(0)).
-		Out(typecode.TCLong).
-		Returns(typecode.TCLong).
-		Call()
+	_, _, err := ref.Invoke(calcIface.Ops["divmod"], []any{int32(1), int32(0)})
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "BAD_PARAM" {
 		t.Fatalf("want BAD_PARAM, got %v", err)
+	}
+}
+
+// TestDSITypeCodeValue sends a TypeCode as a tk_TypeCode value through
+// a call and back: the copy that crossed the wire twice must describe
+// the same struct, member by member.
+func TestDSITypeCodeValue(t *testing.T) {
+	ref, _, _ := calcPair(t)
+	res, _, err := ref.Invoke(calcIface.Ops["echo_type"], []any{paramDescTC})
+	if err != nil {
+		t.Fatalf("echo_type: %v", err)
+	}
+	got, ok := res.(*typecode.TypeCode)
+	if !ok {
+		t.Fatalf("echo_type returned %T", res)
+	}
+	if got == paramDescTC {
+		t.Fatal("echo_type returned the sent pointer; the value never crossed the wire")
+	}
+	if got.Kind() != paramDescTC.Kind() || got.RepoID() != paramDescTC.RepoID() {
+		t.Fatalf("echo_type=%v, want %v", got, paramDescTC)
+	}
+	gm, wm := got.Members(), paramDescTC.Members()
+	if len(gm) != len(wm) {
+		t.Fatalf("echo_type has %d members, want %d", len(gm), len(wm))
+	}
+	for i := range wm {
+		if gm[i].Name != wm[i].Name || !gm[i].Type.Equal(wm[i].Type) {
+			t.Errorf("member %d = %s %v, want %s %v", i, gm[i].Name, gm[i].Type, wm[i].Name, wm[i].Type)
+		}
 	}
 }
 
@@ -266,14 +297,23 @@ func TestFragmentReassemblyWireLevel(t *testing.T) {
 	}
 }
 
-func TestDIIOneway(t *testing.T) {
+func TestDSIOneway(t *testing.T) {
 	server, err := New(Options{Transport: &transport.TCP{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(server.Shutdown)
-	sv := newStoreServant()
-	ref, err := server.Activate("store", sv)
+	notified := make(chan uint32, 1)
+	ref, err := server.Activate("store", DynamicServant{
+		Contract: storeIface,
+		Handler: func(op string, args []any) (any, []any, error) {
+			if op != "notify" {
+				return nil, nil, &SystemException{Name: "BAD_OPERATION"}
+			}
+			notified <- args[0].(uint32)
+			return nil, nil, nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,19 +326,15 @@ func TestDIIOneway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = cref.Request("notify").
-		In(typecode.TCULong, uint32(9)).
-		Oneway().
-		Call()
-	if err != nil {
+	if _, _, err := cref.Invoke(storeIface.Ops["notify"], []any{uint32(9)}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case got := <-sv.notified:
+	case got := <-notified:
 		if got != 9 {
 			t.Fatalf("notified %d", got)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("oneway DII never arrived")
+		t.Fatal("oneway call never reached the dynamic servant")
 	}
 }

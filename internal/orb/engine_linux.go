@@ -281,7 +281,6 @@ func (e *engine) dispatcher() {
 			return
 		}
 		if err != nil {
-			e.o.logf("orb: engine epoll_wait: %v", err)
 			return
 		}
 		if n == 0 {

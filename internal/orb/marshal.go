@@ -115,8 +115,9 @@ func (o *ORB) marshalValues(e *cdr.Encoder, types []*typecode.TypeCode, vals []a
 			}
 		}
 		// Compiled fast path: generated types write themselves without
-		// the typecode walk. Values in the generic []any form (DII)
-		// don't implement the interface and take the interpreter.
+		// the typecode walk. Values in the generic []any form (dynamic
+		// callers) don't implement the interface and take the
+		// interpreter.
 		if m, ok := v.(CDRMarshaler); ok {
 			if err := m.MarshalCDR(e); err != nil {
 				return fmt.Errorf("orb: parameter %d: %w", i, err)
@@ -158,7 +159,7 @@ func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.Ty
 		}
 		// Compiled fast path: a codec registered for this exact
 		// TypeCode reconstructs the concrete Go type directly.
-		// Structurally equal TypeCodes built dynamically (DII) are
+		// Structurally equal TypeCodes built by dynamic callers are
 		// different pointers, miss here, and take the interpreter.
 		if c, ok := lookupCDRCodec(tc); ok && c.dec != nil {
 			v, err := c.dec(dec)

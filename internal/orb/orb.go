@@ -78,9 +78,10 @@ type Options struct {
 	// DepositLeaseTTL bounds how long a receiver blocks waiting for an
 	// announced deposit payload before reclaiming the buffer and closing
 	// the stream it stalled: the connection for a train on the control
-	// stream, the shm data channel for a ring deposit. 0 uses
-	// CallTimeout; negative disables leasing (an aborted sender can then
-	// stall a read loop until the connection dies).
+	// stream, the shm data channel for a ring deposit. 0 or negative
+	// uses CallTimeout, so every deposit read is leased. A lease much
+	// shorter than CallTimeout frees a stalled stream sooner than the
+	// call's own deadline would.
 	DepositLeaseTTL time.Duration
 	// MaxMessageSize bounds the control-message bodies this ORB
 	// accepts (and sends): a header advertising more than this many
@@ -120,8 +121,6 @@ type Options struct {
 	// tracing and leaves the wire format byte-identical to an untraced
 	// ORB.
 	Tracer *trace.Tracer
-	// Logf, if set, receives diagnostic messages.
-	Logf func(format string, args ...any)
 }
 
 // maxMessageSize resolves the effective control-message bound.
@@ -308,7 +307,6 @@ type ORB struct {
 	pool   *zcbuf.Pool
 	arch   string
 	hostID string
-	logf   func(string, ...any)
 	stats  Stats
 	tracer *trace.Tracer
 
@@ -389,10 +387,6 @@ func New(opts Options) (*ORB, error) {
 	if o.opts.CallTimeout <= 0 {
 		o.opts.CallTimeout = 30 * time.Second
 	}
-	o.logf = opts.Logf
-	if o.logf == nil {
-		o.logf = func(string, ...any) {}
-	}
 	o.tracer = opts.Tracer
 	if o.tracer != nil {
 		// Lease lifecycle events become standalone spans: an expiry has
@@ -438,18 +432,6 @@ func New(opts Options) (*ORB, error) {
 		}
 	}
 
-	if opts.Engine {
-		eng, err := newEngine(o)
-		if err != nil {
-			// Degrade to the goroutine-per-connection tier — the stub
-			// path on non-Linux platforms, and the safety net when epoll
-			// setup fails.
-			o.logf("orb: event engine unavailable, using goroutine-per-conn tier: %v", err)
-		} else {
-			o.engine = eng
-		}
-	}
-
 	// Listen addresses accept scheme URIs (tcp://, inproc://, shm://):
 	// a scheme different from the configured transport's selects the
 	// matching transport for that listener, so a TCP control plane can
@@ -486,25 +468,31 @@ func New(opts Options) (*ORB, error) {
 		go o.acceptData()
 	}
 
+	// The engine starts only once every listener is open, so no error
+	// return above leaves its dispatchers running. Without an engine the
+	// ORB degrades to the goroutine-per-connection tier — the stub path
+	// on non-Linux platforms, and the safety net when epoll setup fails.
+	if opts.Engine {
+		if eng, err := newEngine(o); err == nil {
+			o.engine = eng
+		}
+	}
 	o.wg.Add(1)
 	go o.acceptControl()
-	if opts.ZeroCopy && o.leaseTTL() > 0 {
+	if opts.ZeroCopy {
 		o.wg.Add(1)
 		go o.sweepLoop()
 	}
 	return o, nil
 }
 
-// leaseTTL resolves the effective deposit-lease lifetime.
+// leaseTTL resolves the effective deposit-lease lifetime, which is
+// always positive.
 func (o *ORB) leaseTTL() time.Duration {
-	switch {
-	case o.opts.DepositLeaseTTL < 0:
-		return 0
-	case o.opts.DepositLeaseTTL == 0:
+	if o.opts.DepositLeaseTTL <= 0 {
 		return o.opts.CallTimeout
-	default:
-		return o.opts.DepositLeaseTTL
 	}
+	return o.opts.DepositLeaseTTL
 }
 
 // sweepLoop periodically expires overdue deposit leases and unclaimed
@@ -529,7 +517,6 @@ func (o *ORB) sweepLoop() {
 		case now := <-t.C:
 			if n := o.leases.Sweep(now); n > 0 {
 				o.stats.LeaseExpiries.Add(int64(n))
-				o.logf("orb: reclaimed %d expired deposit lease(s)", n)
 			}
 			o.sweepTokens(now)
 		}
@@ -546,7 +533,6 @@ func (o *ORB) sweepTokens(now time.Time) {
 		if !e.claimed && now.Sub(e.at) > ttl {
 			delete(o.dataChans, tok)
 			drop = append(drop, e.dc)
-			o.logf("orb: data channel token %#x expired unclaimed", tok)
 		}
 	}
 	o.mu.Unlock()
@@ -861,12 +847,10 @@ func (o *ORB) acceptData() {
 			defer o.wg.Done()
 			var pre [12]byte
 			if _, err := io.ReadFull(dc, pre[:]); err != nil {
-				o.logf("orb: data preamble: %v", err)
 				_ = dc.Close()
 				return
 			}
 			if [4]byte(pre[:4]) != dataPreambleMagic {
-				o.logf("orb: bad data preamble magic %q", pre[:4])
 				_ = dc.Close()
 				return
 			}
@@ -983,7 +967,6 @@ func (o *ORB) dialConn(ctrlAddr string, zc bool, ring string, stripe int) (*conn
 			// A ring connection without its ring marshals the standard
 			// way, as if the ring had died.
 			c.dataDown.Store(true)
-			o.logf("orb: shm data channel unavailable, falling back: %v", err)
 		}
 	}
 

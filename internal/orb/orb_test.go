@@ -825,3 +825,31 @@ func TestDataListenAddrServesOnlyShm(t *testing.T) {
 	}
 	assertNoGoroutineLeak(t, before)
 }
+
+// TestNewListenFailureStartsNothing: a New that fails to open its
+// control or its shm data listener returns with nothing of itself left
+// running, the event engine's dispatchers included.
+func TestNewListenFailureStartsNothing(t *testing.T) {
+	taken, err := (&transport.TCP{}).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	before := runtime.NumGoroutine()
+	if o, err := New(Options{Engine: true, ListenAddr: taken.Addr()}); err == nil {
+		o.Shutdown()
+		t.Fatalf("New listened on %s, which is already bound", taken.Addr())
+	}
+	assertNoGoroutineLeak(t, before)
+
+	t.Run("shm", func(t *testing.T) {
+		// The listener's directory does not exist, so the data listen fails.
+		missing := shmDataAddr(t) + ".d/data.sock"
+		before := runtime.NumGoroutine()
+		if o, err := New(Options{Engine: true, ZeroCopy: true, DataListenAddr: missing}); err == nil {
+			o.Shutdown()
+			t.Fatalf("New listened on %s", missing)
+		}
+		assertNoGoroutineLeak(t, before)
+	})
+}

@@ -82,7 +82,6 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 	}
 	if err != nil {
 		releaseAll(leftover)
-		o.logf("orb: demarshal %s: %v", req.Operation, err)
 		o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedNo})
 		return
 	}
@@ -103,9 +102,6 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 	releaseAll(deposits)
 
 	if op.Oneway {
-		if err != nil {
-			o.logf("orb: oneway %s failed: %v", req.Operation, err)
-		}
 		return
 	}
 	if err != nil {
@@ -120,7 +116,6 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 		case asErr(err, &fwd):
 			o.replyLocationForward(c, r, fwd)
 		default:
-			o.logf("orb: %s raised: %v", req.Operation, err)
 			o.replySystemException(c, r, &SystemException{Name: "UNKNOWN", Completed: CompletedMaybe})
 		}
 		return
@@ -134,7 +129,6 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 	vals = append(vals, outs...)
 	r.reply = vals
 	if len(vals) != len(types) {
-		o.logf("orb: %s returned %d values, want %d", req.Operation, len(vals), len(types))
 		o.replySystemException(c, r, &SystemException{Name: "INTERNAL", Completed: CompletedYes})
 		return
 	}
@@ -240,7 +234,6 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 	rep.Marshal(e)
 	if err := o.marshalValues(e, types, vals, skipZC); err != nil {
 		cdr.PutEncoder(e)
-		o.logf("orb: reply marshal: %v", err)
 		o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedYes})
 		return
 	}
@@ -255,7 +248,6 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 			// fast (its TRANSIENT error drives the retry), and future
 			// replies marshal standard.
 			c.markDataDown()
-			o.logf("orb: reply deposit write failed, degrading: %v", err)
 		} else {
 			c.close(err)
 		}
@@ -289,7 +281,6 @@ func (o *ORB) replyUserException(c *conn, r *request, ex *UserException) {
 	e.WriteString(ex.Type.RepoID())
 	if err := typecode.MarshalValue(e, ex.Type, ex.Fields); err != nil {
 		cdr.PutEncoder(e)
-		o.logf("orb: user exception marshal: %v", err)
 		o.replySystemException(c, r, &SystemException{Name: "MARSHAL", Completed: CompletedYes})
 		return
 	}

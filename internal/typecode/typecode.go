@@ -53,7 +53,7 @@ const (
 	Any
 	// TypeCodeKind is the CORBA TypeCode type (tk_TypeCode): values of
 	// this kind are themselves *TypeCode, marshaled in the TypeCode
-	// transfer syntax. The interface repository traffics in them.
+	// transfer syntax.
 	TypeCodeKind
 )
 
