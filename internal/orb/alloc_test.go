@@ -12,12 +12,11 @@ import (
 // the test process, so testing.Benchmark sees the whole round trip) —
 // measured WITH tracing enabled, since observability must not undo the
 // allocation-free hot path. It is shared by the tcp, engine-tier and
-// shm gates, which measure 4, 3 and 5 allocs/op. What is left: the
-// caller's []any, the uint32 result boxed on each side, the legacy
-// tier's handler goroutine closure (not on the engine tier) and the
-// shm reader's record state (shm only). The budget is the largest
-// count plus 2 (docs/PERF.md has the per-site ledger).
-const allocBudget = 7
+// shm gates, which measure 2, 2 and 3 allocs/op. What is left: the
+// uint32 result boxed on each side and the shm reader's record state
+// (shm only). The budget is the largest count plus 2 (docs/PERF.md has
+// the per-site ledger).
+const allocBudget = 5
 
 // TestInvokeAllocsGate is the allocation regression gate of the
 // allocation-free hot path: see docs/PERF.md for the ownership rules
@@ -71,8 +70,8 @@ func TestInvokeAllocsGate(t *testing.T) {
 // InvokeAsync with eight ZC arguments in a reused []any. The
 // per-segment deposit bookkeeping must stay within the same budget as
 // a single-buffer invoke: coalescing eight segments may not cost
-// per-segment garbage. Measured 7 allocs/op; the budget is that plus 2.
-const gatherAllocBudget = 9
+// per-segment garbage. Measured 6 allocs/op; the budget is that plus 2.
+const gatherAllocBudget = 8
 
 // TestGatherAllocsGate is the allocation regression gate for the
 // scatter/gather deposit path.

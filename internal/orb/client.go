@@ -100,14 +100,32 @@ const maxForwards = 4
 // *zcbuf.Buffer or []byte; the caller retains ownership of argument
 // buffers, and owns (must Release) any *zcbuf.Buffer in the results.
 func (r *ObjectRef) Invoke(op *Operation, args []any) (any, []any, error) {
-	return r.invokeCtx(context.Background(), op, args, 0)
+	return r.invokeCopy(context.Background(), op, args)
 }
 
 // InvokeCtx is Invoke with a per-call deadline/cancellation context:
 // the call fails with ctx.Err() as soon as ctx is done, and the retry
 // policy (if enabled) stops retrying once ctx expires.
 func (r *ObjectRef) InvokeCtx(ctx context.Context, op *Operation, args []any) (any, []any, error) {
-	return r.invokeCtx(ctx, op, args, 0)
+	return r.invokeCopy(ctx, op, args)
+}
+
+// argvPool holds the argument vectors of synchronous invocations.
+var argvPool = sync.Pool{New: func() any { return new([]any) }}
+
+// invokeCopy runs a synchronous invocation on a pooled copy of args.
+// The attempts, a LOCATION_FORWARD and the Call keep only the copy, so
+// args does not escape and a caller's argument literal (the generated
+// stubs' []any{...}) stays on its stack instead of becoming garbage on
+// every call. Nothing holds the copy once the invocation returns.
+func (r *ObjectRef) invokeCopy(ctx context.Context, op *Operation, args []any) (any, []any, error) {
+	p := argvPool.Get().(*[]any)
+	argv := append((*p)[:0], args...)
+	res, outs, err := r.invokeCtx(ctx, op, argv, 0)
+	clear(argv)
+	*p = argv[:0]
+	argvPool.Put(p)
+	return res, outs, err
 }
 
 // invokeCtx runs the invocation under the ORB's retry policy: failed

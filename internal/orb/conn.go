@@ -134,15 +134,17 @@ type replyMsg struct {
 var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
 
 // request carries one inbound Request from the reading loop to its
-// handler: the header, the decoder over the pooled body, the deposits
-// and the trace context, plus storage for the servant's arguments and
-// the reply values. From dispatch on it belongs to the handler, which
-// returns it with freeRequest once the reply is sent, never to the
-// connection: a legacy-tier handler runs while the reader reads the
-// next message. The header's byte fields are views of body and die
-// with it. The slices keep their storage across uses. zc records that
-// the request announced deposits, so its reply may carry them too.
+// handler: the connection it arrived on, the header, the decoder over
+// the pooled body, the deposits and the trace context, plus storage
+// for the servant's arguments and the reply values. From dispatch on it
+// belongs to the handler, which returns it with freeRequest once the
+// reply is sent, never to the connection: a legacy-tier handler runs
+// while the reader reads the next message. The header's byte fields are
+// views of body and die with it. The slices keep their storage across
+// uses. zc records that the request announced deposits, so its reply
+// may carry them too.
 type request struct {
+	c        *conn
 	hdr      giop.RequestHeader
 	dec      *cdr.Decoder
 	body     []byte
@@ -839,9 +841,10 @@ func (c *conn) readLoop() {
 // already reassembled) and consumes body (returning it to the pool on
 // every path). inline selects the dispatch mode for requests: the
 // event engine's workers run the servant on the calling goroutine
-// (bounded concurrency = pool size), the legacy tier spawns a handler
-// goroutine per request. It reports false when the connection is
-// finished (closed, or a fatal protocol error was answered).
+// (bounded concurrency = pool size), the legacy tier hands it to a
+// parked handler goroutine (see dispatchRequest). It reports false when
+// the connection is finished (closed, or a fatal protocol error was
+// answered).
 func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 	dec := cdr.GetDecoder(hdr.Order(), giop.HeaderSize, body)
 	switch hdr.Type {
@@ -1007,10 +1010,12 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 // servant layer, which from here on owns r. Requests beyond the
 // MaxInFlight cap are shed with TRANSIENT instead of queueing (the
 // deposits were already consumed, so the stream's framing survives the
-// rejection). inline=true dispatches on the calling
-// goroutine — the event engine's bounded worker pool — while the
-// legacy tier spawns a handler goroutine to keep per-connection
-// pipelining.
+// rejection). inline=true dispatches on the calling goroutine — the
+// event engine's bounded worker pool. The legacy tier keeps
+// per-connection pipelining by handing r to a handler goroutine: one
+// parked in runHandler if there is one, else a new one. The send never
+// blocks and never queues: it succeeds only into a handler that is
+// waiting on the unbuffered channel at that moment.
 func (c *conn) dispatchRequest(r *request, inline bool) {
 	o := c.orb
 	if !o.acquireSlot() {
@@ -1019,19 +1024,55 @@ func (c *conn) dispatchRequest(r *request, inline bool) {
 		o.freeRequest(r)
 		return
 	}
+	r.c = c
 	if inline {
-		o.handleRequest(c, r)
-		o.releaseSlot()
-		o.freeRequest(r)
+		o.serve(r)
 		return
 	}
-	o.wg.Add(1)
-	go func() {
-		defer o.wg.Done()
-		defer o.releaseSlot()
-		defer o.freeRequest(r)
-		o.handleRequest(c, r)
-	}()
+	select {
+	case o.handoff <- r:
+	default:
+		o.wg.Add(1)
+		go o.runHandler(r)
+	}
+}
+
+// maxIdleHandlers caps the legacy tier's parked handler goroutines,
+// ORB-wide: a handler that finishes a request while this many others
+// wait exits instead of parking, so a burst leaves at most this many
+// goroutines (and their grown stacks) behind.
+const maxIdleHandlers = 16
+
+// runHandler is one legacy-tier handler goroutine: it serves r, then
+// parks on the hand-off channel for the next request of any
+// connection, until maxIdleHandlers others are parked already or the
+// ORB shuts down. idleHandlers counts a handler from before it parks
+// to after it wakes, so it may read one high while a handler is on its
+// way in or out; a dispatcher never consults it.
+func (o *ORB) runHandler(r *request) {
+	defer o.wg.Done()
+	for {
+		o.serve(r)
+		if o.idleHandlers.Add(1) > maxIdleHandlers {
+			o.idleHandlers.Add(-1)
+			return
+		}
+		select {
+		case r = <-o.handoff:
+			o.idleHandlers.Add(-1)
+		case <-o.done:
+			o.idleHandlers.Add(-1)
+			return
+		}
+	}
+}
+
+// serve runs one admitted request to its reply and returns its
+// dispatch slot and envelope.
+func (o *ORB) serve(r *request) {
+	o.handleRequest(r.c, r)
+	o.releaseSlot()
+	o.freeRequest(r)
 }
 
 // freeInline returns a message's decoder and body buffer to their

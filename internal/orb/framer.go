@@ -33,9 +33,12 @@ const speculateMax = 64 << 10
 // servant will own. Sizes that change from message to message are not
 // predicted at all, so a mixed stream reads as it would without
 // speculation instead of missing on every message. The header says
-// whether the guess held. A miss moves the misplaced bytes once, into
-// carry, from which the stream is then replayed ahead of the socket;
-// the move is counted as a payload copy and a speculation miss. Both
+// whether the guess held. On a miss the body stays where it is when
+// the message fits the predicted body's storage (body buffers keep
+// their allocation's whole size class, so a body a few bytes longer
+// fits too); the bytes the guess misplaced move once, into carry, from
+// which the stream is then replayed ahead of the socket. A miss counts
+// as a speculation miss, and a move as a payload copy. Both
 // predicted sizes come only from accepted messages and are capped by
 // speculateMax, so bulk frames and trains are read exactly as without
 // speculation.
@@ -185,9 +188,9 @@ func (f *framer) begin() error {
 			return tooLarge(int(h.Size), max)
 		}
 		if f.guess && (h.MoreFragments() || int(h.Size) != len(f.body)) {
-			f.miss()
+			f.miss(int(h.Size))
 		}
-		if !f.guess {
+		if f.body == nil {
 			f.body = f.orb.getBody(int(h.Size))
 		}
 		f.msg = h
@@ -241,22 +244,35 @@ func (f *framer) speculate() {
 	f.guess = true
 }
 
-// miss abandons the guess of the message being read: every byte it
-// placed past the header moves to carry, in stream order, to be
-// replayed into the right buffers.
-func (f *framer) miss() {
+// miss abandons the guess of the message being read, whose body is
+// size bytes (-1 once the body was handed on). When the body fits the
+// predicted body's storage, the body stays where it is and the bytes
+// already in it stay put; every other byte the guess placed moves to
+// carry, in stream order, to be replayed into the right buffers. Only
+// the move counts as a payload copy, so a message shorter than the
+// guess that was read alone copies nothing.
+func (f *framer) miss(size int) {
 	s := &f.orb.stats
 	s.SpeculationMisses.Add(1)
-	if moved := f.fill + f.dfill; moved > 0 {
-		f.carry = append(f.carry, f.body[:f.fill]...)
+	keep := 0
+	fits := size >= 0 && size <= cap(f.body)
+	if fits {
+		keep = min(f.fill, size)
+	}
+	if moved := f.fill - keep + f.dfill; moved > 0 {
+		f.carry = append(f.carry, f.body[keep:f.fill]...)
 		if f.dep != nil {
 			f.carry = append(f.carry, f.dep.Bytes()[:f.dfill]...)
 		}
 		s.PayloadCopies.Add(1)
 		s.PayloadCopyBytes.Add(int64(moved))
 	}
-	f.orb.putBody(f.body)
-	f.body, f.fill = nil, 0
+	if fits {
+		f.body, f.fill = f.body[:size], keep
+	} else {
+		f.orb.putBody(f.body)
+		f.body, f.fill = nil, 0
+	}
 	f.releaseDep()
 	f.guess = false
 }
@@ -279,7 +295,7 @@ func (f *framer) settle(train int) {
 		} else {
 			// The body was in place and handed on, so only train bytes
 			// can be misplaced.
-			f.miss()
+			f.miss(-1)
 		}
 	}
 	f.predTrain, f.lastTrain = stable(train, f.lastTrain), train

@@ -196,3 +196,89 @@ func TestGetBodyKeepsSmallFreeBody(t *testing.T) {
 		t.Fatalf("small body after a bulk one: %d allocations, want 0", got)
 	}
 }
+
+// requestStream is a control stream of Requests without deposits whose
+// bodies differ only in the length of the operation name.
+func requestStream(ops ...string) []byte {
+	var stream []byte
+	for i, op := range ops {
+		e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+		req := giop.RequestHeader{
+			RequestID: uint32(i + 1), ResponseExpected: true,
+			ObjectKey: []byte("store"), Operation: op, Principal: []byte{},
+		}
+		req.Marshal(e)
+		var hdr [giop.HeaderSize]byte
+		giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+			Type: giop.MsgRequest, Size: uint32(len(e.Bytes()))})
+		stream = append(append(stream, hdr[:]...), e.Bytes()...)
+	}
+	return stream
+}
+
+// TestSpeculationMissKeepsBody: two same-size requests make the framer
+// predict the third's body; a shorter third misses, but its body is
+// already in the predicted buffer, so nothing is copied. Bytes the
+// speculative read took past the message's end (the next message's)
+// are the only ones moved. A third a little longer also fits, in the
+// spare capacity of the body's size class, and is read on into it.
+func TestSpeculationMissKeepsBody(t *testing.T) {
+	long, short := "operation_long_name", "op"
+	bodySize := func(op string) int { return len(requestStream(op)) - giop.HeaderSize }
+	// The shortest longer name whose body still fits the capacity a
+	// body of long's size gets.
+	spare := cap(framerORB(0).getBody(bodySize(long)))
+	longer := long
+	for bodySize(longer) == bodySize(long) {
+		longer += "x"
+	}
+	if bodySize(longer) > spare {
+		t.Fatalf("a %d-byte body got capacity %d: no room for a %d-byte one",
+			bodySize(long), spare, bodySize(longer))
+	}
+	for _, tc := range []struct {
+		name       string
+		ops        []string
+		copies     int64
+		pastTheEnd bool
+	}{
+		{"short last", []string{long, long, short}, 0, false},
+		{"short then more", []string{long, long, short, short}, 1, true},
+		{"longer last", []string{long, long, longer}, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream := requestStream(tc.ops...)
+			o := framerORB(0)
+			msgs, err := feedFramer(o, stream, func() int { return len(stream) }, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(msgs) != len(tc.ops) {
+				t.Fatalf("framed %d messages, want %d", len(msgs), len(tc.ops))
+			}
+			rest := stream
+			for i, m := range msgs {
+				want := rest[giop.HeaderSize : giop.HeaderSize+int(m.hdr.Size)]
+				if !bytes.Equal(m.body, want) {
+					t.Fatalf("message %d: body differs from the stream", i)
+				}
+				rest = rest[giop.HeaderSize+len(want):]
+			}
+			st := &o.stats
+			if m := st.SpeculationMisses.Load(); m != 1 {
+				t.Fatalf("%d speculation misses, want 1", m)
+			}
+			if c := st.PayloadCopies.Load(); c != tc.copies {
+				t.Fatalf("%d payload copies (%d bytes), want %d", c, st.PayloadCopyBytes.Load(), tc.copies)
+			}
+			if tc.pastTheEnd {
+				// The guess read a long body's worth; the short body's
+				// bytes stayed, the next message's moved.
+				longBody, shortBody := bodySize(long), bodySize(short)
+				if n := st.PayloadCopyBytes.Load(); n != int64(longBody-shortBody) {
+					t.Fatalf("moved %d bytes, want the %d past the short message", n, longBody-shortBody)
+				}
+			}
+		})
+	}
+}

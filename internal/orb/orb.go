@@ -191,7 +191,14 @@ func (o *ORB) getBody(n int) []byte {
 	default:
 	}
 	o.stats.BodyAllocs.Add(1)
-	return make([]byte, n)
+	if n > speculateMax {
+		// Never speculated into; make can skip clearing fresh memory.
+		return make([]byte, n)
+	}
+	// Keep the allocator's whole size class as capacity: a body reused
+	// for a predicted message then also holds one a few bytes longer,
+	// so the framer's miss leaves it in place (framer.miss).
+	return append([]byte(nil), make([]byte, n)...)
 }
 
 // putBody returns a body buffer to the free list (dropping it when the
@@ -341,6 +348,11 @@ type ORB struct {
 	wg        sync.WaitGroup
 	done      chan struct{}
 
+	// handoff passes a request to a parked legacy-tier handler
+	// (dispatchRequest, runHandler); idleHandlers counts the parked ones.
+	handoff      chan *request
+	idleHandlers atomic.Int32
+
 	// leases tracks deposit buffers checked out to in-progress bulk
 	// transfers; the sweeper reclaims them when a transfer aborts.
 	leases zcbuf.LeaseTable
@@ -373,6 +385,7 @@ func New(opts Options) (*ORB, error) {
 		dataWaiters: make(map[uint64][]chan transport.Conn),
 		bodyFree:    make(chan []byte, bodyFreeSlots),
 		done:        make(chan struct{}),
+		handoff:     make(chan *request),
 	}
 	if o.tr == nil {
 		o.tr = &transport.TCP{}
@@ -569,8 +582,8 @@ func dialAddr(host string, port uint16) string {
 // co-location discovery: two ORBs see the same ID exactly when they
 // can map the same shared memory. machine-id survives reboots; boot-id
 // is the fallback on stripped-down systems; the hostname is the last
-// resort.
-func defaultHostID() string {
+// resort. It is read once per process, not once per ORB.
+var defaultHostID = sync.OnceValue(func() string {
 	for _, p := range []string{"/etc/machine-id", "/proc/sys/kernel/random/boot_id"} {
 		if b, err := os.ReadFile(p); err == nil {
 			if id := strings.TrimSpace(string(b)); id != "" {
@@ -582,7 +595,7 @@ func defaultHostID() string {
 		return h
 	}
 	return "localhost"
-}
+})
 
 // Arch returns the ORB's architecture signature.
 func (o *ORB) Arch() string { return o.arch }

@@ -165,7 +165,12 @@ func TestTracePropagation(t *testing.T) {
 			}
 		}
 	}
-	// The server joined the same trace via the service context.
+	// The server joined the same trace via the service context. Its
+	// reply_send span is recorded once its write returns, which can be
+	// after the client has the reply.
+	waitFor(t, "the server reply_send span", func() bool {
+		return st.SpanCount(trace.KindReplySend) >= 1
+	})
 	serverJoined := 0
 	for _, s := range st.Spans() {
 		if s.Trace == root.Trace {

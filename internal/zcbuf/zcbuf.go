@@ -155,10 +155,17 @@ func (p *Pool) Get(n int) (*Buffer, error) {
 	return b, nil
 }
 
-// newAligned reserves class+PageSize bytes and slides the window to the
-// first page boundary, reproducing the paper's reserved-block /
-// aligned-area split.
+// newAligned allocates a buffer whose window starts on a page boundary.
+// The Go allocator page-aligns every page-multiple size class and every
+// large object, so an exact allocation is tried first and the window is
+// the whole block: a 4 KiB buffer takes 4 KiB, not 8. Should the block
+// not be aligned, it reserves class+PageSize bytes and slides the window
+// to the first page boundary, the paper's reserved-block / aligned-area
+// split.
 func newAligned(p *Pool, class int) *Buffer {
+	if mem := make([]byte, class); Aligned(mem) {
+		return &Buffer{pool: p, mem: mem, data: mem}
+	}
 	mem := make([]byte, class+PageSize)
 	off := 0
 	if addr := uintptr(unsafe.Pointer(&mem[0])) % PageSize; addr != 0 {

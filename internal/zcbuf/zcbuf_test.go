@@ -145,6 +145,26 @@ func TestClassForRounding(t *testing.T) {
 	}
 }
 
+// TestExactAllocation checks that a buffer reserves only its class when
+// the allocator hands out a page-aligned block of that size, which the
+// Go allocator does for every page-multiple class: no page of reserve.
+func TestExactAllocation(t *testing.T) {
+	var p Pool
+	for class := PageSize; class <= 1<<20; class <<= 1 {
+		b, err := p.Get(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.IsPageAligned() || b.Cap() != class {
+			t.Fatalf("class %d: aligned=%v cap=%d", class, b.IsPageAligned(), b.Cap())
+		}
+		if len(b.mem) != class {
+			t.Fatalf("class %d reserved %d bytes", class, len(b.mem))
+		}
+		b.Release()
+	}
+}
+
 func TestConcurrentGetRelease(t *testing.T) {
 	var p Pool
 	var wg sync.WaitGroup
