@@ -135,6 +135,9 @@ func benchConnScaleIdle(b *testing.B, engine bool, idleConns int) {
 	if _, err := ttcp.CorbaSendWindow(client, sink.IOR, 4<<10, b.N, 8, false); err != nil {
 		b.Fatal(err)
 	}
+	// The deferred shutdowns tear down every idle connection: not part
+	// of the request rate.
+	b.StopTimer()
 }
 
 // benchConnScaleActive measures the request rate with every one of
@@ -189,6 +192,8 @@ func benchConnScaleActive(b *testing.B, engine bool, conns int) {
 			b.Fatal(err)
 		}
 	}
+	// Tearing down conns connections is not part of the request rate.
+	b.StopTimer()
 }
 
 // BenchmarkRequestRate_ConnScale grows the request-rate series along a

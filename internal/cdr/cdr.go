@@ -85,10 +85,15 @@ func (e *Encoder) ResetTo(buf []byte, order ByteOrder, base int) {
 	e.base = base
 }
 
-// maxPooledEncoder bounds the capacity of buffers retained by the
-// encoder pool so a single huge standard-path body cannot pin memory
-// indefinitely; larger buffers are left to the garbage collector.
-const maxPooledEncoder = 1 << 20
+// PoolMax bounds the capacity of every buffer a pool keeps: the
+// encoder pool here and the ORB's body and in-argument free lists. It
+// holds a 1 MiB block plus its GIOP message header, with room for the
+// allocator's page rounding of the two, so a 1 MiB standard call
+// reuses warm memory. Larger messages are left uncovered on purpose:
+// their buffers go to the garbage collector, so a single huge body
+// cannot pin memory indefinitely, and a 4 MiB standard call allocates
+// as it always did (docs/PERF.md has the row).
+const PoolMax = 1<<20 + 64<<10
 
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
@@ -105,7 +110,7 @@ func GetEncoder(order ByteOrder, base int) *Encoder {
 // PutEncoder returns an encoder to the pool. The caller must not use
 // the encoder, or any slice obtained from Bytes, afterwards.
 func PutEncoder(e *Encoder) {
-	if e == nil || cap(e.buf) > maxPooledEncoder {
+	if e == nil || cap(e.buf) > PoolMax {
 		return
 	}
 	encoderPool.Put(e)

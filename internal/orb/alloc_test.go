@@ -1,9 +1,11 @@
 package orb
 
 import (
+	"io"
 	"testing"
 
 	"zcorba/internal/trace"
+	"zcorba/internal/transport"
 	"zcorba/internal/zcbuf"
 )
 
@@ -134,4 +136,109 @@ func TestGatherAllocsGate(t *testing.T) {
 	if ct.SpanCount(trace.KindControlSend) == 0 || p.client.Stats().GatherDeposits.Load() == 0 {
 		t.Fatal("alloc gate measured without traced gather trains")
 	}
+}
+
+// stdPutAllocBudget gates the steady-state allocation count of one
+// standard 1 MiB put_std round trip on tcp, client and server
+// combined. The request encoder, the request body and the in-argument
+// all reuse pooled storage; measured 4 allocs/op on either server
+// tier, and the budget is that plus 2.
+const stdPutAllocBudget = 6
+
+// TestStdPutAllocsGate: the standard path still makes its two copies
+// of a 1 MiB block (marshal and demarshal), but into warm memory, on
+// both server tiers: bytes allocated per call stay far below one block.
+func TestStdPutAllocsGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short mode")
+	}
+	if raceDetectorEnabled {
+		t.Skip("alloc gate skipped under -race: instrumentation skews the count")
+	}
+	for _, engine := range []bool{false, true} {
+		t.Run(map[bool]string{false: "legacy", true: "engine"}[engine], func(t *testing.T) {
+			p := newPair(t, Options{Transport: &transport.TCP{}, Engine: engine},
+				Options{Transport: &transport.TCP{}})
+			op := storeIface.Ops["put_std"]
+			data := pattern(1 << 20)
+			want := checksum(data)
+			args := []any{data}
+			run := func() error {
+				res, _, err := p.ref.Invoke(op, args)
+				if err != nil {
+					return err
+				}
+				if res.(uint32) != want {
+					t.Fatalf("checksum: got %v want %d", res, want)
+				}
+				return nil
+			}
+			for i := 0; i < 16; i++ {
+				if err := run(); err != nil {
+					t.Fatalf("warmup: %v", err)
+				}
+			}
+			copies := p.server.Stats().PayloadCopies.Load()
+			res := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := run(); err != nil {
+						b.Fatalf("put_std: %v", err)
+					}
+				}
+			})
+			if p.server.Stats().PayloadCopies.Load() == copies {
+				t.Fatal("gate measured no demarshal copies: not the standard path")
+			}
+			allocs, bytes := res.AllocsPerOp(), res.AllocedBytesPerOp()
+			if bytes > int64(len(data)/16) {
+				t.Fatalf("standard 1 MiB put allocates %d B/op: a fresh block per call", bytes)
+			}
+			if allocs > stdPutAllocBudget {
+				t.Fatalf("standard 1 MiB put allocates %d objects/op, budget %d", allocs, stdPutAllocBudget)
+			}
+			t.Logf("standard 1 MiB put: %d allocs/op, %d B/op (budget %d)", allocs, bytes, stdPutAllocBudget)
+		})
+	}
+}
+
+// nopConn is a control stream that only closes.
+type nopConn struct{}
+
+func (nopConn) Read([]byte) (int, error)             { return 0, io.EOF }
+func (nopConn) Write(p []byte) (int, error)          { return len(p), nil }
+func (nopConn) Close() error                         { return nil }
+func (nopConn) WriteGather(...[]byte) (int64, error) { return 0, nil }
+func (nopConn) ReadScatter(...[]byte) (int, error)   { return 0, io.EOF }
+func (nopConn) LocalAddr() string                    { return "nop" }
+func (nopConn) RemoteAddr() string                   { return "nop" }
+
+// TestServerConnNoReplyTables: replies never arrive on a server
+// connection, so it makes no reply or locate tables, and close drops a
+// client connection's tables instead of replacing them.
+func TestServerConnNoReplyTables(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("alloc count skipped under -race: instrumentation skews the count")
+	}
+	o := &ORB{}
+	count := func(isServer bool) float64 {
+		return testing.AllocsPerRun(100, func() { newConn(o, nopConn{}, isServer).close(nil) })
+	}
+	srv, cli := count(true), count(false)
+	// What is left on a server connection: the conn itself, its two
+	// expiry hooks, the close error and the waiters' COMM_FAILURE.
+	if srv > 5 {
+		t.Fatalf("server newConn+close allocates %v objects, want at most 5", srv)
+	}
+	if cli < srv+pendingShards+1 {
+		t.Fatalf("client newConn+close allocates %v objects against the server's %v: reply tables missing", cli, srv)
+	}
+	c := newConn(o, nopConn{}, false)
+	c.close(nil)
+	if c.pendingLocate != nil || c.pending[0].m != nil {
+		t.Fatal("close left the reply tables in place")
+	}
+	if _, err := c.register(1); err == nil {
+		t.Fatal("register on a closed connection succeeded")
+	}
+	t.Logf("newConn+close: server %v allocs, client %v", srv, cli)
 }

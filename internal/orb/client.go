@@ -527,7 +527,7 @@ func (r *ObjectRef) decodeReply(ctx context.Context, op *Operation, msg *replyMs
 	case giop.ReplyNoException:
 		types := op.replyTypeList()
 		vals, leftover, err := o.unmarshalValues(msg.vals, msg.dec, types, msg.deposits,
-			len(msg.deposits) > 0)
+			len(msg.deposits) > 0, nil)
 		msg.vals = vals
 		if err != nil {
 			releaseAll(leftover)

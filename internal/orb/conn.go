@@ -142,7 +142,9 @@ var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
 // while the reader reads the next message. The header's byte fields are
 // views of body and die with it. The slices keep their storage across
 // uses. zc records that the request announced deposits, so its reply
-// may carry them too.
+// may carry them too. owned holds the storage of the plain octet
+// sequence arguments (unmarshalValues), which the ORB owns and takes
+// back with the body once the servant has returned.
 type request struct {
 	c        *conn
 	hdr      giop.RequestHeader
@@ -152,21 +154,27 @@ type request struct {
 	zc       bool
 	tc       trace.Context
 	args     []any
+	owned    [][]byte
 	reply    []any
 	send     sendScratch
 }
 
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
-// freeRequest returns a request envelope, its decoder and its body to
-// their pools. The caller must have consumed or released the deposits.
+// freeRequest returns a request envelope, its decoder, its body and
+// its arguments' storage to their pools. The caller must have consumed
+// or released the deposits.
 func (o *ORB) freeRequest(r *request) {
 	cdr.PutDecoder(r.dec)
 	o.putBody(r.body)
+	for _, b := range r.owned {
+		o.putBody(b)
+	}
 	*r = request{
 		hdr:      giop.RequestHeader{ServiceContexts: cleared(r.hdr.ServiceContexts)},
 		deposits: cleared(r.deposits),
 		args:     cleared(r.args),
+		owned:    cleared(r.owned),
 		reply:    cleared(r.reply),
 	}
 	requestPool.Put(r)
@@ -225,15 +233,19 @@ func (o *ORB) freeReply(msg *replyMsg) {
 	replyMsgPool.Put(msg)
 }
 
+// newConn wraps a control stream. Only a client connection gets the
+// reply and locate tables: replies never arrive on a server one.
 func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 	c := &conn{
-		orb:           o,
-		ctrl:          tc,
-		isServer:      isServer,
-		pendingLocate: make(map[uint32]chan locateResult),
+		orb:      o,
+		ctrl:     tc,
+		isServer: isServer,
 	}
-	for i := range c.pending {
-		c.pending[i].m = make(map[uint32]chan *replyMsg)
+	if !isServer {
+		c.pendingLocate = make(map[uint32]chan locateResult)
+		for i := range c.pending {
+			c.pending[i].m = make(map[uint32]chan *replyMsg)
+		}
 	}
 	c.frame.orb = o
 	c.onLeaseExpire = c.markDataDown
@@ -293,7 +305,10 @@ func (c *conn) shard(id uint32) *pendingShard {
 }
 
 // close tears the connection down exactly once and fails all waiters:
-// pending reply and locate waiters alike observe the close error.
+// pending reply and locate waiters alike observe the close error. The
+// reply and locate tables are dropped, not replaced: register and
+// locate check closed and err under the locks that guard the tables,
+// so nothing writes to a nil one.
 func (c *conn) close(err error) {
 	c.closeOnce.Do(func() {
 		if err == nil {
@@ -302,7 +317,7 @@ func (c *conn) close(err error) {
 		c.mu.Lock()
 		c.err = err
 		locWaiters := c.pendingLocate
-		c.pendingLocate = map[uint32]chan locateResult{}
+		c.pendingLocate = nil
 		onClose := c.onClose
 		c.mu.Unlock()
 		if onClose != nil {
@@ -319,7 +334,7 @@ func (c *conn) close(err error) {
 			for _, ch := range s.m {
 				waiters = append(waiters, ch)
 			}
-			s.m = map[uint32]chan *replyMsg{}
+			s.m = nil
 			s.mu.Unlock()
 		}
 		commErr := &SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe}

@@ -179,14 +179,17 @@ func TestReassemblySizesLastFragmentExactly(t *testing.T) {
 	}
 }
 
-// TestGetBodyKeepsSmallFreeBody: a free body too small for a bulk
-// message goes back to the free list, so the small message after the
-// bulk one reuses it instead of allocating.
+// TestGetBodyKeepsSmallFreeBody: a bulk message's body comes from and
+// goes back to the process-wide large free list, never the ORB's own,
+// so the small message after the bulk one reuses the small free body
+// instead of allocating.
 func TestGetBodyKeepsSmallFreeBody(t *testing.T) {
 	o := &ORB{bodyFree: make(chan []byte, bodyFreeSlots)}
 	o.putBody(o.getBody(64))
-	// Above maxPooledBody, so the bulk body itself is not kept.
-	o.putBody(o.getBody(maxPooledBody + 1))
+	o.putBody(o.getBody(speculateMax + 1))
+	if n := len(o.bodyFree); n != 1 {
+		t.Fatalf("the ORB's free list holds %d bodies after a bulk one, want the small one", n)
+	}
 	allocs, reuses := o.stats.BodyAllocs.Load(), o.stats.BodyReuses.Load()
 	o.getBody(64)
 	if got := o.stats.BodyReuses.Load() - reuses; got != 1 {
@@ -194,6 +197,27 @@ func TestGetBodyKeepsSmallFreeBody(t *testing.T) {
 	}
 	if got := o.stats.BodyAllocs.Load() - allocs; got != 0 {
 		t.Fatalf("small body after a bulk one: %d allocations, want 0", got)
+	}
+}
+
+// TestLargeFreeHeals: buffers of a bulk size no longer in use cannot
+// clog the process-wide large free list. A larger message drops each
+// undersized buffer it draws, so once the list has turned over, every
+// larger message reuses a buffer of its own size.
+func TestLargeFreeHeals(t *testing.T) {
+	drainLargeFree()
+	t.Cleanup(drainLargeFree)
+	o := &ORB{bodyFree: make(chan []byte, bodyFreeSlots)}
+	for i := 0; i < largeFreeSlots; i++ {
+		o.putBody(make([]byte, speculateMax+1))
+	}
+	for i := 0; i < largeFreeSlots; i++ {
+		o.putBody(o.getBody(1 << 20))
+	}
+	reuses := o.stats.BodyReuses.Load()
+	o.putBody(o.getBody(1 << 20))
+	if o.stats.BodyReuses.Load() != reuses+1 {
+		t.Fatal("a 1 MiB body still misses after the list turned over")
 	}
 }
 

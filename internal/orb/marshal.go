@@ -141,11 +141,18 @@ func isBulk(tc *typecode.TypeCode) bool {
 // deposit buffers (in order) for ZC octet streams that traveled as
 // deposits. ZC-typed values always come back as *zcbuf.Buffer: a
 // deposited buffer on the fast path, or a wrapper around the copied
-// bytes on the fallback path. It returns any deposits it did not
-// consume (so the caller can release them on error). The values are
-// appended to vals[:0], the caller's storage.
+// bytes on the fallback path, which the receiver owns. It returns any
+// deposits it did not consume (so the caller can release them on
+// error). The values are appended to vals[:0], the caller's storage.
+//
+// owned is non-nil for a request's in-arguments: a plain octet
+// sequence is then copied into a pooled buffer appended to *owned,
+// which the ORB takes back once the servant has returned (CORBA's rule
+// for in-parameters). Reply values (owned nil), which the caller
+// keeps, and ZC-typed values, which a servant may Retain, are copied
+// into memory of their own.
 func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.TypeCode,
-	deposits []*zcbuf.Buffer, haveDeposits bool) ([]any, []*zcbuf.Buffer, error) {
+	deposits []*zcbuf.Buffer, haveDeposits bool, owned *[][]byte) ([]any, []*zcbuf.Buffer, error) {
 	vals = vals[:0]
 	di := 0
 	for i, tc := range types {
@@ -169,17 +176,21 @@ func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.Ty
 			vals = append(vals, v)
 			continue
 		}
-		v, err := typecode.UnmarshalValue(dec, tc)
-		if err != nil {
-			return nil, deposits[di:], fmt.Errorf("orb: parameter %d: %w", i, err)
-		}
-		if isBulk(tc) {
-			b, _ := v.([]byte)
-			o.stats.PayloadCopies.Add(1)
-			o.stats.PayloadCopyBytes.Add(int64(len(b)))
-			if tc.IsZCOctetSeq() {
+		var v any
+		var err error
+		switch {
+		case tc.IsOctetSeq():
+			v, err = o.readOctets(dec, tc, owned)
+		case tc.IsZCOctetSeq():
+			var b []byte
+			if b, err = o.readOctets(dec, tc, nil); err == nil {
 				v = zcbuf.Wrap(b)
 			}
+		default:
+			v, err = typecode.UnmarshalValue(dec, tc)
+		}
+		if err != nil {
+			return nil, deposits[di:], fmt.Errorf("orb: parameter %d: %w", i, err)
 		}
 		vals = append(vals, v)
 	}
@@ -187,6 +198,32 @@ func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.Ty
 		return nil, deposits[di:], fmt.Errorf("orb: %d unclaimed deposit blocks", len(deposits)-di)
 	}
 	return vals, nil, nil
+}
+
+// readOctets reads an octet sequence marshaled into the body, bound
+// checked as the interpreter would: the standard path's demarshal copy
+// (§4.2), counted as a payload copy. With owned non-nil the copy lands
+// in a pooled buffer appended to *owned, which the ORB takes back
+// after the servant returns; a sequence over cdr.PoolMax, which no
+// free list keeps, and every copy with owned nil get memory of their
+// own, filled without being cleared first.
+func (o *ORB) readOctets(dec *cdr.Decoder, tc *typecode.TypeCode, owned *[][]byte) ([]byte, error) {
+	in, err := dec.ReadOctetSeqView()
+	if err != nil {
+		return nil, err
+	}
+	if max := tc.Resolve().Len(); max > 0 && len(in) > max {
+		return nil, fmt.Errorf("sequence bound %d exceeded (%d)", max, len(in))
+	}
+	o.stats.PayloadCopies.Add(1)
+	o.stats.PayloadCopyBytes.Add(int64(len(in)))
+	if owned == nil || len(in) == 0 || len(in) > cdr.PoolMax {
+		return append([]byte{}, in...), nil // non-nil, even when empty
+	}
+	b := o.getBody(len(in))
+	copy(b, in)
+	*owned = append(*owned, b)
+	return b, nil
 }
 
 // paramTypes projects the TypeCodes out of a parameter list.

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zcorba/internal/cdr"
 	"zcorba/internal/giop"
 	"zcorba/internal/ior"
 	"zcorba/internal/trace"
@@ -167,32 +168,51 @@ func (o *ORB) acquireSlot() bool {
 // releaseSlot returns an in-flight dispatch slot.
 func (o *ORB) releaseSlot() { o.stats.InFlight.Add(-1) }
 
-// maxPooledBody bounds the capacity of control-message bodies retained
-// by the body free list; larger bodies (bulk standard-path transfers)
-// go to the garbage collector.
-const maxPooledBody = 1 << 20
-
 // bodyFreeSlots sizes the per-ORB body free list.
 const bodyFreeSlots = 64
 
+// largeFreeSlots sizes largeFree: a 1 MiB standard call holds two large
+// buffers on the server (its body and its in-argument) and one on a
+// client reading a large reply, so a few slots keep one call in flight
+// per direction warm without pinning more than a few megabytes.
+const largeFreeSlots = 4
+
+// largeFree is the free list for buffers over speculateMax (bulk
+// standard-path bodies and in-arguments), shared by every ORB in the
+// process like a sync.Pool: a fresh ORB's first bulk call then reuses
+// warm memory instead of paying for a fresh, zeroed megabyte.
+var largeFree = make(chan []byte, largeFreeSlots)
+
 // getBody returns a body buffer of length n, reusing free-list storage
-// when its capacity suffices; a free body too small for n goes back for
-// the next message. The free list is a buffered channel rather than a
-// sync.Pool so recycling a slice never heap-allocates a slice header on
-// the hot path.
+// when its capacity suffices. A body over speculateMax comes from
+// largeFree, any other from the ORB's own list. A free body too small
+// for n goes back to the ORB's list for the next small message, but is
+// dropped from largeFree: its few slots would otherwise stay clogged
+// by buffers of a bulk size no longer in use, and every larger message
+// would miss. The free lists are buffered channels rather than
+// sync.Pools so recycling a slice never heap-allocates a slice header
+// on the hot path.
 func (o *ORB) getBody(n int) []byte {
+	large := n > speculateMax
+	free := o.bodyFree
+	if large {
+		free = largeFree
+	}
 	select {
-	case b := <-o.bodyFree:
+	case b := <-free:
 		if cap(b) >= n {
 			o.stats.BodyReuses.Add(1)
 			return b[:n]
 		}
-		o.putBody(b)
+		if !large {
+			o.putBody(b)
+		}
 	default:
 	}
 	o.stats.BodyAllocs.Add(1)
-	if n > speculateMax {
-		// Never speculated into; make can skip clearing fresh memory.
+	if large {
+		// make clears the fresh memory, a pass over it as costly as the
+		// copy that fills it; only a reused body avoids that pass.
 		return make([]byte, n)
 	}
 	// Keep the allocator's whole size class as capacity: a body reused
@@ -201,14 +221,18 @@ func (o *ORB) getBody(n int) []byte {
 	return append([]byte(nil), make([]byte, n)...)
 }
 
-// putBody returns a body buffer to the free list (dropping it when the
+// putBody returns a body buffer to its free list (dropping it when the
 // list is full or the buffer is outsized).
 func (o *ORB) putBody(b []byte) {
-	if b == nil || cap(b) > maxPooledBody {
+	if b == nil || cap(b) > cdr.PoolMax {
 		return
 	}
+	free := o.bodyFree
+	if cap(b) > speculateMax {
+		free = largeFree
+	}
 	select {
-	case o.bodyFree <- b[:0]:
+	case free <- b[:0]:
 	default:
 	}
 }
@@ -222,8 +246,9 @@ type Stats struct {
 	// RequestsServed counts requests dispatched to local servants.
 	RequestsServed atomic.Int64
 	// BodyAllocs and BodyReuses count control-message body buffers
-	// freshly allocated vs. recycled from the free list; at steady
-	// state reuses should dominate (the allocation-free hot path).
+	// (and the octet-sequence in-argument storage that shares their
+	// free lists) freshly allocated vs. recycled; at steady state
+	// reuses should dominate (the allocation-free hot path).
 	BodyAllocs atomic.Int64
 	BodyReuses atomic.Int64
 	// PayloadCopies and PayloadCopyBytes count user-space copies of

@@ -72,7 +72,7 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 	if tc.Valid() {
 		t0 = trace.Now()
 	}
-	args, leftover, err := o.unmarshalValues(r.args, dec, inTypes, deposits, len(deposits) > 0)
+	args, leftover, err := o.unmarshalValues(r.args, dec, inTypes, deposits, len(deposits) > 0, &r.owned)
 	r.args = args
 	if tc.Valid() {
 		o.tracer.Record(trace.Span{

@@ -148,7 +148,9 @@ type Servant interface {
 	// declaration order. A returned *UserException travels to the
 	// client as a user exception; any other error becomes a CORBA
 	// system exception. The args slice is the ORB's and is reused once
-	// Invoke returns; the values in it are the servant's to keep.
+	// Invoke returns; the values in it are the servant's to keep, but
+	// for a plain sequence<octet> argument's []byte, whose storage the
+	// ORB reuses too: a servant that keeps one past Invoke copies it.
 	Invoke(op string, args []any) (result any, outs []any, err error)
 }
 

@@ -99,7 +99,12 @@ func backoff(spin int) {
 	case spin < 256:
 		// Busy spin: the peer is typically mid-memcpy.
 	case spin < 1024:
+		// Yield to the goroutines of this process (an in-process peer
+		// needs this P to finish its copy), then to the threads of
+		// every process: a peer in another process is mid-copy on a
+		// CPU this loop would otherwise keep busy.
 		runtime.Gosched()
+		osYield()
 	default:
 		d := time.Duration(1<<min((spin-1024)>>7, 10)) * time.Microsecond
 		time.Sleep(d)
