@@ -66,7 +66,7 @@ fuzz:
 # more with a randomized schedule whose seed is logged so any failure
 # can be replayed with CHAOS_SEED=<seed> make chaos.
 chaos:
-	CHAOS_SEED=101 $(GO) test -race -count=1 -run 'Chaos|WorkerConnectionKill|Fault|GatherTrain(Truncate|Stall)' ./internal/orb/ ./internal/ttcp/ ./internal/framework/
+	CHAOS_SEED=101 $(GO) test -race -count=1 -run 'Chaos|WorkerConnectionKill|Fault|GatherTrain(Truncate|Stall|ShmPeerKill)|ShmCrossProcessKill' ./internal/orb/ ./internal/ttcp/ ./internal/framework/
 	CHAOS_SEED=202 $(GO) test -race -count=1 -run 'Chaos' ./internal/orb/
 	CHAOS_SEED=303 $(GO) test -race -count=1 -run 'Chaos' ./internal/orb/
 	$(GO) test -race -count=1 -v -run 'TestChaosRandomSeeded' ./internal/orb/

@@ -465,19 +465,20 @@ func UnmarshalCancelRequestHeader(d *cdr.Decoder) (CancelRequestHeader, error) {
 }
 
 // DepositInfo is the payload of the ZCDeposit service context: the
-// architecture signature of the sender, the token identifying the data
-// channel that carries the payload, and the byte size of each
-// zero-copy parameter, in parameter order. The receiver uses the sizes
+// architecture signature of the sender, a token, and the byte size of
+// each zero-copy parameter, in parameter order. The receiver uses the sizes
 // to allocate page-aligned deposit buffers before the data arrives
 // (§4.5: "the receiver reads the size of the following direct deposit
 // block and allocates an appropriately sized and aligned buffer").
 //
-// Inline marks a train that rides the control stream instead of the
-// data channel: its bytes follow the message's last frame directly,
-// before the next message. Token still names the data channel, which
-// the peer keeps for the trains that do not fit inline. The marker is
-// one trailing flags octet (bit 0) written only when set, so every
-// announcement without it is byte-identical to the unmarked format.
+// Inline marks a train that rides the message's stream: its bytes
+// follow the message's last frame directly, before the next message.
+// Without it the train travels the shared-memory ring beside the
+// stream. The marker is one trailing flags octet (bit 0) written only
+// when set, so every announcement without it is byte-identical to the
+// unmarked format. Token once named a separate data connection; it
+// stays on the wire so the format is unchanged, is written as 0 and is
+// ignored on receipt.
 type DepositInfo struct {
 	Arch   string
 	Token  uint64
@@ -555,7 +556,7 @@ func (di *DepositInfo) Decode(data []byte) error {
 		// would otherwise spin the receiver through empty deposit-loop
 		// iterations, allocating a lease and buffer envelope per entry
 		// for no payload. An EMPTY vector stays legal — it is the pure
-		// data-channel announcement.
+		// announcement that a reply may carry deposits.
 		if size == 0 {
 			return fmt.Errorf("giop: zero-length deposit block %d of %d", i, n)
 		}

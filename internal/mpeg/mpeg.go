@@ -61,13 +61,6 @@ func SyntheticFrame(w, h int, seq uint32) []byte {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Encoder is the synthetic MPEG-4 stand-in. Quality selects the
 // quantization step (1 = near-lossless, larger = coarser and smaller
 // output).
@@ -121,28 +114,29 @@ func (e *Encoder) Encode(raw []byte, w, h int) ([]byte, error) {
 	var resid [blockSize * blockSize]int8
 	for by := 0; by < h; by += blockSize {
 		for bx := 0; bx < w; bx += blockSize {
-			// Block mean (the DC coefficient).
-			sum := 0
+			// Block base (the DC coefficient): the mean, moved just far
+			// enough that every quantized residual fits an int8. At
+			// step 1 a block spanning 0..255 needs all 256 values, so
+			// the base may not stay at the mean; at step 2 and above
+			// the mean always fits.
+			sum, lo, hi := 0, 255, 0
 			for y := 0; y < blockSize; y++ {
 				row := raw[(by+y)*w+bx:]
 				for x := 0; x < blockSize; x++ {
-					sum += int(row[x])
+					v := int(row[x])
+					sum += v
+					lo, hi = min(lo, v), max(hi, v)
 				}
 			}
 			mean := sum / (blockSize * blockSize)
-			out = append(out, byte(mean))
-			// Quantized residuals.
+			base := min(max(mean, hi-128*q+1, 0), lo+129*q-1, 255)
+			out = append(out, byte(base))
+			// Quantized residuals, each within [-128, 127] by the choice
+			// of base, so reconstruction is off by less than q.
 			for y := 0; y < blockSize; y++ {
 				row := raw[(by+y)*w+bx:]
 				for x := 0; x < blockSize; x++ {
-					d := (int(row[x]) - mean) / q
-					if d > 127 {
-						d = 127
-					}
-					if d < -127 {
-						d = -127
-					}
-					resid[y*blockSize+x] = int8(d)
+					resid[y*blockSize+x] = int8((int(row[x]) - base) / q)
 				}
 			}
 			// Zero run-length coding of the residual block.

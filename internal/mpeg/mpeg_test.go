@@ -141,6 +141,30 @@ func TestPropertyRoundTripAllQualities(t *testing.T) {
 	}
 }
 
+// TestRoundTripStepOneRegressions pins the two seeds whose frames, at
+// quantization step 1, hold blocks spanning more than an int8 residual
+// around the block mean: the encoder must move the block base instead
+// of clamping residuals, so the error bound holds.
+func TestRoundTripStepOneRegressions(t *testing.T) {
+	for _, seed := range []uint32{0x79e17bec, 0xc65fe3c4} {
+		enc := Encoder{Quality: 1}
+		raw := SyntheticFrame(64, 64, seed)
+		coded, err := enc.Encode(raw, 64, 64)
+		if err != nil {
+			t.Fatalf("seed %#x: encode: %v", seed, err)
+		}
+		_, _, back, err := Decode(coded)
+		if err != nil {
+			t.Fatalf("seed %#x: decode: %v", seed, err)
+		}
+		for i := range raw {
+			if d := int(raw[i]) - int(back[i]); d < -1 || d > 1 {
+				t.Fatalf("seed %#x: pixel %d raw %d decoded %d, beyond step 1", seed, i, raw[i], back[i])
+			}
+		}
+	}
+}
+
 func TestPSNR(t *testing.T) {
 	a := []byte{1, 2, 3, 4}
 	if !math.IsInf(PSNR(a, a), 1) {

@@ -141,9 +141,10 @@ func TestGatherAllocsGate(t *testing.T) {
 // stdPutAllocBudget gates the steady-state allocation count of one
 // standard 1 MiB put_std round trip on tcp, client and server
 // combined. The request encoder, the request body and the in-argument
-// all reuse pooled storage; measured 4 allocs/op on either server
-// tier, and the budget is that plus 2.
-const stdPutAllocBudget = 6
+// all reuse pooled storage, and the argument is written to the encoder
+// without re-boxing; measured 3 allocs/op on either server tier, and
+// the budget is that plus 1.
+const stdPutAllocBudget = 4
 
 // TestStdPutAllocsGate: the standard path still makes its two copies
 // of a 1 MiB block (marshal and demarshal), but into warm memory, on

@@ -40,7 +40,7 @@ type ObjectRef struct {
 // profileEntry is the reference's decoded IIOP profile plus what its
 // zero-copy component offers: zcArch is the architecture signature of
 // the server's deposit path (empty when it offers none), and ring the
-// shared-memory data endpoint of a usable ZC-SHM component.
+// shm endpoint of a usable ZC-SHM component.
 type profileEntry struct {
 	profile ior.IIOPProfile
 	zcArch  string
@@ -52,8 +52,9 @@ type profileEntry struct {
 // but only this profile is dialed. A deposit component means the
 // server takes deposit trains on the control stream; the endpoint it
 // names is not dialled. A ZC-SHM component whose host identity and
-// architecture match ours yields the ring endpoint; a mismatch counts
-// a ShmMiss and the call takes the standard path.
+// architecture match ours yields the shm endpoint, dialled in place of
+// the control one; a mismatch counts a ShmMiss and the call takes the
+// standard path on the control endpoint.
 func (r *ObjectRef) current() (profileEntry, bool) {
 	r.resolveOnce.Do(func() {
 		o := r.orb
@@ -326,11 +327,11 @@ func (r *ObjectRef) doneCall(op *Operation, result any, outs []any, err error,
 
 // startCtx marshals and sends the request, registering the reply slot
 // for response-expected operations. It never blocks on the peer beyond
-// the socket write. A send failure confined to the shm data channel
-// (the ring deposit) degrades transparently: the data channel is
-// retired and the request is re-sent with standard marshaling on the
-// same control connection (fallback ladder, docs/FAULTS.md). A train
-// that rides the control stream fails with it: COMM_FAILURE.
+// the socket write. A send failure confined to the shm ring (the
+// deposit) degrades transparently: the ring is retired and the request
+// is re-sent with standard marshaling on the same connection (fallback
+// ladder, docs/FAULTS.md). A train that rides the stream fails with
+// it: COMM_FAILURE.
 //
 // tc is the invocation's trace context (zero when tracing is off) and
 // attempt the 1-based retry attempt it represents; the context rides a
@@ -372,7 +373,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	if len(args) != len(inParams) {
 		return r.failedCall(op, args, &SystemException{Name: "BAD_PARAM", Completed: CompletedNo}, tc, start, attempt)
 	}
-	useZC := c.zc && !c.dataDown.Load()
+	useZC := c.zc && !c.ringDown.Load()
 
 	// The Call is taken now: the request is built in its send scratch.
 	call := callPool.Get().(*Call)
@@ -400,11 +401,11 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		// protocol forbids zero-length deposit blocks): the whole call
 		// takes the marshaled path, keeping the empty announcement.
 		skipZC = zcOK
-		inline = c.data == nil
+		inline = !c.hasRing()
 		// Announce deposits on every request (even with no ZC
 		// parameters) so the server can deposit zero-copy replies.
 		req.ServiceContexts = append(req.ServiceContexts, giop.DepositInfo{
-			Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
+			Arch: o.arch, Sizes: sizes, Inline: inline,
 		}.EncodeTo(scx.deposit[:]))
 	}
 	req.ServiceContexts = scx.appendTrace(req.ServiceContexts, tc)
@@ -436,13 +437,12 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		cdr.PutEncoder(e)
 		var dw *errDataWrite
 		if asErr(err, &dw) && c.healthy() {
-			// Only the deposit write failed; the control stream already
-			// carried the request (the server's deposit read will fail
-			// fast once the channel closes, and its TRANSIENT reply to
-			// this abandoned id is dropped below). Degrade: retire the
-			// data channel and re-send standard-marshaled on the same
-			// control connection.
-			c.markDataDown()
+			// Only the deposit write failed; the stream already carried
+			// the request (the server's claim fails fast once the ring
+			// retires, and its TRANSIENT reply to this abandoned id is
+			// dropped below). Degrade: retire the ring and re-send
+			// standard-marshaled on the same connection.
+			c.markRingDown()
 			o.stats.DataChanFallbacks.Add(1)
 			if tc.Valid() {
 				o.tracer.Record(trace.Span{

@@ -16,10 +16,10 @@ import (
 	"zcorba/internal/zcbuf"
 )
 
-// conn is one GIOP connection (the paper's GIOPConn): a control
-// byte-stream carrying GIOP messages and, on a stream plane, their
-// direct-deposit payloads too; with a shared-memory data plane, an
-// associated data channel carries the payloads instead.
+// conn is one GIOP connection (the paper's GIOPConn): a byte stream
+// carrying GIOP messages and, on a stream plane, their direct-deposit
+// payloads too; on the shm plane a shared-memory ring beside the stream
+// carries the payloads instead.
 //
 // Client-created conns send Requests and receive Replies; server-
 // accepted conns receive Requests and send Replies. Writes of a control
@@ -30,37 +30,35 @@ import (
 //
 // A deposit is a train of segments, on every plane: the payloads of one
 // message leave in one call, and a single-buffer deposit is a train of
-// one. On a connection without a data channel — every stream plane —
-// the train rides the control writev behind its message (inline),
-// whatever its size; on a ring connection it is deposited into the
-// ring. No plane keeps a reference to a segment once that call
-// returns. What the ring can do on the receive side is discovered
-// once, in setData.
+// one. On a connection without a ring — every stream plane — the train
+// rides the stream's writev behind its message (inline), whatever its
+// size; on a connection with one it is deposited into the ring, one
+// record per segment, and claimed in place on the other side. No plane
+// keeps a reference to a segment once that call returns.
 //
 // The pending-reply table is striped across pendingShards independent
 // locks so concurrent invokers sharing the connection do not serialize
 // on a single mutex (per-message software overhead, the modern cousin
 // of the paper's per-byte copies).
 type conn struct {
-	orb  *ORB
+	orb *ORB
+	// ctrl is the byte stream the GIOP messages travel: the whole
+	// connection on a stream plane, the Unix socket on the shm plane.
 	ctrl transport.Conn
-	// data is the shm data channel, resolved lazily on the server side;
-	// nil on a stream plane, whose trains ride ctrl.
-	data      transport.Conn
-	dataToken uint64
-	isServer  bool
+	// ring is the shm connection whose ring pair carries the deposits
+	// (ctrl is its stream); nil on a stream plane, whose trains ride
+	// ctrl.
+	ring     transport.RingConn
+	isServer bool
 	// zc marks a client connection whose requests may carry deposits
 	// (the peer offered them and the architectures match). A server
 	// learns the same from each request's announcement.
 	zc bool
 
-	// dataDown marks the shm data channel dead while the control stream
-	// stays usable: the graceful-degradation state in which deposits
-	// fall back to the standard marshaled path (docs/FAULTS.md).
-	dataDown atomic.Bool
-	// direct is the data channel's ring-view claim capability,
-	// discovered once by setData.
-	direct transport.DirectReader
+	// ringDown marks the shm ring retired while the stream stays
+	// usable: the graceful-degradation state in which deposits fall
+	// back to the standard marshaled path (docs/FAULTS.md).
+	ringDown atomic.Bool
 	// onLeaseExpire is the deposit-lease expiry hook, built once so
 	// granting a lease does not allocate a closure per transfer;
 	// onInlineExpire is its inline-train twin, which has only the
@@ -142,8 +140,8 @@ var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
 // while the reader reads the next message. The header's byte fields are
 // views of body and die with it. The slices keep their storage across
 // uses. zc records that the request announced deposits, so its reply
-// may carry them too. owned holds the storage of the plain octet
-// sequence arguments (unmarshalValues), which the ORB owns and takes
+// may carry them too. in holds the storage of the arguments that
+// arrived marshaled (unmarshalValues), which the ORB owns and takes
 // back with the body once the servant has returned.
 type request struct {
 	c        *conn
@@ -154,7 +152,7 @@ type request struct {
 	zc       bool
 	tc       trace.Context
 	args     []any
-	owned    [][]byte
+	in       inArgs
 	reply    []any
 	send     sendScratch
 }
@@ -167,14 +165,12 @@ var requestPool = sync.Pool{New: func() any { return new(request) }}
 func (o *ORB) freeRequest(r *request) {
 	cdr.PutDecoder(r.dec)
 	o.putBody(r.body)
-	for _, b := range r.owned {
-		o.putBody(b)
-	}
+	r.in.free(o)
 	*r = request{
 		hdr:      giop.RequestHeader{ServiceContexts: cleared(r.hdr.ServiceContexts)},
 		deposits: cleared(r.deposits),
 		args:     cleared(r.args),
-		owned:    cleared(r.owned),
+		in:       r.in,
 		reply:    cleared(r.reply),
 	}
 	requestPool.Put(r)
@@ -233,13 +229,18 @@ func (o *ORB) freeReply(msg *replyMsg) {
 	replyMsgPool.Put(msg)
 }
 
-// newConn wraps a control stream. Only a client connection gets the
-// reply and locate tables: replies never arrive on a server one.
+// newConn wraps a connection. Only a client connection gets the reply
+// and locate tables: replies never arrive on a server one. A connection
+// that can carry a ring (the shm transport's) keeps it as ring, with
+// its stream view as ctrl.
 func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 	c := &conn{
 		orb:      o,
 		ctrl:     tc,
 		isServer: isServer,
+	}
+	if rc, ok := tc.(transport.RingConn); ok {
+		c.ring, c.ctrl = rc, rc.Stream()
 	}
 	if !isServer {
 		c.pendingLocate = make(map[uint32]chan locateResult)
@@ -248,26 +249,28 @@ func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 		}
 	}
 	c.frame.orb = o
-	c.onLeaseExpire = c.markDataDown
+	c.onLeaseExpire = c.markRingDown
 	c.onInlineExpire = func() { c.close(errors.New("orb: inline deposit stalled")) }
 	return c
 }
 
-// markDataDown retires the connection's shm data channel (once) while
-// the control stream keeps running: subsequent sends marshal payloads
-// the standard way, and subsequent deposit announcements are refused.
-// The close also unblocks any reader parked in a ring claim or read.
-func (c *conn) markDataDown() {
-	if c.dataDown.Swap(true) {
+// markRingDown retires the connection's shm ring (once) while the
+// stream keeps running: subsequent sends marshal payloads the standard
+// way, and subsequent ring announcements are refused. Retiring the ring
+// also unblocks a reader parked in a claim, fails the peer's ring
+// operations, and unmaps the segment once its claimed views are gone.
+func (c *conn) markRingDown() {
+	if c.ringDown.Swap(true) {
 		return
 	}
-	if c.data != nil {
-		_ = c.data.Close()
-	}
-	if c.isServer && c.dataToken != 0 {
-		c.orb.dropDataChan(c.dataToken)
+	if c.ring != nil {
+		c.ring.CloseRing()
 	}
 }
+
+// hasRing reports whether the connection's deposits go through a ring:
+// it has one, installed by the dialer's promotion and not retired.
+func (c *conn) hasRing() bool { return c.ring != nil && c.ring.HasRing() }
 
 // pendingEntries counts registered reply waiters across all shards
 // (tests use it to prove the table does not leak).
@@ -282,18 +285,18 @@ func (c *conn) pendingEntries() int {
 	return n
 }
 
-// errDataWrite marks a send failure confined to the shm data channel;
-// the control stream already carried the message, so the caller can
-// degrade to the marshaled path instead of tearing the connection down.
+// errDataWrite marks a send failure confined to the shm ring; the
+// stream already carried the message, so the caller can degrade to the
+// marshaled path instead of tearing the connection down.
 type errDataWrite struct{ err error }
 
-func (e *errDataWrite) Error() string { return "orb: data channel write: " + e.err.Error() }
+func (e *errDataWrite) Error() string { return "orb: ring deposit: " + e.err.Error() }
 func (e *errDataWrite) Unwrap() error { return e.err }
 
-// errDepositTransfer marks a failed inbound ring transfer (aborted
-// deposit, dead data channel, token that never arrived or names no
-// data channel). The control stream is still framed correctly, so the
-// receiver degrades instead of killing the connection.
+// errDepositTransfer marks a failed inbound ring transfer (aborted or
+// mis-sized deposit, retired ring, or a ring announcement on a
+// connection without one). The stream is still framed correctly, so
+// the receiver degrades instead of killing the connection.
 type errDepositTransfer struct{ err error }
 
 func (e *errDepositTransfer) Error() string { return "orb: deposit transfer: " + e.err.Error() }
@@ -342,12 +345,6 @@ func (c *conn) close(err error) {
 			ch <- locateResult{err: commErr}
 		}
 		_ = c.ctrl.Close()
-		if c.data != nil {
-			_ = c.data.Close()
-		}
-		if c.isServer && c.dataToken != 0 {
-			c.orb.dropDataChan(c.dataToken)
-		}
 		for _, ch := range waiters {
 			ch <- &replyMsg{err: commErr}
 		}
@@ -446,10 +443,10 @@ func (c *conn) traceCtx(scs []giop.ServiceContext) trace.Context {
 }
 
 // send writes a GIOP message and its deposit train under the send
-// mutex, so control and ring stay ordered. inline (the caller's answer
-// to c.data == nil, which it also marked in the announcement, so the
+// mutex, so stream and ring stay ordered. inline (the caller's answer
+// to !c.hasRing(), which it also marked in the announcement, so the
 // two cannot disagree) sends the train as the trailing segments of the
-// control write; otherwise the train is deposited into the ring after
+// stream write; otherwise the train is deposited into the ring after
 // the message. When tc is valid, the control write is recorded as a
 // span of the given kind (control_send client-side, reply_send
 // server-side), counting an inline train in its bytes, and the ring
@@ -495,13 +492,13 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []transport.Segment, i
 		}
 	}
 	if len(deposits) > 0 {
-		if c.dataDown.Load() {
-			return &errDataWrite{err: errors.New("data channel down")}
+		if !c.hasRing() {
+			return &errDataWrite{err: errors.New("ring down")}
 		}
 		if tc.Valid() {
 			t0 = trace.Now()
 		}
-		n, err := c.writeTrainLocked(c.data, deposits)
+		n, err := c.writeTrainLocked(c.ring, deposits)
 		if err != nil {
 			return &errDataWrite{err: err}
 		}
@@ -562,8 +559,8 @@ func (c *conn) countTrainSent(segs int, n int64) {
 }
 
 // writeTrainLocked writes the segments already gathered in c.segs —
-// a message's header and body on the control stream, none on the ring
-// — and then train, on w in one call, and returns the train's bytes
+// a message's header and body on the stream, none on the ring — and
+// then train, on w in one call, and returns the train's bytes
 // (sendMu held). With byte segments only it is one gather write. A
 // train with file regions goes through transport.WriteTrain, which
 // sends them by sendfile on tcp and reads them into memory everywhere
@@ -601,36 +598,6 @@ func (c *conn) writeTrainLocked(w transport.Conn, train []transport.Segment) (in
 	return n, err
 }
 
-// setData installs dc as the connection's data channel and discovers —
-// here and nowhere else — whether it can claim deposits in place.
-func (c *conn) setData(dc transport.Conn, token uint64) {
-	c.data, c.dataToken = dc, token
-	c.direct, _ = dc.(transport.DirectReader)
-}
-
-// resolveData returns the shm data channel carrying deposits
-// referenced by token. Clients own their channel; servers with a data
-// listener look the token up in the registry (waiting out the
-// cross-socket race). Anywhere else an unknown token fails at once.
-func (c *conn) resolveData(token uint64) (transport.Conn, error) {
-	if c.dataDown.Load() {
-		return nil, &errDepositTransfer{err: errors.New("data channel down")}
-	}
-	if c.data != nil && token == c.dataToken {
-		return c.data, nil
-	}
-	if !c.isServer || c.orb.dataLis == nil {
-		return nil, &errDepositTransfer{
-			err: fmt.Errorf("deposit references unknown data channel %#x", token)}
-	}
-	dc, err := c.orb.waitDataChan(token, c.orb.opts.CallTimeout)
-	if err != nil {
-		return nil, &errDepositTransfer{err: err}
-	}
-	c.setData(dc, token)
-	return dc, nil
-}
-
 // readDeposits consumes the direct-deposit payloads announced by a
 // ZCDeposit service context: for each advertised size it takes a
 // page-aligned buffer from the pool and reads the payload straight
@@ -659,84 +626,47 @@ func (c *conn) readDeposits(bufs []*zcbuf.Buffer, contexts []giop.ServiceContext
 		bufs, err = c.readInline(bufs, di, total, tc)
 		return bufs, true, err
 	}
-	dc, err := c.resolveData(di.Token)
-	if err != nil {
-		return nil, true, err
+	if !c.hasRing() {
+		return nil, true, &errDepositTransfer{err: errors.New("ring announced on a connection without one")}
 	}
 	if len(di.Sizes) == 0 {
-		// Pure announcement: the client advertised its ring so the
-		// server can use it for zero-copy replies.
+		// Pure announcement: the reply may carry deposits.
 		return bufs, true, nil
 	}
-	tr := c.orb.tracer
 	var t0, got int64
 	if tc.Valid() {
 		t0 = trace.Now()
 	}
 	ttl := c.orb.leaseTTL()
-	dr := c.direct
-	direct := false
 	for _, size := range di.Sizes {
-		if dr != nil {
-			b, claimed, err := c.claimDirect(dr, int(size), ttl)
-			if err != nil {
-				releaseAll(bufs)
-				c.recordDepositRecv(tc, op, t0, got, true, direct)
-				return nil, true, &errDepositTransfer{err: fmt.Errorf("shm claim: %w", err)}
-			}
-			if claimed {
-				direct = true
-				got += int64(size)
-				bufs = append(bufs, b)
-				c.orb.stats.DepositsReceived.Add(1)
-				c.orb.stats.DepositBytesRecv.Add(int64(size))
-				c.orb.stats.ShmClaims.Add(1)
-				continue
-			}
-			// Record boundaries did not line up: fall through to the
-			// copying path, which drains the same ring record.
-		}
-		b, err := c.orb.pool.Get(int(size))
+		b, err := c.claim(int(size), ttl)
 		if err != nil {
 			releaseAll(bufs)
-			c.recordDepositRecv(tc, op, t0, got, true, direct)
-			return nil, true, &errDepositTransfer{err: err}
+			c.recordDepositRecv(tc, op, t0, got, true)
+			return nil, true, &errDepositTransfer{err: fmt.Errorf("shm claim: %w", err)}
 		}
-		// Lease the buffer for the duration of the blocking read: if
-		// the sender aborts mid-transfer, the sweeper expires the lease,
-		// closes the data channel (unblocking this ReadFull), and the
-		// error path below returns the buffer to the pool.
-		lid := c.orb.leases.Grant(b, time.Now().Add(ttl), c.onLeaseExpire)
-		n, err := io.ReadFull(dc, b.Bytes())
-		got += int64(n)
-		c.orb.leases.Settle(lid)
-		if err != nil {
-			b.Release()
-			releaseAll(bufs)
-			c.recordDepositRecv(tc, op, t0, got, true, direct)
-			return nil, true, &errDepositTransfer{err: fmt.Errorf("deposit read: %w", err)}
-		}
+		got += int64(size)
 		bufs = append(bufs, b)
 		c.orb.stats.DepositsReceived.Add(1)
 		c.orb.stats.DepositBytesRecv.Add(int64(size))
+		c.orb.stats.ShmClaims.Add(1)
 	}
 	if len(di.Sizes) >= 2 {
 		c.orb.stats.GatherScatters.Add(1)
 	}
-	c.recordDepositRecv(tc, op, t0, got, false, direct)
+	c.recordDepositRecv(tc, op, t0, got, false)
 	if tc.Valid() {
-		tr.DepositBytes.Record(got)
+		c.orb.tracer.DepositBytes.Record(got)
 	}
 	return bufs, true, nil
 }
 
-// readInline receives a train that rode the control stream behind its
-// message. Each segment lands in a page-aligned pool buffer — on a
-// speculation hit the very buffer the message's read already filled —
-// and the rest is read from the control stream straight into it. The
-// train needs no data channel, so its token is not looked up. Any
-// failure tears the control stream (an error that is not an
-// errDepositTransfer, so the caller closes the connection).
+// readInline receives a train that rode the stream behind its message.
+// Each segment lands in a page-aligned pool buffer — on a speculation
+// hit the very buffer the message's read already filled — and the rest
+// is read from the stream straight into it. Any failure tears the
+// stream (an error that is not an errDepositTransfer, so the caller
+// closes the connection).
 func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int64,
 	tc trace.Context) ([]*zcbuf.Buffer, error) {
 	if len(di.Sizes) == 0 {
@@ -778,38 +708,31 @@ func (c *conn) readInline(bufs []*zcbuf.Buffer, di *giop.DepositInfo, total int6
 	return bufs, nil
 }
 
-// claimDirect attempts the zero-copy claim of one announced payload
-// from a shared-memory data channel: a lease covers the blocking wait
-// (expiry closes the channel, unblocking the claim), and the claimed
-// ring view is wrapped as a Buffer whose final Release returns the
-// ring credit. claimed=false with a nil error means the record
-// boundaries did not match the announced size; nothing was consumed
-// and the caller must read the record through the copying path.
-func (c *conn) claimDirect(dr transport.DirectReader, size int,
-	ttl time.Duration) (*zcbuf.Buffer, bool, error) {
+// claim takes one announced payload from the connection's ring in
+// place: the next ring record, which must be size bytes, as a Buffer
+// whose final Release returns the ring credit. A lease covers the
+// blocking wait; its expiry retires the ring, which unblocks the claim.
+func (c *conn) claim(size int, ttl time.Duration) (*zcbuf.Buffer, error) {
 	lid := c.orb.leases.GrantFunc(size, time.Now().Add(ttl), c.onLeaseExpire)
-	view, rel, ok, err := dr.ReadDirect(size)
+	view, rel, ok, err := c.ring.ReadDirect(size)
 	c.orb.leases.Settle(lid)
-	if err != nil || !ok {
-		return nil, false, err
+	if err == nil && !ok {
+		err = errors.New("ring retired")
 	}
-	return zcbuf.WrapShared(view, rel), true, nil
+	if err != nil {
+		return nil, err
+	}
+	return zcbuf.WrapShared(view, rel), nil
 }
 
-// recordDepositRecv emits the deposit_recv (or shm.claim, when any
-// payload was claimed directly) span for one announced transfer
-// (no-op when tc is zero).
-func (c *conn) recordDepositRecv(tc trace.Context, op string, t0, bytes int64,
-	failed, direct bool) {
+// recordDepositRecv emits the shm.claim span for one announced ring
+// transfer (no-op when tc is zero).
+func (c *conn) recordDepositRecv(tc trace.Context, op string, t0, bytes int64, failed bool) {
 	if !tc.Valid() {
 		return
 	}
-	kind := trace.KindDepositRecv
-	if direct {
-		kind = trace.KindShmClaim
-	}
 	c.orb.tracer.Record(trace.Span{
-		Trace: tc.Trace, Parent: tc.Span, Kind: kind,
+		Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindShmClaim,
 		Op: op, Err: failed, Bytes: bytes, Start: t0, Dur: trace.Now() - t0,
 	})
 }
@@ -884,12 +807,12 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 		if err != nil {
 			var dt *errDepositTransfer
 			if asErr(err, &dt) {
-				// The ring transfer aborted but the control stream
-				// is still framed: retire the data channel, answer
-				// TRANSIENT, and keep serving (degraded) instead of
-				// killing every in-flight call on the connection.
+				// The ring transfer aborted but the stream is still
+				// framed: retire the ring, answer TRANSIENT, and keep
+				// serving (degraded) instead of killing every
+				// in-flight call on the connection.
 				c.orb.stats.DepositAborts.Add(1)
-				c.markDataDown()
+				c.markRingDown()
 				if tc.Valid() {
 					c.orb.tracer.Record(trace.Span{
 						Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFallback,
@@ -933,10 +856,10 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 			if asErr(err, &dt) {
 				// The reply's ring payload was lost; fail just this
 				// call (TRANSIENT — the server did execute it) and
-				// degrade the channel, keeping the connection and
-				// its other in-flight calls alive.
+				// retire the ring, keeping the connection and its
+				// other in-flight calls alive.
 				c.orb.stats.DepositAborts.Add(1)
-				c.markDataDown()
+				c.markRingDown()
 				if tc.Valid() {
 					c.orb.tracer.Record(trace.Span{
 						Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindFallback,

@@ -3,6 +3,7 @@
 package orb
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -48,16 +49,17 @@ func TestGatherTrainShm(t *testing.T) {
 	}
 }
 
-// TestGatherTrainShmPeerKillPartialReservation kills the ring on the
-// train's deposit write: the reservation fails, the data channel is
-// retired, the call completes on the marshaled fallback, and no lease
-// is leaked.
+// TestGatherTrainShmPeerKillPartialReservation kills the peer on the
+// train's ring reservation. Ring and GIOP share the one socket, so the
+// peer's death ends the connection: the fallback's re-send either finds
+// it dead (COMM_FAILURE) or, once the reader has retired it, redials.
+// Either way the call ends instead of hanging, no lease is leaked, and
+// the next train completes through a fresh ring.
 func TestGatherTrainShmPeerKillPartialReservation(t *testing.T) {
-	// ClassShm write 1 is the ZCDC promotion preamble; write 2 is the
-	// train's ring reservation.
+	// ClassShm write 1 is the train's ring reservation.
 	inj := transport.NewFaultInjector(17).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassShm,
-		Kind: transport.FaultPeerKill, Nth: 2,
+		Kind: transport.FaultPeerKill, Nth: 1,
 	})
 	server, err := New(Options{
 		ZeroCopy:       true,
@@ -74,10 +76,10 @@ func TestGatherTrainShmPeerKillPartialReservation(t *testing.T) {
 		t.Fatalf("Activate: %v", err)
 	}
 	client, err := New(Options{
-		ZeroCopy:      true,
-		HostID:        "shm-test-host",
-		DataTransport: &transport.SHM{Faults: inj},
-		CallTimeout:   5 * time.Second,
+		ZeroCopy:    true,
+		HostID:      "shm-test-host",
+		Transport:   &transport.SHM{Faults: inj},
+		CallTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("client ORB: %v", err)
@@ -89,22 +91,30 @@ func TestGatherTrainShmPeerKillPartialReservation(t *testing.T) {
 	}
 
 	var pl zcbuf.Pool
-	bufs, want := gatherBufs(t, &pl, 8, 16<<10)
+	bufs, _ := gatherBufs(t, &pl, 8, 16<<10)
 	defer releaseBufs(bufs)
-	res, err := sendTrain(cref, storeIface.Ops["put8"], bufs)
+	_, err = sendTrain(cref, storeIface.Ops["put8"], bufs)
+	var se *SystemException
+	if err != nil && (!errors.As(err, &se) || se.Name != "COMM_FAILURE") {
+		t.Fatalf("Wait after ring peer-kill: %v, want success or COMM_FAILURE", err)
+	}
+	if n := inj.Fired(); n != 1 {
+		t.Fatalf("injector fired %d times, want 1", n)
+	}
+	again, want := gatherBufs(t, &pl, 8, 16<<10)
+	defer releaseBufs(again)
+	res, err := sendTrain(cref, storeIface.Ops["put8"], again)
 	if err != nil {
-		t.Fatalf("Wait after ring peer-kill: %v", err)
+		t.Fatalf("train after the redial: %v", err)
 	}
 	if res.(uint32) != want {
-		t.Fatal("checksum mismatch after fallback")
+		t.Fatal("checksum mismatch after the redial")
 	}
-	if got := client.Stats().DataChanFallbacks.Load(); got < 1 {
-		t.Fatalf("DataChanFallbacks = %d, want >= 1", got)
+	if got := client.Stats().ShmDeposits.Load(); got < 1 {
+		t.Fatalf("ShmDeposits = %d, want the redialled ring's", got)
 	}
 	if n := client.leases.Pending(); n != 0 {
 		t.Fatalf("client deposit leases outstanding: %d", n)
 	}
-	if n := server.leases.Pending(); n != 0 {
-		t.Fatalf("server deposit leases outstanding: %d", n)
-	}
+	waitFor(t, "the server's leases to settle", func() bool { return server.leases.Pending() == 0 })
 }

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"zcorba/internal/cdr"
 	"zcorba/internal/transport"
+	"zcorba/internal/typecode"
 	"zcorba/internal/zcbuf"
 )
 
@@ -105,9 +107,9 @@ func TestOctetInArgStorageReused(t *testing.T) {
 }
 
 // TestZCInArgFallbackRetained: a ZC-typed in-argument that arrives
-// marshaled (the client does not deposit) is wrapped storage of its
-// own, not ORB-owned: a servant that Retains it still reads its bytes
-// after later calls have come and gone.
+// marshaled (the client does not deposit) is a pool buffer the servant
+// may Retain: a retained one still reads its bytes after later calls
+// have come and gone, and goes back to the pool on its Release.
 func TestZCInArgFallbackRetained(t *testing.T) {
 	p, ks, ref := keepPair(t, false)
 	op := storeIface.Ops["put"]
@@ -131,10 +133,66 @@ func TestZCInArgFallbackRetained(t *testing.T) {
 	if len(ks.kept) != len(blocks) {
 		t.Fatalf("servant kept %d buffers, want %d", len(ks.kept), len(blocks))
 	}
+	// Once the ORB has dropped its references, the retained buffers are
+	// all that is out of the server's pool.
+	pool := p.server.Pool()
+	waitFor(t, "only the retained buffers out of the pool", func() bool {
+		return pool.Stats().Outstanding == int64(len(blocks))
+	})
 	for i, b := range ks.kept {
 		if !bytes.Equal(b.Bytes(), blocks[i]) {
 			t.Fatalf("retained argument %d changed after later calls", i)
 		}
 		b.Release()
+	}
+	if got := pool.Stats().Outstanding; got != 0 {
+		t.Fatalf("%d pool buffers outstanding after the servant's Release, want 0", got)
+	}
+}
+
+// TestZCInArgFallbackPooled: an unretained ZC-typed in-argument that
+// arrived marshaled goes back to the ORB's pool when the call ends, so
+// the next call's copy lands in the same warm buffer.
+func TestZCInArgFallbackPooled(t *testing.T) {
+	p := newPair(t, Options{Transport: &transport.TCP{}, ZeroCopy: true},
+		Options{Transport: &transport.TCP{}})
+	pool := p.server.Pool()
+	data := pattern(1 << 20)
+	for i := 0; i < 4; i++ {
+		res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{zcbuf.Wrap(data)})
+		if err != nil || res.(uint32) != checksum(data) {
+			t.Fatalf("put %d: res=%v err=%v", i, res, err)
+		}
+		// The server releases the argument once its reply is sent.
+		waitFor(t, "the argument back in the pool", func() bool { return pool.Stats().Outstanding == 0 })
+	}
+	if st := pool.Stats(); st.Allocs != 1 || st.Reuses != 3 {
+		t.Fatalf("pool allocs=%d reuses=%d over 4 fallback calls, want 1 and 3", st.Allocs, st.Reuses)
+	}
+}
+
+// TestMarshalOctetSeqBound: the standard path writes a bulk octet
+// sequence straight to the encoder, so it checks a bounded sequence's
+// bound itself, as the interpreter does: a value over the bound is
+// refused before a byte is written, one at the bound is a count and
+// the bytes.
+func TestMarshalOctetSeqBound(t *testing.T) {
+	var o ORB
+	types := []*typecode.TypeCode{typecode.SequenceOf(typecode.TCOctet, 8)}
+	e := cdr.NewEncoder(cdr.NativeOrder, 0)
+	if err := o.marshalValues(e, types, []any{make([]byte, 9)}, false); err == nil {
+		t.Fatal("a 9-octet value marshaled into a sequence<octet, 8>")
+	}
+	if n := len(e.Bytes()); n != 0 {
+		t.Fatalf("the refused value left %d bytes in the encoder", n)
+	}
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	if err := o.marshalValues(e, types, []any{zcbuf.Wrap(data)}, false); err != nil {
+		t.Fatalf("value at the bound: %v", err)
+	}
+	want := cdr.NewEncoder(cdr.NativeOrder, 0)
+	want.WriteOctetSeq(data)
+	if !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatalf("wire bytes % x, want % x", e.Bytes(), want.Bytes())
 	}
 }

@@ -88,7 +88,8 @@ func collectDeposits(types []*typecode.TypeCode, vals []any, segs []transport.Se
 // marshalValues writes vals (described by types) onto e. When skipZC
 // is true, ZC octet streams are omitted from the body (they travel as
 // deposits); when false they fall back to the standard copying path
-// (counted in Stats.ZCFallbacks).
+// (counted in Stats.ZCFallbacks). A bulk value is written straight to
+// e as an octet sequence, bound checked as the interpreter would.
 func (o *ORB) marshalValues(e *cdr.Encoder, types []*typecode.TypeCode, vals []any,
 	skipZC bool) error {
 	if len(types) != len(vals) {
@@ -96,22 +97,26 @@ func (o *ORB) marshalValues(e *cdr.Encoder, types []*typecode.TypeCode, vals []a
 	}
 	for i, tc := range types {
 		v := vals[i]
-		if tc.IsZCOctetSeq() {
-			if skipZC {
-				continue
-			}
-			b, ok := bulkBytes(v)
-			if !ok {
-				return errNotZC(i, v)
-			}
-			o.stats.ZCFallbacks.Add(1)
-			v = b
+		zc := tc.IsZCOctetSeq()
+		if zc && skipZC {
+			continue
 		}
-		if isBulk(tc) {
-			if b, ok := bulkBytes(v); ok {
+		if zc || tc.IsOctetSeq() {
+			b, ok := bulkBytes(v)
+			if zc {
+				if !ok {
+					return errNotZC(i, v)
+				}
+				o.stats.ZCFallbacks.Add(1)
+			}
+			if ok {
+				if max := tc.Resolve().Len(); max > 0 && len(b) > max {
+					return fmt.Errorf("orb: parameter %d: sequence bound %d exceeded (%d)", i, max, len(b))
+				}
 				o.stats.PayloadCopies.Add(1)
 				o.stats.PayloadCopyBytes.Add(int64(len(b)))
-				v = b
+				e.WriteOctetSeq(b)
+				continue
 			}
 		}
 		// Compiled fast path: generated types write themselves without
@@ -131,28 +136,24 @@ func (o *ORB) marshalValues(e *cdr.Encoder, types []*typecode.TypeCode, vals []a
 	return nil
 }
 
-// isBulk reports whether tc is an octet-stream-like type whose
-// marshaling constitutes a payload copy.
-func isBulk(tc *typecode.TypeCode) bool {
-	return tc.IsOctetSeq() || tc.IsZCOctetSeq()
-}
-
 // unmarshalValues reads values described by types from dec, consuming
 // deposit buffers (in order) for ZC octet streams that traveled as
 // deposits. ZC-typed values always come back as *zcbuf.Buffer: a
-// deposited buffer on the fast path, or a wrapper around the copied
-// bytes on the fallback path, which the receiver owns. It returns any
+// deposited buffer on the fast path, or a buffer from the ORB's pool
+// holding the copied bytes on the fallback path. It returns any
 // deposits it did not consume (so the caller can release them on
 // error). The values are appended to vals[:0], the caller's storage.
 //
-// owned is non-nil for a request's in-arguments: a plain octet
-// sequence is then copied into a pooled buffer appended to *owned,
-// which the ORB takes back once the servant has returned (CORBA's rule
-// for in-parameters). Reply values (owned nil), which the caller
-// keeps, and ZC-typed values, which a servant may Retain, are copied
-// into memory of their own.
+// in is non-nil for a request's in-arguments, whose storage the ORB
+// takes back once the servant has returned (CORBA's rule for
+// in-parameters): a plain octet sequence is copied into a pooled
+// buffer appended to in.octets, and the ORB's reference on a ZC-typed
+// fallback buffer goes to in.bufs, so a servant that Retains the buffer
+// keeps it while an unretained one returns to the pool. Reply values
+// (in nil) belong to the caller: a plain octet sequence is copied into
+// memory of its own, a ZC-typed buffer is the caller's to Release.
 func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.TypeCode,
-	deposits []*zcbuf.Buffer, haveDeposits bool, owned *[][]byte) ([]any, []*zcbuf.Buffer, error) {
+	deposits []*zcbuf.Buffer, haveDeposits bool, in *inArgs) ([]any, []*zcbuf.Buffer, error) {
 	vals = vals[:0]
 	di := 0
 	for i, tc := range types {
@@ -180,12 +181,9 @@ func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.Ty
 		var err error
 		switch {
 		case tc.IsOctetSeq():
-			v, err = o.readOctets(dec, tc, owned)
+			v, err = o.readOctets(dec, tc, in)
 		case tc.IsZCOctetSeq():
-			var b []byte
-			if b, err = o.readOctets(dec, tc, nil); err == nil {
-				v = zcbuf.Wrap(b)
-			}
+			v, err = o.readZCOctets(dec, tc, in)
 		default:
 			v, err = typecode.UnmarshalValue(dec, tc)
 		}
@@ -200,29 +198,77 @@ func (o *ORB) unmarshalValues(vals []any, dec *cdr.Decoder, types []*typecode.Ty
 	return vals, nil, nil
 }
 
-// readOctets reads an octet sequence marshaled into the body, bound
-// checked as the interpreter would: the standard path's demarshal copy
-// (§4.2), counted as a payload copy. With owned non-nil the copy lands
-// in a pooled buffer appended to *owned, which the ORB takes back
-// after the servant returns; a sequence over cdr.PoolMax, which no
-// free list keeps, and every copy with owned nil get memory of their
-// own, filled without being cleared first.
-func (o *ORB) readOctets(dec *cdr.Decoder, tc *typecode.TypeCode, owned *[][]byte) ([]byte, error) {
-	in, err := dec.ReadOctetSeqView()
+// inArgs is the storage a request's in-arguments are demarshaled into
+// (unmarshalValues), which the ORB takes back with the request once the
+// servant has returned.
+type inArgs struct {
+	octets [][]byte        // plain octet sequences, from the body free lists
+	bufs   []*zcbuf.Buffer // ZC-typed values that arrived marshaled
+}
+
+// free returns the storage: the octet sequences to the free lists, and
+// the ORB's reference on each buffer, which goes back to its pool
+// unless the servant Retained it.
+func (a *inArgs) free(o *ORB) {
+	for _, b := range a.octets {
+		o.putBody(b)
+	}
+	releaseAll(a.bufs)
+	a.octets, a.bufs = cleared(a.octets), a.bufs[:0]
+}
+
+// octetView reads an octet sequence marshaled into the body as a view
+// of it, bound checked as the interpreter would. The caller copies it
+// out: the standard path's demarshal copy (§4.2), counted here as a
+// payload copy.
+func (o *ORB) octetView(dec *cdr.Decoder, tc *typecode.TypeCode) ([]byte, error) {
+	view, err := dec.ReadOctetSeqView()
 	if err != nil {
 		return nil, err
 	}
-	if max := tc.Resolve().Len(); max > 0 && len(in) > max {
-		return nil, fmt.Errorf("sequence bound %d exceeded (%d)", max, len(in))
+	if max := tc.Resolve().Len(); max > 0 && len(view) > max {
+		return nil, fmt.Errorf("sequence bound %d exceeded (%d)", max, len(view))
 	}
 	o.stats.PayloadCopies.Add(1)
-	o.stats.PayloadCopyBytes.Add(int64(len(in)))
-	if owned == nil || len(in) == 0 || len(in) > cdr.PoolMax {
-		return append([]byte{}, in...), nil // non-nil, even when empty
+	o.stats.PayloadCopyBytes.Add(int64(len(view)))
+	return view, nil
+}
+
+// readOctets reads a plain octet sequence. With in non-nil the copy
+// lands in a pooled buffer appended to in.octets; a sequence over
+// cdr.PoolMax, which no free list keeps, and every copy with in nil get
+// memory of their own, filled without being cleared first.
+func (o *ORB) readOctets(dec *cdr.Decoder, tc *typecode.TypeCode, in *inArgs) ([]byte, error) {
+	view, err := o.octetView(dec, tc)
+	if err != nil {
+		return nil, err
 	}
-	b := o.getBody(len(in))
-	copy(b, in)
-	*owned = append(*owned, b)
+	if in == nil || len(view) == 0 || len(view) > cdr.PoolMax {
+		return append([]byte{}, view...), nil // non-nil, even when empty
+	}
+	b := o.getBody(len(view))
+	copy(b, view)
+	in.octets = append(in.octets, b)
+	return b, nil
+}
+
+// readZCOctets reads a ZC-typed octet sequence that arrived marshaled
+// into a buffer from the ORB's pool, so the copy lands in warm memory
+// and the holder may Retain it. A request's buffer is recorded in
+// in.bufs.
+func (o *ORB) readZCOctets(dec *cdr.Decoder, tc *typecode.TypeCode, in *inArgs) (*zcbuf.Buffer, error) {
+	view, err := o.octetView(dec, tc)
+	if err != nil {
+		return nil, err
+	}
+	b, err := o.pool.Get(len(view))
+	if err != nil {
+		return nil, err
+	}
+	copy(b.Bytes(), view)
+	if in != nil {
+		in.bufs = append(in.bufs, b)
+	}
 	return b, nil
 }
 

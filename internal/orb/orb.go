@@ -1,14 +1,11 @@
 package orb
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,22 +40,20 @@ type Options struct {
 	// ListenAddr is the control (IIOP) endpoint. Empty means the
 	// transport's default ("127.0.0.1:0" for TCP, auto for inproc).
 	ListenAddr string
-	// DataListenAddr is the shared-memory data endpoint (an shm://
-	// URI; empty with DataTransport unset opens none). Deposits on a
-	// stream plane ride the control connection, so New refuses a
-	// stream-scheme address (tcp://, inproc://, or a bare one). Ignored
-	// unless ZeroCopy is set.
+	// DataListenAddr is the shared-memory endpoint (an shm:// URI;
+	// empty opens none) a server opens beside its control endpoint: a
+	// zero-copy client on the same host with the same architecture dials
+	// it as its only connection, a Unix socket that carries GIOP, with a
+	// shared-memory ring beside it for the deposits. New refuses any
+	// other scheme. It listens through Transport when that is the shm
+	// transport (fault-injection tests embed their injector this way),
+	// else through a default one. Ignored unless ZeroCopy is set.
 	DataListenAddr string
-	// DataTransport, if set, is the shm transport that listens for and
-	// dials the shared-memory data plane in place of a default one
-	// (fault-injection tests embed their injector this way); New
-	// refuses any other. Ignored unless ZeroCopy is set.
-	DataTransport transport.Transport
 	// ZeroCopy enables the direct-deposit fast path: the ORB advertises
 	// deposits in its IORs, and clients of this ORB route eligible
 	// payloads around the marshaling engine. On a stream plane a
-	// message's deposit train rides its control connection; with an
-	// shm data endpoint it is deposited into a shared-memory ring.
+	// message's deposit train rides its connection's stream; on the shm
+	// endpoint it is deposited into the connection's shared-memory ring.
 	ZeroCopy bool
 	// Collocation short-circuits invocations on objects served by
 	// this same ORB, skipping marshaling entirely (§2.1's local-call
@@ -78,8 +73,8 @@ type Options struct {
 	Retry RetryPolicy
 	// DepositLeaseTTL bounds how long a receiver blocks waiting for an
 	// announced deposit payload before reclaiming the buffer and closing
-	// the stream it stalled: the connection for a train on the control
-	// stream, the shm data channel for a ring deposit. 0 or negative
+	// what it stalled: the connection for a train on the stream, the
+	// connection's shm ring (not the connection) for a ring deposit. 0 or negative
 	// uses CallTimeout, so every deposit read is leased. A lease much
 	// shorter than CallTimeout frees a stalled stream sooner than the
 	// call's own deadline would.
@@ -91,8 +86,8 @@ type Options struct {
 	// are clamped to it.
 	MaxMessageSize int
 	// ConnsPerEndpoint stripes client traffic to one endpoint across N
-	// control connections (each with its own shared-memory ring when
-	// the reference offers one), reducing head-of-line blocking and
+	// connections (each with its own shared-memory ring when the
+	// reference offers one), reducing head-of-line blocking and
 	// send-mutex contention under concurrent invokers. 0 or 1 means a
 	// single shared connection.
 	ConnsPerEndpoint int
@@ -282,8 +277,7 @@ type Stats struct {
 	// Timeouts counts calls abandoned by the reply-wait deadline.
 	Timeouts atomic.Int64
 	// DataChanFallbacks counts invocations degraded from the ZC-deposit
-	// path to the standard marshaled path after an shm data-channel
-	// failure.
+	// path to the standard marshaled path after an shm ring failure.
 	DataChanFallbacks atomic.Int64
 	// DepositAborts counts inbound bulk transfers that failed mid-read
 	// (the receiver degraded instead of closing the connection).
@@ -291,9 +285,6 @@ type Stats struct {
 	// LeaseExpiries counts deposit-buffer leases reclaimed by the
 	// sweeper after an aborted or stalled transfer.
 	LeaseExpiries atomic.Int64
-	// TokensExpired counts data-channel registrations dropped because
-	// no request ever referenced their token.
-	TokensExpired atomic.Int64
 	// ShmDeposits/ShmDepositBytes count payloads deposited directly
 	// into a shared-memory ring (the subset of DepositsSent that never
 	// crossed a socket); ShmClaims counts the matching zero-copy claims
@@ -343,7 +334,7 @@ type ORB struct {
 	tracer *trace.Tracer
 
 	ctrlLis  transport.Listener
-	dataLis  transport.Listener // the shm data listener, if any
+	shmLis   transport.Listener // the shm endpoint's listener, if any
 	ctrlHost string
 	ctrlPort uint16
 
@@ -356,8 +347,6 @@ type ORB struct {
 	extraComps  map[string][]ior.TaggedComponent
 	clientConns map[string]*conn
 	serverConns map[*conn]struct{}
-	dataChans   map[uint64]*dataChanEntry
-	dataWaiters map[uint64][]chan transport.Conn
 	closed      bool
 	// acceptCond parks the accept loop while serverConns is at the
 	// MaxConns cap; removeServerConn and Shutdown signal it.
@@ -367,11 +356,10 @@ type ORB struct {
 	// unsupported on this platform, or failed to initialize).
 	engine *engine
 
-	reqID     atomic.Uint32
-	tokenBase uint64
-	tokenSeq  atomic.Uint64
-	wg        sync.WaitGroup
-	done      chan struct{}
+	reqID   atomic.Uint32
+	autoSeq atomic.Uint64
+	wg      sync.WaitGroup
+	done    chan struct{}
 
 	// handoff passes a request to a parked legacy-tier handler
 	// (dispatchRequest, runHandler); idleHandlers counts the parked ones.
@@ -385,16 +373,6 @@ type ORB struct {
 	bodyFree chan []byte
 }
 
-// dataChanEntry is one registered (inbound) data channel. Entries that
-// are never claimed by a control connection expire, so a client that
-// dies between the preamble and its first request cannot strand a
-// socket in the registry.
-type dataChanEntry struct {
-	dc      transport.Conn
-	at      time.Time
-	claimed bool
-}
-
 // New creates an ORB, binds its listeners, and starts serving
 // immediately. Call Shutdown to release resources.
 func New(opts Options) (*ORB, error) {
@@ -406,8 +384,6 @@ func New(opts Options) (*ORB, error) {
 		servants:    make(map[string]Servant),
 		clientConns: make(map[string]*conn),
 		serverConns: make(map[*conn]struct{}),
-		dataChans:   make(map[uint64]*dataChanEntry),
-		dataWaiters: make(map[uint64][]chan transport.Conn),
 		bodyFree:    make(chan []byte, bodyFreeSlots),
 		done:        make(chan struct{}),
 		handoff:     make(chan *request),
@@ -441,33 +417,19 @@ func New(opts Options) (*ORB, error) {
 			})
 		}
 	}
-	var tok [8]byte
-	if _, err := rand.Read(tok[:]); err != nil {
-		return nil, fmt.Errorf("orb: token seed: %w", err)
-	}
-	o.tokenBase = binary.BigEndian.Uint64(tok[:])
 	o.acceptCond = sync.NewCond(&o.mu)
 
-	// The data channel serves only the shared-memory ring: a stream
+	// The second endpoint serves only the shared-memory plane: a stream
 	// plane carries its deposit trains on the control connection, so a
-	// stream data endpoint is refused here, before anything starts.
-	var dtr transport.Transport
-	var daddr string
-	if opts.ZeroCopy && (opts.DataListenAddr != "" || opts.DataTransport != nil) {
-		var scheme string
-		dtr = opts.DataTransport
-		scheme, daddr = transport.SplitScheme(opts.DataListenAddr)
-		if dtr == nil || (scheme != "" && scheme != dtr.Name()) {
-			t, _, err := transport.FromAddr(opts.DataListenAddr, nil)
-			if err != nil {
-				return nil, fmt.Errorf("orb: data listener: %w", err)
-			}
-			dtr = t
+	// stream endpoint is refused here, before anything starts.
+	shmAddr := ""
+	if opts.ZeroCopy && opts.DataListenAddr != "" {
+		scheme, rest := transport.SplitScheme(opts.DataListenAddr)
+		if scheme != "shm" {
+			return nil, fmt.Errorf("orb: data listener %q: the second endpoint serves only shm; "+
+				"stream planes carry deposits on the control connection", opts.DataListenAddr)
 		}
-		if dtr.Name() != "shm" {
-			return nil, fmt.Errorf("orb: data listener %q on %s: the data channel serves only shm; "+
-				"stream planes carry deposits on the control connection", opts.DataListenAddr, dtr.Name())
-		}
+		shmAddr = rest
 	}
 
 	// Listen addresses accept scheme URIs (tcp://, inproc://, shm://):
@@ -495,15 +457,15 @@ func New(opts Options) (*ORB, error) {
 	o.ctrlLis = lis
 	o.ctrlHost, o.ctrlPort = splitEndpoint(lis.Addr())
 
-	if dtr != nil {
-		dlis, err := dtr.Listen(daddr)
+	if shmAddr != "" {
+		slis, err := o.shmTransport().Listen(shmAddr)
 		if err != nil {
 			_ = lis.Close()
 			return nil, fmt.Errorf("orb: data listener: %w", err)
 		}
-		o.dataLis = dlis
+		o.shmLis = slis
 		o.wg.Add(1)
-		go o.acceptData()
+		go o.accept(slis)
 	}
 
 	// The engine starts only once every listener is open, so no error
@@ -516,7 +478,7 @@ func New(opts Options) (*ORB, error) {
 		}
 	}
 	o.wg.Add(1)
-	go o.acceptControl()
+	go o.accept(lis)
 	if opts.ZeroCopy {
 		o.wg.Add(1)
 		go o.sweepLoop()
@@ -533,10 +495,8 @@ func (o *ORB) leaseTTL() time.Duration {
 	return o.opts.DepositLeaseTTL
 }
 
-// sweepLoop periodically expires overdue deposit leases and unclaimed
-// data-channel registrations (receiver hygiene: an aborted bulk
-// transfer must return its pooled memory, and a stray data socket must
-// not sit in the registry forever).
+// sweepLoop periodically expires overdue deposit leases (receiver
+// hygiene: an aborted bulk transfer must return its pooled memory).
 func (o *ORB) sweepLoop() {
 	defer o.wg.Done()
 	iv := o.leaseTTL() / 4
@@ -556,28 +516,17 @@ func (o *ORB) sweepLoop() {
 			if n := o.leases.Sweep(now); n > 0 {
 				o.stats.LeaseExpiries.Add(int64(n))
 			}
-			o.sweepTokens(now)
 		}
 	}
 }
 
-// sweepTokens drops shm data channels whose token was registered but
-// never referenced by a request within twice the call timeout.
-func (o *ORB) sweepTokens(now time.Time) {
-	ttl := 2 * o.opts.CallTimeout
-	var drop []transport.Conn
-	o.mu.Lock()
-	for tok, e := range o.dataChans {
-		if !e.claimed && now.Sub(e.at) > ttl {
-			delete(o.dataChans, tok)
-			drop = append(drop, e.dc)
-		}
+// shmTransport is the transport of the shm plane: the ORB's own when
+// that is the shm transport, else a default one.
+func (o *ORB) shmTransport() transport.Transport {
+	if o.tr.Name() == "shm" {
+		return o.tr
 	}
-	o.mu.Unlock()
-	for _, dc := range drop {
-		_ = dc.Close()
-		o.stats.TokensExpired.Add(1)
-	}
+	return &transport.SHM{}
 }
 
 // splitEndpoint separates a transport address into the host and port
@@ -747,12 +696,12 @@ func (o *ORB) refForLocked(key, repoID string) *ObjectRef {
 	var comps []ior.TaggedComponent
 	switch {
 	case !o.opts.ZeroCopy:
-	case o.dataLis != nil:
-		// Shared-memory data plane: advertise the ZC-SHM profile so
-		// only co-located, architecture-matched clients take it;
-		// everyone else falls back to standard marshaling.
+	case o.shmLis != nil:
+		// Shared-memory plane: advertise the ZC-SHM profile so only
+		// co-located, architecture-matched clients dial its endpoint;
+		// everyone else dials the control endpoint and marshals.
 		comps = append(comps, ior.ZCShm{
-			Arch: o.arch, HostID: o.hostID, Path: o.dataLis.Addr(),
+			Arch: o.arch, HostID: o.hostID, Path: o.shmLis.Addr(),
 		}.Encode())
 	default:
 		// Deposits ride the control stream: the component names the
@@ -769,7 +718,7 @@ func (o *ORB) refForLocked(key, repoID string) *ObjectRef {
 // ActivateAuto registers servant under a fresh unique key and returns
 // its reference (implicit activation).
 func (o *ORB) ActivateAuto(s Servant) (*ObjectRef, error) {
-	n := o.tokenSeq.Add(1)
+	n := o.autoSeq.Add(1)
 	key := fmt.Sprintf("auto/%s/%d", s.Interface().Name, n)
 	return o.Activate(key, s)
 }
@@ -797,21 +746,18 @@ func (o *ORB) ObjectFromIOR(r ior.IOR) *ObjectRef {
 	return &ObjectRef{orb: o, ior: r}
 }
 
-// nextToken returns a process-unique data channel token.
-func (o *ORB) nextToken() uint64 {
-	return o.tokenBase + o.tokenSeq.Add(1)
-}
-
-// acceptControl accepts inbound IIOP connections. Each is either
-// registered with the event engine (idle cost: one epoll entry) or
-// handed a legacy reader goroutine. When MaxConns is set, the loop
-// pauses at the cap — backpressure lands in the kernel listen backlog
+// accept accepts inbound IIOP connections on lis, the control or the
+// shm endpoint. Each is either registered with the event engine (idle
+// cost: one epoll entry) or handed a legacy reader goroutine; an shm
+// connection, whose ring waits the engine cannot see, always takes the
+// latter. When MaxConns is set, the loop pauses at the cap (the two
+// endpoints share it) — backpressure lands in the kernel listen backlog
 // instead of unbounded per-connection state.
-func (o *ORB) acceptControl() {
+func (o *ORB) accept(lis transport.Listener) {
 	defer o.wg.Done()
 	for {
 		o.waitAcceptSlot()
-		tc, err := o.ctrlLis.Accept()
+		tc, err := lis.Accept()
 		if err != nil {
 			return
 		}
@@ -866,112 +812,20 @@ func (o *ORB) removeServerConn(c *conn) {
 	o.mu.Unlock()
 }
 
-// dataPreambleMagic opens every shm data-channel connection, followed
-// by the 8-byte big-endian token that requests reference through their
-// ZCDeposit service context.
-var dataPreambleMagic = [4]byte{'Z', 'C', 'D', 'C'}
-
-// acceptData accepts inbound shm data-channel connections and
-// registers them by token.
-func (o *ORB) acceptData() {
-	defer o.wg.Done()
-	for {
-		dc, err := o.dataLis.Accept()
-		if err != nil {
-			return
-		}
-		o.wg.Add(1)
-		go func() {
-			defer o.wg.Done()
-			var pre [12]byte
-			if _, err := io.ReadFull(dc, pre[:]); err != nil {
-				_ = dc.Close()
-				return
-			}
-			if [4]byte(pre[:4]) != dataPreambleMagic {
-				_ = dc.Close()
-				return
-			}
-			token := binary.BigEndian.Uint64(pre[4:])
-			o.registerDataChan(token, dc)
-		}()
-	}
-}
-
-func (o *ORB) registerDataChan(token uint64, dc transport.Conn) {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
-		_ = dc.Close()
-		return
-	}
-	e := &dataChanEntry{dc: dc, at: time.Now()}
-	o.dataChans[token] = e
-	waiters := o.dataWaiters[token]
-	delete(o.dataWaiters, token)
-	if len(waiters) > 0 {
-		e.claimed = true
-	}
-	o.mu.Unlock()
-	for _, w := range waiters {
-		w <- dc
-	}
-}
-
-// waitDataChan returns the data channel registered under token,
-// waiting up to timeout for the preamble to arrive (the control and
-// data connections race across independent sockets) or until Shutdown.
-// A waiter that gives up deregisters itself, so tokens that never
-// arrive cannot grow the waiter table.
-func (o *ORB) waitDataChan(token uint64, timeout time.Duration) (transport.Conn, error) {
-	o.mu.Lock()
-	if e, ok := o.dataChans[token]; ok {
-		e.claimed = true
-		o.mu.Unlock()
-		return e.dc, nil
-	}
-	ch := make(chan transport.Conn, 1)
-	o.dataWaiters[token] = append(o.dataWaiters[token], ch)
-	o.mu.Unlock()
-	var err error
-	select {
-	case dc := <-ch:
-		return dc, nil
-	case <-o.done:
-		err = fmt.Errorf("orb: shut down")
-	case <-time.After(timeout):
-		err = fmt.Errorf("orb: data channel %#x never arrived", token)
-	}
-	o.mu.Lock()
-	isCh := func(w chan transport.Conn) bool { return w == ch }
-	if ws := slices.DeleteFunc(o.dataWaiters[token], isCh); len(ws) > 0 {
-		o.dataWaiters[token] = ws
-	} else {
-		delete(o.dataWaiters, token)
-	}
-	o.mu.Unlock()
-	return nil, err
-}
-
-// dropDataChan removes a dead data channel.
-func (o *ORB) dropDataChan(token uint64) {
-	o.mu.Lock()
-	if e, ok := o.dataChans[token]; ok {
-		delete(o.dataChans, token)
-		_ = e.dc.Close()
-	}
-	o.mu.Unlock()
-}
-
 // dialConn returns (creating if needed) the client connection to the
 // given control endpoint. zc marks a connection whose messages may
 // carry deposits; ring, when zc is set and ring is not empty, is the
-// peer's shared-memory data endpoint, dialled here as the connection's
-// data channel. stripe selects one of the ConnsPerEndpoint connections
-// to the endpoint (0 when striping is off). Hot-path callers cache the
-// result per ObjectRef; this function only runs on cache misses.
+// peer's shm endpoint, dialled in place of the control endpoint and
+// promoted so a ring pair rides beside its stream. stripe selects one
+// of the ConnsPerEndpoint connections to the endpoint (0 when striping
+// is off). Hot-path callers cache the result per ObjectRef; this
+// function only runs on cache misses.
 func (o *ORB) dialConn(ctrlAddr string, zc bool, ring string, stripe int) (*conn, error) {
-	key := ctrlAddr
+	tr, addr := o.tr, ctrlAddr
+	if zc && ring != "" {
+		tr, addr = o.shmTransport(), ring
+	}
+	key := addr
 	if zc {
 		key += "|zc"
 	}
@@ -994,18 +848,16 @@ func (o *ORB) dialConn(ctrlAddr string, zc bool, ring string, stripe int) (*conn
 	}
 	o.mu.Unlock()
 
-	tc, err := o.tr.Dial(ctrlAddr)
+	tc, err := tr.Dial(addr)
 	if err != nil {
 		return nil, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}
 	}
 	c := newConn(o, tc, false)
 	c.zc = zc
-	if zc && ring != "" {
-		if err := o.dialRing(c, ring); err != nil {
-			// A ring connection without its ring marshals the standard
-			// way, as if the ring had died.
-			c.dataDown.Store(true)
-		}
+	if zc && ring != "" && (c.ring == nil || c.ring.Promote() != nil) {
+		// A connection to the shm endpoint without its ring marshals
+		// the standard way, as if the ring had died.
+		c.ringDown.Store(true)
 	}
 
 	o.mu.Lock()
@@ -1039,30 +891,6 @@ func (o *ORB) dialConn(ctrlAddr string, zc bool, ring string, stripe int) (*conn
 	return c, nil
 }
 
-// dialRing dials the shared-memory data endpoint addr, through the
-// configured DataTransport when there is one, announces a fresh token
-// on it and installs it as c's data channel.
-func (o *ORB) dialRing(c *conn, addr string) error {
-	dtr := o.opts.DataTransport
-	if dtr == nil {
-		dtr = &transport.SHM{}
-	}
-	dc, err := dtr.Dial(addr)
-	if err != nil {
-		return err
-	}
-	token := o.nextToken()
-	var pre [12]byte
-	copy(pre[:4], dataPreambleMagic[:])
-	binary.BigEndian.PutUint64(pre[4:], token)
-	if _, err := dc.Write(pre[:]); err != nil {
-		_ = dc.Close()
-		return fmt.Errorf("data preamble: %w", err)
-	}
-	c.setData(dc, token)
-	return nil
-}
-
 // Shutdown closes listeners and all connections and waits for
 // background goroutines to drain.
 func (o *ORB) Shutdown() {
@@ -1079,21 +907,16 @@ func (o *ORB) Shutdown() {
 	for c := range o.serverConns {
 		conns = append(conns, c)
 	}
-	dataChans := o.dataChans
-	o.dataChans = map[uint64]*dataChanEntry{}
 	o.mu.Unlock()
 
 	close(o.done)
 	o.acceptCond.Broadcast()
 	_ = o.ctrlLis.Close()
-	if o.dataLis != nil {
-		_ = o.dataLis.Close()
+	if o.shmLis != nil {
+		_ = o.shmLis.Close()
 	}
 	for _, c := range conns {
 		c.close(fmt.Errorf("orb: shut down"))
-	}
-	for _, e := range dataChans {
-		_ = e.dc.Close()
 	}
 	if o.engine != nil {
 		o.engine.stop()

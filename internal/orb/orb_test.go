@@ -805,22 +805,22 @@ func TestOldDepositReferenceServedOnControlStream(t *testing.T) {
 	}
 }
 
-// TestDataListenAddrServesOnlyShm: the data channel exists only for the
-// shared-memory ring, so New refuses a stream data endpoint instead of
-// opening a listener nothing dials, and starts nothing on the way.
+// TestDataListenAddrServesOnlyShm: the second endpoint exists only for
+// the shared-memory plane, so New refuses a stream endpoint there
+// instead of opening a listener nothing dials, and starts nothing on
+// the way.
 func TestDataListenAddrServesOnlyShm(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, opts := range []Options{
 		{DataListenAddr: "tcp://127.0.0.1:0"},
 		{DataListenAddr: "inproc://data"},
 		{DataListenAddr: "127.0.0.1:0"},
-		{DataTransport: &transport.TCP{}},
-		{DataTransport: &transport.InProc{}, DataListenAddr: "inproc://data"},
+		{Transport: &transport.InProc{}, DataListenAddr: "inproc://data"},
 	} {
 		opts.ZeroCopy = true
 		if o, err := New(opts); err == nil {
 			o.Shutdown()
-			t.Fatalf("New accepted data endpoint %q (DataTransport %T)", opts.DataListenAddr, opts.DataTransport)
+			t.Fatalf("New accepted data endpoint %q (Transport %T)", opts.DataListenAddr, opts.Transport)
 		}
 	}
 	assertNoGoroutineLeak(t, before)

@@ -259,13 +259,6 @@ func readReply(t *testing.T, c transport.Conn) (giop.ReplyHeader, *cdr.Decoder) 
 	return rep, dec
 }
 
-// dataWaiterCount reports how many tokens have a reader waiting on them.
-func (o *ORB) dataWaiterCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.dataWaiters)
-}
-
 // TestInlineTrainIgnoresToken: a train that rides the control stream
 // uses no data channel, so the token its announcement names is never
 // looked up, and an unregistered one cannot hold the reply back for a
@@ -293,28 +286,30 @@ func TestInlineTrainIgnoresToken(t *testing.T) {
 	}
 }
 
-// TestDepositUnknownTokenAnswersTransient: a request whose deposits
-// reference a data-channel token that never arrives must fail bounded
-// in time — at once on a server without an shm data channel, within
-// the call timeout on one with it — and fail *softly*: the server
-// answers a TRANSIENT system exception (CompletedNo, so clients may
-// retry) and keeps the control connection alive for later requests.
+// TestDepositUnknownTokenAnswersTransient: a request whose deposits are
+// announced for a ring the connection does not have — any stream
+// plane, or an shm connection its dialer never promoted — must fail at
+// once and *softly*: the server answers a TRANSIENT system exception
+// (CompletedNo, so clients may retry) and keeps the connection alive
+// for later requests. The announcement's token names nothing and is
+// not looked up.
 func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 	for _, plane := range []string{"stream", "shm"} {
 		t.Run(plane, func(t *testing.T) {
-			opts := Options{ZeroCopy: true, CallTimeout: 5 * time.Second}
-			bound := time.Second
+			var o *ORB
+			var c transport.Conn
 			if plane == "shm" {
-				opts.DataListenAddr = shmDataAddr(t)
-				opts.CallTimeout, bound = 200*time.Millisecond, 4*time.Second
+				o = startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t)})
+				c = dialShmRaw(t, o)
+			} else {
+				o = startServer(t, Options{ZeroCopy: true})
+				c = dialRaw(t, o)
 			}
-			o := startServer(t, opts)
-			c := dialRaw(t, o)
 			start := time.Now()
 			writeUnknownTokenRequest(t, c, o)
 			rep, dec := readReply(t, c)
-			if d := time.Since(start); d > bound {
-				t.Fatalf("unknown token answered after %v, want under %v", d, bound)
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("ring announcement without a ring answered after %v", d)
 			}
 			if rep.RequestID != 1 || rep.Status != giop.ReplySystemException {
 				t.Fatalf("reply %+v, want system exception for id 1", rep)
@@ -326,14 +321,7 @@ func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 			if repoID != (&SystemException{Name: "TRANSIENT"}).RepoID() {
 				t.Fatalf("exception %q, want TRANSIENT", repoID)
 			}
-			// The reader that gave up on the token left nothing behind: a
-			// peer naming tokens that never arrive cannot grow the waiter
-			// table.
-			if n := o.dataWaiterCount(); n != 0 {
-				t.Fatalf("%d token(s) still have waiters after the TRANSIENT reply", n)
-			}
-			// The control connection survives: a locate request still
-			// answers.
+			// The connection survives: a locate request still answers.
 			var hdr [giop.HeaderSize]byte
 			e2 := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
 			(&giop.LocateRequestHeader{RequestID: 2, ObjectKey: []byte("store")}).Marshal(e2)
@@ -353,28 +341,32 @@ func TestDepositUnknownTokenAnswersTransient(t *testing.T) {
 	}
 }
 
-// TestShutdownInterruptsDataChanWait: a server reader parked on a
-// data-channel token that never arrives must not hold Shutdown for the
-// rest of the call timeout.
+// TestShutdownInterruptsDataChanWait: a server reader parked in a ring
+// claim for a deposit that never comes must not hold Shutdown for the
+// rest of its lease.
 func TestShutdownInterruptsDataChanWait(t *testing.T) {
 	for _, tier := range serverTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			o := startServer(t, Options{Engine: tier.engine, ZeroCopy: true,
 				DataListenAddr: shmDataAddr(t), CallTimeout: 5 * time.Second})
-			c := dialRaw(t, o)
-			writeUnknownTokenRequest(t, c, o)
-			waitFor(t, "a reader parked on the token", func() bool { return o.dataWaiterCount() == 1 })
+			c := dialShmRaw(t, o)
+			if err := c.(transport.RingConn).Promote(); err != nil {
+				t.Fatal(err)
+			}
+			writeUnknownTokenRequest(t, c.(transport.RingConn).Stream(), o)
+			waitFor(t, "a reader parked in a ring claim", func() bool { return o.leases.Pending() == 1 })
 			start := time.Now()
 			o.Shutdown()
 			if d := time.Since(start); d > time.Second {
-				t.Fatalf("Shutdown took %v waiting out the token wait", d)
+				t.Fatalf("Shutdown took %v waiting out the ring claim", d)
 			}
 		})
 	}
 }
 
-// dialDataRaw opens a raw connection to an ORB's shm data endpoint.
-func dialDataRaw(t *testing.T, o *ORB) transport.Conn {
+// dialShmRaw opens a raw, unpromoted connection to an ORB's shm
+// endpoint.
+func dialShmRaw(t *testing.T, o *ORB) transport.Conn {
 	t.Helper()
 	prof, _ := o.refForLocked("store", "IDL:test/Store:1.0").IOR().IIOP()
 	data, ok := prof.Component(ior.TagZCShm)
@@ -393,43 +385,45 @@ func dialDataRaw(t *testing.T, o *ORB) transport.Conn {
 	return dc
 }
 
-// TestUnclaimedDataChannelExpires: a data channel whose token no
-// request ever references is closed by the sweeper after twice the call
-// timeout and counted in TokensExpired.
-func TestUnclaimedDataChannelExpires(t *testing.T) {
-	o := startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t),
-		CallTimeout: 100 * time.Millisecond})
-	dc := dialDataRaw(t, o)
-	var pre [12]byte
-	copy(pre[:4], dataPreambleMagic[:])
-	binary.BigEndian.PutUint64(pre[4:], 0xBEEF)
-	if _, err := dc.Write(pre[:]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the unclaimed token to expire", func() bool { return o.Stats().TokensExpired.Load() == 1 })
-	if got, err := readAllDeadline(dc); err != nil || len(got) != 0 {
-		t.Fatalf("expired data channel: read % x, %v; want EOF", got, err)
-	}
-}
-
+// TestDataChannelBadPreambleDropped: a first frame on the shm endpoint
+// that is neither a promotion nor GIOP is a framing violation: the
+// server answers MessageError and closes that connection, and keeps
+// serving.
 func TestDataChannelBadPreambleDropped(t *testing.T) {
 	o := startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t)})
-	dc := dialDataRaw(t, o)
+	dc := dialShmRaw(t, o)
 	if _, err := dc.Write([]byte("BAD_PREAMBLE")); err != nil {
 		t.Fatal(err)
 	}
-	// The server closes the connection.
-	if _, err := readFullDeadline(dc, make([]byte, 1)); err == nil {
-		t.Fatal("bad preamble accepted")
+	got, err := readAllDeadline(dc)
+	if err != nil {
+		t.Fatalf("hostile first frame: %v, want MessageError then EOF", err)
+	}
+	h, herr := giop.DecodeHeader(got)
+	if herr != nil || h.Type != giop.MsgMessageError || len(got) != giop.HeaderSize {
+		t.Fatalf("hostile first frame answered % x, want one MessageError", got)
+	}
+	// The endpoint still serves: a locate request on a fresh connection.
+	c := dialShmRaw(t, o)
+	e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+	(&giop.LocateRequestHeader{RequestID: 1, ObjectKey: []byte("store")}).Marshal(e)
+	var hdr [giop.HeaderSize]byte
+	giop.EncodeHeader(hdr[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+		Type: giop.MsgLocateRequest, Size: uint32(len(e.Bytes()))})
+	if _, err := c.WriteGather(hdr[:], e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if rh, err := giop.ReadHeader(c); err != nil || rh.Type != giop.MsgLocateReply {
+		t.Fatalf("after a hostile frame: %v, %v; want a LocateReply", rh.Type, err)
 	}
 }
 
 func TestDataChannelDeathFallsBackToMarshaled(t *testing.T) {
-	// Killing the shm data channel out from under an established
-	// connection must not fail calls: the client detects the dead
-	// deposit path, degrades the connection to standard marshaling, and
-	// the invocation completes on the control stream (the acceptance
-	// scenario for the ZC-deposit -> marshaled GIOP fallback ladder).
+	// The server retiring the shm ring under an established connection
+	// must not fail calls: the client detects the dead deposit path,
+	// degrades the connection to standard marshaling, and the
+	// invocation completes on the same stream (the acceptance scenario
+	// for the ZC-deposit -> marshaled GIOP fallback ladder).
 	server := startServer(t, Options{ZeroCopy: true, DataListenAddr: shmDataAddr(t),
 		HostID: "shm-test-host"})
 	client, err := New(Options{Transport: &transport.TCP{}, ZeroCopy: true,
@@ -450,22 +444,22 @@ func TestDataChannelDeathFallsBackToMarshaled(t *testing.T) {
 	if n := client.Stats().ShmDeposits.Load(); n != 1 {
 		t.Fatalf("ShmDeposits = %d after priming, want 1", n)
 	}
-	// Kill the client's data channel out from under it.
-	client.mu.Lock()
+	// Retire the ring on the server's side of the connection.
+	server.mu.Lock()
 	var victim *conn
-	for _, c := range client.clientConns {
+	for c := range server.serverConns {
 		victim = c
 	}
-	client.mu.Unlock()
-	if victim == nil || victim.data == nil {
-		t.Fatal("no data channel to kill")
+	server.mu.Unlock()
+	if victim == nil || !victim.hasRing() {
+		t.Fatal("no ring to retire")
 	}
-	_ = victim.data.Close()
+	victim.markRingDown()
 
 	// The next ZC call still completes — via the marshaled fallback.
 	res, _, err := cref.Invoke(storeIface.Ops["put"], []any{pattern(1 << 20)})
 	if err != nil {
-		t.Fatalf("invoke after data channel death: %v", err)
+		t.Fatalf("invoke after the ring retired: %v", err)
 	}
 	if res.(uint32) != checksum(pattern(1<<20)) {
 		t.Fatal("fallback checksum mismatch")

@@ -1,8 +1,6 @@
 package orb
 
 import (
-	"time"
-
 	"zcorba/internal/cdr"
 	"zcorba/internal/giop"
 	"zcorba/internal/trace"
@@ -72,7 +70,7 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 	if tc.Valid() {
 		t0 = trace.Now()
 	}
-	args, leftover, err := o.unmarshalValues(r.args, dec, inTypes, deposits, len(deposits) > 0, &r.owned)
+	args, leftover, err := o.unmarshalValues(r.args, dec, inTypes, deposits, len(deposits) > 0, &r.in)
 	r.args = args
 	if tc.Valid() {
 		o.tracer.Record(trace.Span{
@@ -86,16 +84,17 @@ func (o *ORB) handleRequest(c *conn, r *request) {
 		return
 	}
 
-	started := time.Now()
+	if tc.Valid() {
+		t0 = trace.Now()
+	}
 	result, outs, err := s.Invoke(op.Name, args)
 	if tc.Valid() {
-		d := time.Since(started)
+		d := trace.Now() - t0
 		o.tracer.Record(trace.Span{
 			Trace: tc.Trace, Parent: tc.Span, Kind: trace.KindDispatch,
-			Op: req.Operation, Err: err != nil,
-			Start: started.UnixNano(), Dur: int64(d),
+			Op: req.Operation, Err: err != nil, Start: t0, Dur: d,
 		})
-		o.tracer.DispatchLatencyNS.Record(int64(d))
+		o.tracer.DispatchLatencyNS.Record(d)
 	}
 	// The invocation is complete: drop the ORB's reference on the
 	// request deposits (the skeleton's pass-per-reference of §4.5).
@@ -203,7 +202,7 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 		ServiceContexts: scx.contexts[:0],
 		RequestID:       r.hdr.RequestID, Status: giop.ReplyNoException,
 	}
-	useZC := r.zc && !c.dataDown.Load()
+	useZC := r.zc && !c.ringDown.Load()
 
 	var deposits []transport.Segment
 	skipZC, inline := false, false
@@ -220,9 +219,9 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 		// cannot deposit): marshal the reply values into the body.
 		skipZC = zcOK
 		if len(sizes) > 0 {
-			inline = c.data == nil
+			inline = !c.hasRing()
 			rep.ServiceContexts = append(rep.ServiceContexts, giop.DepositInfo{
-				Arch: o.arch, Token: c.dataToken, Sizes: sizes, Inline: inline,
+				Arch: o.arch, Sizes: sizes, Inline: inline,
 			}.EncodeTo(scx.deposit[:]))
 		} else {
 			deposits = nil
@@ -242,12 +241,12 @@ func (o *ORB) replyValues(c *conn, r *request, op *Operation,
 	if err != nil {
 		var dw *errDataWrite
 		if asErr(err, &dw) && c.healthy() {
-			// Only the reply's ring deposit failed; the control stream
-			// already carried the reply header. Retire the data channel
-			// but keep the connection: the client's deposit read fails
-			// fast (its TRANSIENT error drives the retry), and future
-			// replies marshal standard.
-			c.markDataDown()
+			// Only the reply's ring deposit failed; the stream already
+			// carried the reply header. Retire the ring but keep the
+			// connection: the client's claim fails fast (its TRANSIENT
+			// error drives the retry), and future replies marshal
+			// standard.
+			c.markRingDown()
 		} else {
 			c.close(err)
 		}

@@ -4,6 +4,7 @@ package orb
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 	"zcorba/internal/zcbuf"
 )
 
-// shmPair starts a server whose data plane is a shared-memory ring
-// (control stays TCP) and a co-located client. Host identities are
-// pinned so the test controls co-location discovery explicitly.
+// shmPair starts a server with an shm endpoint beside its tcp control
+// endpoint and a co-located client, which dials the shm endpoint as its
+// one connection. Host identities are pinned so the test controls
+// co-location discovery explicitly.
 func shmPair(t *testing.T, clientHost string) *pair {
 	t.Helper()
 	return newPair(t,
@@ -130,15 +132,15 @@ func TestShmSegmentsReclaimedOnShutdown(t *testing.T) {
 }
 
 // TestShmRingFaultFallsBack injects a ring stall into the client's shm
-// deposit write: the write fails, the ORB retires the data channel and
-// transparently re-sends the same request on the marshaled path.
+// deposit write: the write fails, the ORB retires the ring and
+// transparently re-sends the same request on the marshaled path, on
+// the same connection.
 func TestShmRingFaultFallsBack(t *testing.T) {
-	// The first ClassShm write on the client's data conn is the ZCDC
-	// preamble (it triggers ring promotion); the second is the deposit
-	// payload itself.
+	// The first ClassShm write on the client's connection is the deposit
+	// payload: promotion and GIOP travel the socket.
 	inj := transport.NewFaultInjector(7).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassShm,
-		Kind: transport.FaultRingStall, Nth: 2,
+		Kind: transport.FaultRingStall, Nth: 1,
 	})
 	server, err := New(Options{
 		ZeroCopy:       true,
@@ -155,9 +157,9 @@ func TestShmRingFaultFallsBack(t *testing.T) {
 		t.Fatalf("Activate: %v", err)
 	}
 	client, err := New(Options{
-		ZeroCopy:      true,
-		HostID:        "shm-test-host",
-		DataTransport: &transport.SHM{Faults: inj},
+		ZeroCopy:  true,
+		HostID:    "shm-test-host",
+		Transport: &transport.SHM{Faults: inj},
 	})
 	if err != nil {
 		t.Fatalf("client ORB: %v", err)
@@ -181,21 +183,24 @@ func TestShmRingFaultFallsBack(t *testing.T) {
 	if n := inj.Fired(); n != 1 {
 		t.Fatalf("injector fired %d times, want 1", n)
 	}
+	if n := server.ServerConns(); n != 1 {
+		t.Fatalf("server holds %d connections after the fallback, want the 1 it had", n)
+	}
 }
 
 // TestChaosShmStalledDepositLeaseExpires is the shm case of the chaos
 // suite's stalled-deposit scenario: the client's ring deposit stalls
 // long past the server's claim-lease TTL, so the lease sweeper must
-// reclaim the orphaned lease, retire the shm data channel on both
-// sides, and unmap the segment — the call still completes on the
+// reclaim the orphaned lease, retire the ring on both sides of the one
+// connection, and unmap the segment — the call still completes on the
 // marshaled path.
 func TestChaosShmStalledDepositLeaseExpires(t *testing.T) {
 	base := shmem.LiveSegments()
-	// ClassShm write #1 is the ZCDC promotion preamble; #2 is the first
-	// deposit payload, which is the one the stall delays.
+	// ClassShm write #1 is the first deposit payload, the one the stall
+	// delays.
 	inj := transport.NewFaultInjector(404).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassShm,
-		Kind: transport.FaultStall, Nth: 2, Delay: 600 * time.Millisecond,
+		Kind: transport.FaultStall, Nth: 1, Delay: 600 * time.Millisecond,
 	})
 	server, err := New(Options{
 		ZeroCopy:        true,
@@ -213,11 +218,11 @@ func TestChaosShmStalledDepositLeaseExpires(t *testing.T) {
 		t.Fatalf("Activate: %v", err)
 	}
 	client, err := New(Options{
-		ZeroCopy:      true,
-		HostID:        "shm-test-host",
-		DataTransport: &transport.SHM{Faults: inj},
-		CallTimeout:   5 * time.Second,
-		Retry:         quickRetry(4),
+		ZeroCopy:    true,
+		HostID:      "shm-test-host",
+		Transport:   &transport.SHM{Faults: inj},
+		CallTimeout: 5 * time.Second,
+		Retry:       quickRetry(4),
 	})
 	if err != nil {
 		t.Fatalf("client ORB: %v", err)
@@ -247,8 +252,8 @@ func TestChaosShmStalledDepositLeaseExpires(t *testing.T) {
 	if n := server.leases.Pending(); n != 0 {
 		t.Fatalf("server deposit leases outstanding: %d", n)
 	}
-	// The orphaned ring must be unmapped once both sides retire the
-	// data channel; nothing here calls Shutdown first.
+	// The orphaned ring must be unmapped once both sides retire it;
+	// nothing here calls Shutdown first.
 	deadline := time.Now().Add(5 * time.Second)
 	for shmem.LiveSegments() > base {
 		if time.Now().After(deadline) {
@@ -312,5 +317,55 @@ func TestShmInvokeAllocsGate(t *testing.T) {
 	}
 	if ct.SpanCount(trace.KindShmDeposit) == 0 {
 		t.Fatal("alloc gate measured without shm deposit spans")
+	}
+}
+
+// countingSHM is the shm transport with its dials counted.
+type countingSHM struct {
+	transport.SHM
+	dials atomic.Int64
+}
+
+func (t *countingSHM) Dial(addr string) (transport.Conn, error) {
+	t.dials.Add(1)
+	return t.SHM.Dial(addr)
+}
+
+// TestShmPairOpensOneSocket: a same-host zero-copy client dials the
+// server's shm endpoint as its one connection. GIOP rides that Unix
+// socket and every deposit, page and bulk, request and reply, rides
+// the ring beside it: one dial, one accept, and the tcp control
+// endpoint is never dialled.
+func TestShmPairOpensOneSocket(t *testing.T) {
+	srvTCP, cli := &countingTCP{}, &countingSHM{}
+	p := newPair(t,
+		Options{Transport: srvTCP, ZeroCopy: true, HostID: "shm-test-host",
+			DataListenAddr: "shm://" + t.TempDir() + "/data.sock"},
+		Options{Transport: cli, ZeroCopy: true, HostID: "shm-test-host"})
+	for _, size := range []int{4 << 10, 1 << 20} {
+		data := pattern(size)
+		res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{zcbuf.Wrap(data)})
+		if err != nil || res.(uint32) != checksum(data) {
+			t.Fatalf("put %d: res=%v err=%v", size, res, err)
+		}
+	}
+	res, _, err := p.ref.Invoke(storeIface.Ops["get"], []any{uint32(1 << 20)})
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	res.(*zcbuf.Buffer).Release()
+	if got := p.client.Stats().ShmDeposits.Load(); got != 2 {
+		t.Fatalf("client ShmDeposits = %d, want 2", got)
+	}
+	if got := p.client.Stats().ShmClaims.Load(); got != 1 {
+		t.Fatalf("client ShmClaims = %d, want 1", got)
+	}
+	// The server's shm listener is a default one, so its accepts are
+	// counted as the connections it holds.
+	if d, a := cli.dials.Load(), p.server.ServerConns(); d != 1 || a != 1 {
+		t.Fatalf("client dialled %d connections, server holds %d; want 1 and 1", d, a)
+	}
+	if a := srvTCP.accepts.Load(); a != 0 {
+		t.Fatalf("server accepted %d connections on its tcp endpoint, want 0", a)
 	}
 }

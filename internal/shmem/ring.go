@@ -91,6 +91,17 @@ func packDesc(kind int, size int) uint64 {
 	return uint64(kind)<<56 | uint64(uint32(size))
 }
 
+// sleepSpin is the spin count from which backoff sleeps.
+const sleepSpin = 1024
+
+// gone reports whether a waiter at spin should give up on its peer:
+// dead is raised, or, once the wait has slowed to sleeps, alive (when
+// set) says the peer is gone. alive is the check for a waiter whose
+// transport socket nobody reads, so nothing would raise dead.
+func gone(dead *atomic.Bool, alive func() bool, spin int) bool {
+	return dead != nil && dead.Load() || spin >= sleepSpin && alive != nil && !alive()
+}
+
 // backoff parks a cursor-polling loop: spin briefly, then yield, then
 // sleep with exponential backoff capped at 1ms, so an idle ring costs
 // no CPU while a hot one reacts in nanoseconds.
@@ -98,7 +109,7 @@ func backoff(spin int) {
 	switch {
 	case spin < 256:
 		// Busy spin: the peer is typically mid-memcpy.
-	case spin < 1024:
+	case spin < sleepSpin:
 		// Yield to the goroutines of this process (an in-process peer
 		// needs this P to finish its copy), then to the threads of
 		// every process: a peer in another process is mid-copy on a
@@ -106,7 +117,7 @@ func backoff(spin int) {
 		runtime.Gosched()
 		osYield()
 	default:
-		d := time.Duration(1<<min((spin-1024)>>7, 10)) * time.Microsecond
+		d := time.Duration(1<<min((spin-sleepSpin)>>7, 10)) * time.Microsecond
 		time.Sleep(d)
 	}
 }
@@ -119,9 +130,11 @@ func backoff(spin int) {
 // (process-local) mutex.
 type Producer struct {
 	r *Ring
-	// Dead, if set, is polled while waiting for credit: the transport's
-	// watchdog raises it when the peer process vanishes.
-	Dead *atomic.Bool
+	// Dead, if set, is polled while waiting for credit: the transport
+	// raises it when its stream's reader sees the peer vanish. Alive,
+	// if set, is asked once per sleeping step of a long wait.
+	Dead  *atomic.Bool
+	Alive func() bool
 	// StallTimeout bounds how long a Write waits for credit before
 	// failing with ErrRingStalled (the ORB's exhaustion-fallback
 	// trigger). Zero means one second.
@@ -273,7 +286,7 @@ func (p *Producer) waitCredit(need uint64) error {
 		if atomic.LoadUint32(r.consClosed()) != 0 {
 			return ErrPeerDead
 		}
-		if p.Dead != nil && p.Dead.Load() {
+		if gone(p.Dead, p.Alive, spin) {
 			return ErrPeerDead
 		}
 		if spin&255 == 255 && time.Now().After(deadline) {
@@ -319,8 +332,10 @@ func (v *View) Release() { v.c.release(v) }
 // Consumer is the reading side of one ring direction.
 type Consumer struct {
 	r *Ring
-	// Dead, if set, is polled while waiting for records.
-	Dead *atomic.Bool
+	// Dead and Alive, if set, are consulted while waiting for records,
+	// as the Producer's are while it waits for credit.
+	Dead  *atomic.Bool
+	Alive func() bool
 
 	mu      sync.Mutex
 	tail    uint64  // next unclaimed slot (reader cursor)
@@ -369,7 +384,7 @@ func (c *Consumer) Next() (*View, error) {
 		if atomic.LoadUint32(r.prodClosed()) != 0 {
 			return nil, ErrProducerDone
 		}
-		if c.Dead != nil && c.Dead.Load() {
+		if gone(c.Dead, c.Alive, spin) {
 			return nil, ErrPeerDead
 		}
 		backoff(spin)

@@ -5,6 +5,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,17 +16,6 @@ import (
 // the same trains travel over tcp, inproc and shm through WriteTrain.
 // tcp sends file regions with sendfile; the others read them into
 // memory first and report the copy.
-
-// promoteData walks a pair through the ZCDC promotion handshake.
-func promoteData(t *testing.T, cli, srv Conn) {
-	t.Helper()
-	if _, err := cli.Write(preamble(0)); err != nil {
-		t.Fatalf("preamble: %v", err)
-	}
-	if _, err := io.ReadFull(srv, make([]byte, 12)); err != nil {
-		t.Fatalf("server preamble: %v", err)
-	}
-}
 
 // trainBytes is what the receiver must see: the segments in train order.
 func trainBytes(t *testing.T, train []Segment) []byte {
@@ -110,7 +100,7 @@ func TestDepositContract(t *testing.T) {
 			t.Run(pl.name+"/"+tn.name, func(t *testing.T) {
 				cli, srv := pl.pair(t)
 				if pl.promote {
-					promoteData(t, cli, srv)
+					promote(t, cli, srv)
 				}
 				want := trainBytes(t, tn.train)
 				var wantFile int64
@@ -122,8 +112,24 @@ func TestDepositContract(t *testing.T) {
 				got := make([]byte, len(want))
 				rdone := make(chan error, 1)
 				go func() {
-					_, err := io.ReadFull(srv, got)
-					rdone <- err
+					if !pl.promote {
+						_, err := io.ReadFull(srv, got)
+						rdone <- err
+						return
+					}
+					// The ring carries one record per segment.
+					off := 0
+					for i := range tn.train {
+						n := int(tn.train[i].Len())
+						view, rel, ok, err := srv.(DirectReader).ReadDirect(n)
+						if err != nil || !ok {
+							rdone <- fmt.Errorf("claim %d: ok=%v err=%v", i, ok, err)
+							return
+						}
+						off += copy(got[off:], view)
+						rel.Release()
+					}
+					rdone <- nil
 				}()
 				var before StatsSnapshot
 				if tc, ok := cli.(*tcpConn); ok {

@@ -15,13 +15,35 @@ type Releaser interface {
 
 // DirectReader is implemented by connections that can hand the caller
 // a view of the next n received payload bytes without copying them —
-// the shared-memory data plane's claim primitive. ok reports whether
-// the view was available: false means the caller must fall back to the
-// copying Read path (for example, the stream is not ring-backed, or
-// the next record does not align with n). The view stays valid until
-// release.Release() is called.
+// the shared-memory ring's claim primitive. ok reports whether the view
+// was available: false means the connection carries no ring, so the
+// bytes travel its stream and the caller reads them there. The view
+// stays valid until release.Release() is called.
 type DirectReader interface {
 	ReadDirect(n int) (view []byte, release Releaser, ok bool, err error)
+}
+
+// RingConn is implemented by connections that can carry a
+// shared-memory ring pair beside their byte stream: the shm transport's.
+// Once the pair is installed, WriteGather publishes each segment as one
+// ring record and ReadDirect claims the next record in place, while
+// Read, ReadScatter and Write stay on the stream; before that,
+// WriteGather writes the stream too.
+type RingConn interface {
+	Conn
+	DirectReader
+	// Promote installs the ring pair from the dialing side and hands it
+	// to the peer. It must precede every stream byte.
+	Promote() error
+	// HasRing reports whether the ring pair is installed (on the
+	// accepting side, once a read found it) and not retired.
+	HasRing() bool
+	// CloseRing retires the ring pair and leaves the stream open: the
+	// peer's ring operations then fail, and a claim parked here returns.
+	CloseRing()
+	// Stream returns the connection as its byte stream alone: its
+	// WriteGather stays on the stream with the ring pair installed.
+	Stream() Conn
 }
 
 // Segment is one element of a deposit train: bytes, or the region

@@ -1,17 +1,21 @@
 //go:build linux
 
-// The shared-memory transport: control bytes ride a Unix domain
-// socket, bulk payloads a memfd-backed ring pair mapped by both
-// processes (internal/shmem). Every connection starts as a plain UDS
-// stream; the DIALER promotes it to ring mode when (and only when) its
-// first write begins with the ZC data preamble "ZCDC" — i.e. exactly
-// the connections the ORB uses as data channels. Promotion sends one
-// 32-byte header with the segment fd attached over SCM_RIGHTS; from
-// then on every byte of the connection travels through the rings and
-// the socket serves only as the liveness watchdog (a peer dying closes
-// it, which unblocks ring waiters on the survivor). Control
-// connections (GIOP first bytes) never promote and behave like any
-// stream transport.
+// The shared-memory transport: a connection is a Unix domain socket
+// stream with, once promoted, a memfd-backed ring pair beside it,
+// mapped by both processes (internal/shmem). The DIALER promotes the
+// connection — by Promote, or by a first write that begins with the ZC
+// preamble "ZCDC" — ahead of any stream byte: it sends one 32-byte
+// header with the segment fd attached over SCM_RIGHTS, and the acceptor
+// installs the rings when its first read finds that header.
+//
+// The socket stays the connection's byte stream: Read, ReadScatter and
+// Write always use it, and so does WriteGather until the rings are
+// installed. From then on WriteGather publishes each segment as one
+// ring record and ReadDirect claims the next record in place, so
+// control messages travel the socket and deposits the ring (Stream is
+// the view whose WriteGather stays on the socket). The stream's reader
+// is also the liveness watchdog: a read that fails marks the peer dead,
+// which unblocks ring waiters on this side.
 //
 // The acceptor side must not write before its first successful read —
 // it cannot know whether the stream promotes until the first bytes
@@ -21,8 +25,9 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -31,8 +36,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"encoding/binary"
 
 	"zcorba/internal/shmem"
 )
@@ -60,10 +63,9 @@ type SHM struct {
 	// with shmem.ErrRingStalled (default one second).
 	StallTimeout time.Duration
 	Stats        *Stats
-	// Faults, if non-nil, is consulted directly by shm connections:
-	// ring operations classify as ClassShm, stream bytes as
-	// ClassControl. (Wrapping SHM in Faulty would hide the
-	// DirectReader fast path, so the injector is embedded instead.)
+	// Faults, if non-nil, is consulted directly by shm connections for
+	// their ring operations, classified ClassShm. (Wrapping SHM in
+	// Faulty would hide the ring, so the injector is embedded instead.)
 	Faults *FaultInjector
 
 	mu       sync.Mutex
@@ -121,7 +123,7 @@ func (t *SHM) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: shm dial %s: %w", path, err)
 	}
-	return &shmConn{t: t, uc: c.(*net.UnixConn), dialer: true}, nil
+	return newShmConn(t, c.(*net.UnixConn), true), nil
 }
 
 type shmListener struct {
@@ -135,7 +137,7 @@ func (l *shmListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shmConn{t: l.t, uc: c}, nil
+	return newShmConn(l.t, c, false), nil
 }
 
 func (l *shmListener) Close() error { return l.ul.Close() }
@@ -149,48 +151,67 @@ type ringPair struct {
 	cons *shmem.Consumer
 }
 
-// shmConn is one connection: a UDS stream that may promote to ring
-// mode. rings flips from nil exactly once (under wmu on the dialer,
-// under rmu on the acceptor); loads are lock-free.
+// shmConn is one connection: a UDS stream that may carry a ring pair.
+// rings flips from nil at most once to a pair (under wmu on the
+// dialer, on the reader on the acceptor) and at most once back to nil
+// (CloseRing); loads are lock-free.
 type shmConn struct {
 	t      *SHM
 	uc     *net.UnixConn
+	raw    syscall.RawConn
+	rv     *scatterReader
 	dialer bool
 
-	rings     atomic.Pointer[ringPair]
-	dead      atomic.Bool // peer process gone (watchdog)
-	noPromote bool        // first write was not ZCDC: plain stream forever
+	rings atomic.Pointer[ringPair]
+	dead  atomic.Bool // peer process gone (the stream's reader saw it)
 
-	wmu   sync.Mutex
-	gbufs gather // stream-mode gather scratch
+	wmu       sync.Mutex
+	gbufs     gather // gather scratch, stream or ring
+	noPromote bool   // dialer: stream bytes went first, never promote
 
-	rmu      sync.Mutex
-	probed   bool   // acceptor: promotion probe done
-	leftover []byte // acceptor: stream bytes consumed by the probe
-	cur      *recState
-	curOff   int
+	// The reader's state: the acceptor's promotion probe and the stream
+	// bytes it consumed. cmu is held across a ring claim, so CloseRing
+	// never unmaps the segment under a reader parked in it.
+	probed   bool
+	leftover []byte
+	cmu      sync.Mutex
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// recState tracks one claimed ring record. The reader holds one
-// reference while the record is current; every ReadDirect sub-view
-// holds another. Whoever drops the count to zero retires the record.
-// Release accounting is atomic-only — a sub-view released from another
-// goroutine must not need the connection read lock, or it would
-// deadlock against a reader parked in Next.
-type recState struct {
-	view *shmem.View
-	refs atomic.Int32
+func newShmConn(t *SHM, uc *net.UnixConn, dialer bool) *shmConn {
+	c := &shmConn{t: t, uc: uc, dialer: dialer, probed: dialer}
+	// A *net.UnixConn always has its raw connection.
+	c.raw, _ = uc.SyscallConn()
+	c.rv = newScatterReader(c.raw)
+	return c
 }
 
-// Release implements Releaser (and zcbuf.Releaser structurally).
-func (r *recState) Release() {
-	if r.refs.Add(-1) == 0 {
-		r.view.Release()
+// alive peeks at the socket without consuming a byte: a peer that
+// closed or died leaves end of stream or an error there. It is the
+// ring waiters' check while nobody reads the stream (a reader parked in
+// a claim is that reader), consulted only once a wait sleeps.
+func (c *shmConn) alive() bool {
+	if c.dead.Load() {
+		return false
 	}
+	ok := true
+	var b [1]byte
+	_ = c.raw.Control(func(fd uintptr) {
+		n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		ok = n > 0 || err == syscall.EAGAIN || err == syscall.EINTR
+	})
+	if !ok {
+		c.dead.Store(true)
+	}
+	return ok
 }
+
+// errRecordSize is ReadDirect's answer when the next ring record is not
+// the size the caller announced: a peer that broke the one record per
+// deposit rule. The record is consumed.
+var errRecordSize = errors.New("transport: shm record size differs from the announced deposit")
 
 // kill simulates (or reacts to) peer death: raise the dead flag and
 // tear down the socket so the other process notices too.
@@ -241,29 +262,29 @@ func (c *shmConn) faultRead() error {
 	return nil
 }
 
-// watchdog owns the UDS after promotion: nothing travels there any
-// more, so a returning Read means the peer closed or died. Raising
-// dead unblocks ring waiters on this side.
-func (c *shmConn) watchdog() {
-	var buf [16]byte
-	for {
-		if _, err := c.uc.Read(buf[:]); err != nil {
-			c.dead.Store(true)
-			return
-		}
-	}
+// Promote implements RingConn: the dialer creates the segment, ships
+// its fd and installs its ring handles. It must come before any stream
+// byte; on a connection already promoted it does nothing.
+func (c *shmConn) Promote() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.promoteLocked()
 }
 
-// promoteLocked (dialer, wmu held) creates the segment, ships its fd,
-// and flips the connection to ring mode. On any failure the
-// connection stays a plain stream — correctness is preserved, only
-// the zero-copy fast path is lost.
-func (c *shmConn) promoteLocked() {
+// promoteLocked is Promote with wmu held. On failure the connection
+// stays a plain stream.
+func (c *shmConn) promoteLocked() error {
+	switch {
+	case c.rings.Load() != nil:
+		return nil
+	case !c.dialer || c.noPromote:
+		return errors.New("transport: shm promotion must be the dialer's first write")
+	}
+	c.noPromote = true
 	cfg := c.t.cfg()
 	seg, err := shmem.Create(cfg)
 	if err != nil {
-		c.noPromote = true
-		return
+		return err
 	}
 	var hdr [shmPromoLen]byte
 	copy(hdr[:], shmPromoMagic)
@@ -272,10 +293,10 @@ func (c *shmConn) promoteLocked() {
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(cfg.SegmentBytes()))
 	if err := shmem.SendFd(c.uc, hdr[:], seg.Fd()); err != nil {
 		seg.Close()
-		c.noPromote = true
-		return
+		return err
 	}
 	c.installRings(seg, 0)
+	return nil
 }
 
 // installRings wires this side's handles: the dialer produces into
@@ -283,36 +304,30 @@ func (c *shmConn) promoteLocked() {
 func (c *shmConn) installRings(seg *shmem.Segment, prodIdx int) {
 	prod := seg.Ring(prodIdx).Producer()
 	cons := seg.Ring(1 - prodIdx).Consumer()
-	prod.Dead = &c.dead
-	cons.Dead = &c.dead
+	prod.Dead, prod.Alive = &c.dead, c.alive
+	cons.Dead, cons.Alive = &c.dead, c.alive
 	if c.t.StallTimeout > 0 {
 		prod.StallTimeout = c.t.StallTimeout
 	}
 	c.rings.Store(&ringPair{seg: seg, prod: prod, cons: cons})
-	go c.watchdog()
 }
 
-// probeLocked (acceptor, rmu held) inspects the first bytes of the
-// stream: a promotion header flips to ring mode, anything else stays
-// a stream with the probed bytes kept as read leftover.
-func (c *shmConn) probeLocked() error {
+// probe (acceptor, first read) inspects the first bytes of the stream:
+// a promotion header installs the rings, anything else is kept as
+// leftover for the reads that follow.
+func (c *shmConn) probe() error {
 	c.probed = true
 	hdr := make([]byte, shmPromoLen)
 	fd := -1
-	got, err := c.readMsg(hdr[:8], &fd)
-	if err != nil {
+	got, err := c.readMsg(hdr[:8], &fd, shmPromoMagic)
+	if err != nil || string(hdr[:8]) != shmPromoMagic {
 		c.leftover = hdr[:got]
 		if got > 0 {
-			return nil // deliver what arrived; the error resurfaces next read
+			return nil // deliver what arrived; an error resurfaces next read
 		}
 		return err
 	}
-	got = 8
-	if string(hdr[:8]) != shmPromoMagic {
-		c.leftover = hdr[:got]
-		return nil
-	}
-	if _, err := c.readMsg(hdr[8:], &fd); err != nil {
+	if _, err := c.readMsg(hdr[8:], &fd, ""); err != nil {
 		if fd >= 0 {
 			syscall.Close(fd)
 		}
@@ -339,12 +354,14 @@ func (c *shmConn) probeLocked() error {
 }
 
 // readMsg fills buf from the socket, collecting any SCM_RIGHTS fd that
-// rides along into *fdp. Partial fills return the byte count with the
-// error.
-func (c *shmConn) readMsg(buf []byte, fdp *int) (int, error) {
+// rides along into *fdp. It stops early once the bytes read differ
+// from a non-empty want, so a short stream message that is not a
+// promotion header is not held back. Partial fills return the byte
+// count with the error.
+func (c *shmConn) readMsg(buf []byte, fdp *int, want string) (int, error) {
 	oob := make([]byte, syscall.CmsgSpace(4))
 	got := 0
-	for got < len(buf) {
+	for got < len(buf) && (want == "" || string(buf[:got]) == want[:got]) {
 		n, oobn, _, _, err := c.uc.ReadMsgUnix(buf[got:], oob)
 		got += n
 		if oobn > 0 {
@@ -362,114 +379,68 @@ func (c *shmConn) readMsg(buf []byte, fdp *int) (int, error) {
 	return got, nil
 }
 
-// mapRingErr translates ring errors into stream read semantics.
-func mapRingErr(err error) error {
-	if err == shmem.ErrProducerDone {
-		return io.EOF
-	}
-	return err
-}
+func (c *shmConn) Read(p []byte) (int, error) { return c.ReadScatter(p) }
 
-// ensureRecordLocked makes cur the next unconsumed ring record,
-// blocking in Next if none is published yet. Caller holds rmu.
-func (c *shmConn) ensureRecordLocked(rp *ringPair) error {
-	if c.cur != nil {
-		return nil
-	}
-	if err := c.faultRead(); err != nil {
-		return err
-	}
-	v, err := rp.cons.Next()
-	if err != nil {
-		return mapRingErr(err)
-	}
-	c.cur = &recState{view: v}
-	c.cur.refs.Store(1)
-	c.curOff = 0
-	return nil
-}
-
-// finishRecordLocked drops the reader's reference on the current
-// record; outstanding ReadDirect sub-views keep it alive.
-func (c *shmConn) finishRecordLocked() {
-	c.cur.Release()
-	c.cur = nil
-	c.curOff = 0
-}
-
-// ReadScatter fills the first region only: ring records are claimed
-// one read at a time.
-func (c *shmConn) ReadScatter(regions ...[]byte) (int, error) { return c.Read(regions[0]) }
-
-func (c *shmConn) Read(p []byte) (int, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if !c.dialer && !c.probed {
-		if err := c.probeLocked(); err != nil {
+// ReadScatter reads the stream, one readv into the regions; the
+// acceptor's first read probes for the promotion header. A failed read
+// marks the peer dead, so ring waiters on this side give up.
+func (c *shmConn) ReadScatter(regions ...[]byte) (int, error) {
+	if !c.probed {
+		if err := c.probe(); err != nil {
+			c.dead.Store(true)
 			return 0, err
 		}
 	}
-	rp := c.rings.Load()
-	if rp == nil {
-		if len(c.leftover) > 0 {
-			n := copy(p, c.leftover)
-			c.leftover = c.leftover[n:]
-			c.countRead(n)
-			return n, nil
+	var n int
+	var err error
+	switch {
+	case len(c.leftover) > 0:
+		for _, r := range regions {
+			k := copy(r, c.leftover)
+			c.leftover = c.leftover[k:]
+			n += k
 		}
-		n, err := c.uc.Read(p)
-		c.countRead(n)
-		return n, err
+	case len(regions) == 1:
+		n, err = c.uc.Read(regions[0])
+	default:
+		n, err = c.rv.read(regions)
 	}
-	if err := c.ensureRecordLocked(rp); err != nil {
-		return 0, err
-	}
-	b := c.cur.view.Bytes()
-	n := copy(p, b[c.curOff:])
-	c.curOff += n
-	if c.curOff == len(b) {
-		c.finishRecordLocked()
+	if err != nil {
+		c.dead.Store(true)
 	}
 	c.countRead(n)
-	return n, nil
+	return n, err
 }
 
-// ReadDirect implements DirectReader: a zero-copy view of the next n
-// payload bytes. It only succeeds in ring mode when n lies within the
-// current record (deposits are published one record per payload, so
-// aligned readers always hit the whole-record case).
+// ReadDirect implements DirectReader: it claims the next ring record,
+// which must be exactly n bytes, as a view into the mapped segment.
+// The record's ring view is the release token, so a claim allocates
+// nothing. ok=false means the connection carries no ring, so the bytes
+// travel the stream.
 func (c *shmConn) ReadDirect(n int) ([]byte, Releaser, bool, error) {
-	if c.rings.Load() == nil && c.dialer {
-		return nil, nil, false, nil // unpromoted: caller uses the copy path
-	}
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if !c.dialer && !c.probed {
-		if err := c.probeLocked(); err != nil {
-			return nil, nil, false, err
-		}
-	}
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
 	rp := c.rings.Load()
-	if rp == nil || len(c.leftover) > 0 {
+	if rp == nil {
 		return nil, nil, false, nil
 	}
-	if err := c.ensureRecordLocked(rp); err != nil {
+	if err := c.faultRead(); err != nil {
 		return nil, nil, false, err
 	}
-	b := c.cur.view.Bytes()
-	if c.curOff+n > len(b) {
-		// Record boundary mismatch: let the stream path reassemble.
-		return nil, nil, false, nil
+	v, err := rp.cons.Next()
+	if err != nil {
+		if err == shmem.ErrProducerDone {
+			err = fmt.Errorf("transport: shm ring retired by the peer: %w", err)
+		}
+		return nil, nil, false, err
 	}
-	rec := c.cur
-	rec.refs.Add(1)
-	view := b[c.curOff : c.curOff+n : c.curOff+n]
-	c.curOff += n
-	if c.curOff == len(b) {
-		c.finishRecordLocked()
+	b := v.Bytes()
+	if len(b) != n {
+		v.Release()
+		return nil, nil, false, errRecordSize
 	}
 	c.countRead(n)
-	return view, rec, true, nil
+	return b, v, true, nil
 }
 
 func (c *shmConn) countRead(n int) {
@@ -489,54 +460,38 @@ func (c *shmConn) countWrite(n int64, segs int) {
 	}
 }
 
+// preambleLocked promotes a dialer whose first stream write is the ZC
+// preamble (wmu held). The preamble itself still travels the stream.
+func (c *shmConn) preambleLocked(first []byte) {
+	if !c.dialer || c.noPromote {
+		return
+	}
+	if len(first) >= 4 && string(first[:4]) == "ZCDC" {
+		_ = c.promoteLocked()
+	}
+	c.noPromote = true
+}
+
+// Write writes p to the stream.
 func (c *shmConn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	rp := c.rings.Load()
-	if rp == nil {
-		if c.dialer && !c.noPromote {
-			if len(p) >= 4 && string(p[:4]) == "ZCDC" {
-				c.promoteLocked()
-				rp = c.rings.Load()
-			} else {
-				c.noPromote = true
-			}
-		}
-		if rp == nil {
-			n, err := c.uc.Write(p)
-			c.countWrite(int64(n), 0)
-			return n, err
-		}
-	}
-	if err := c.faultWrite(); err != nil {
-		return 0, err
-	}
-	n, err := rp.prod.Write(p)
+	c.preambleLocked(p)
+	n, err := c.uc.Write(p)
 	c.countWrite(int64(n), 0)
 	return n, err
 }
 
-// WriteGather publishes each segment as its own ring record, so the
-// receiver's deposit claims align with record boundaries and stay
-// zero-copy. In stream mode it is a writev like the TCP transport.
+// WriteGather publishes each segment as its own ring record once the
+// rings are installed, so the receiver's claims align with record
+// boundaries and stay zero-copy; until then it is a writev on the
+// stream.
 func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	rp := c.rings.Load()
 	if rp == nil {
-		if c.dialer && !c.noPromote {
-			if first := firstNonEmpty(segs); len(first) >= 4 && string(first[:4]) == "ZCDC" {
-				c.promoteLocked()
-				rp = c.rings.Load()
-			} else {
-				c.noPromote = true
-			}
-		}
-		if rp == nil {
-			n, err := writev(c.uc, &c.gbufs, segs...)
-			c.countWrite(n, len(segs))
-			return n, err
-		}
+		return c.writeStreamLocked(segs)
 	}
 	if err := c.faultWrite(); err != nil {
 		return 0, err
@@ -557,24 +512,54 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 	return total, err
 }
 
+// writeStreamLocked is the stream's writev (wmu held).
+func (c *shmConn) writeStreamLocked(segs [][]byte) (int64, error) {
+	c.preambleLocked(firstNonEmpty(segs))
+	n, err := writev(c.uc, &c.gbufs, segs...)
+	c.countWrite(n, len(segs))
+	return n, err
+}
+
+// HasRing implements RingConn.
+func (c *shmConn) HasRing() bool { return c.rings.Load() != nil }
+
+// Stream implements RingConn.
+func (c *shmConn) Stream() Conn { return shmStream{c} }
+
+// shmStream is a connection seen as its byte stream alone.
+type shmStream struct{ *shmConn }
+
+// WriteGather writes the segments to the stream, ring or no ring.
+func (s shmStream) WriteGather(segs ...[]byte) (int64, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.writeStreamLocked(segs)
+}
+
+// CloseRing implements RingConn: the ring pair is retired on this side
+// and the peer's ring operations fail fast, while the stream stays up.
+// The segment is unmapped once the last claimed view is released.
+func (c *shmConn) CloseRing() {
+	rp := c.rings.Swap(nil)
+	if rp == nil {
+		return
+	}
+	rp.prod.Close() // peer drains, then sees the end of the ring
+	rp.cons.Close() // peer's producer fails fast; a parked claim returns
+	// Neither side of this process may touch the mapping past here: the
+	// producer's lock and cmu wait out a deposit or a claim in progress.
+	c.cmu.Lock()
+	c.cmu.Unlock()
+	rp.seg.Close()
+}
+
 func (c *shmConn) Close() error {
 	c.closeOnce.Do(func() {
-		if rp := c.rings.Load(); rp != nil {
-			// Closing the socket first trips the watchdog (Dead), so a
-			// local writer parked in a credit wait unblocks immediately
-			// rather than running out its stall timeout.
-			c.closeErr = c.uc.Close()
-			rp.prod.Close() // peer drains, then sees EOF
-			rp.cons.Close() // peer's producer fails fast
-			c.rmu.Lock()
-			if c.cur != nil {
-				c.finishRecordLocked()
-			}
-			c.rmu.Unlock()
-			rp.seg.Close()
-			return
-		}
+		// Raising dead first unblocks a local writer parked in a credit
+		// wait at once rather than after its stall timeout.
+		c.dead.Store(true)
 		c.closeErr = c.uc.Close()
+		c.CloseRing()
 	})
 	return c.closeErr
 }

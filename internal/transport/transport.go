@@ -328,7 +328,7 @@ func writev(w io.Writer, g *gather, segs ...[]byte) (int64, error) {
 }
 
 // firstNonEmpty returns the first segment with any bytes: what a
-// promoting transport inspects for the "ZCDC" data-channel preamble.
+// promoting transport inspects for the "ZCDC" preamble.
 func firstNonEmpty(segs [][]byte) []byte {
 	for _, s := range segs {
 		if len(s) > 0 {

@@ -77,7 +77,7 @@ func CorbaLatency(client *orb.ORB, iorStr string, blockSize, samples int,
 		}
 		return nil
 	}
-	if err := call(); err != nil { // warmup: dial, data channel handshake
+	if err := call(); err != nil { // warmup: dial, ring promotion
 		return res, err
 	}
 	lats := make([]time.Duration, samples)

@@ -369,7 +369,8 @@ func CorbaSendWindowMode(client *orb.ORB, iorStr string, blockSize, blocks, wind
 	args := []any{any(payload)}
 	if zeroCopy {
 		// The pipelined sends reuse one buffer: each request's payload
-		// is fully written to the data channel before Submit returns.
+		// is fully written (to the stream or the ring) before Submit
+		// returns.
 		args[0] = buf
 	}
 

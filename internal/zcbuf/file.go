@@ -51,7 +51,7 @@ func (x *File) Offset() int64 { return x.off }
 func (x *File) OS() *os.File { return x.f }
 
 // Bytes reads the region into memory — the fallback when the data
-// plane has no sendfile (or the data channel degraded to the marshaled
+// plane has no sendfile (or the shm ring degraded to the marshaled
 // path). The read does not disturb the file offset.
 func (x *File) Bytes() ([]byte, error) {
 	p := make([]byte, x.n)

@@ -13,7 +13,8 @@ type LeaseID uint64
 // lease before blocking in the deposit read and settles it when the
 // read completes. A sweeper expires overdue leases, releasing the
 // lease's buffer reference and running the lease's onExpire hook
-// (typically: close the data channel so the blocked reader unwinds).
+// (typically: close the stream or retire the ring, so the blocked
+// reader unwinds).
 //
 // Reference discipline: Grant retains the buffer, so the reader's own
 // reference stays valid even if the lease expires mid-read — expiry
@@ -75,7 +76,7 @@ func (t *LeaseTable) Grant(b *Buffer, deadline time.Time, onExpire func()) Lease
 // transfer of bytes that has no pooled buffer yet — the shared-memory
 // claim window, where the receiver blocks waiting for a ring record
 // rather than reading into pre-granted memory. Expiry runs onExpire
-// (which must unblock the claimer, e.g. by closing the data channel);
+// (which must unblock the claimer, e.g. by retiring the ring);
 // there is no buffer reference to drop.
 func (t *LeaseTable) GrantFunc(bytes int, deadline time.Time, onExpire func()) LeaseID {
 	return t.grant(nil, bytes, deadline, onExpire)
