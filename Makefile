@@ -73,8 +73,8 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestBcastCrossProcess' ./internal/shmem/
 
 # The whole suite under the race detector, the concurrent request
-# engine (shared-connection invokers, pipelining, pending-table
-# striping) first among it. Allocation gates skip under -race, which
+# engine (shared-connection invokers, pipelining, the reply-slot
+# array) first among it. Allocation gates skip under -race, which
 # adds allocations of its own.
 race:
 	$(GO) test -race ./...

@@ -426,6 +426,56 @@ func BenchmarkRequestRate_ZC4K(b *testing.B) {
 	}
 }
 
+// BenchmarkRequestRate_SharedConn invokes 4 KiB zput from every
+// goroutine of b.RunParallel (GOMAXPROCS of them, set by -cpu) on one
+// ObjectRef: synchronous calls that all share one client connection and
+// its reply table.
+func BenchmarkRequestRate_SharedConn(b *testing.B) {
+	sink, err := ttcp.NewCorbaSink(zcStack(), true, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	client, err := orb.New(orb.Options{Transport: zcStack(), ZeroCopy: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Shutdown()
+	ref, err := client.StringToObject(sink.IOR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op := media.Media_StoreIface.Ops["zput"]
+	b.SetBytes(4 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf, err := client.Pool().Get(4 << 10)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer buf.Release()
+		args := []any{buf}
+		for pb.Next() {
+			res, _, err := ref.Invoke(op, args)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if n, _ := res.(uint32); n != 4<<10 {
+				b.Errorf("acknowledged %d of %d bytes", n, 4<<10)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if n := client.Stats().PayloadCopyBytes.Load() +
+		sink.ORB.Stats().PayloadCopyBytes.Load(); n != 0 {
+		b.Fatalf("zero-copy bench copied %d payload bytes", n)
+	}
+}
+
 // BenchmarkRequestRate_Ping invokes the no-payload _get_received
 // attribute at each window depth: pure per-request GIOP overhead, no
 // payload at all.

@@ -214,8 +214,9 @@ func (nopConn) LocalAddr() string                    { return "nop" }
 func (nopConn) RemoteAddr() string                   { return "nop" }
 
 // TestServerConnNoReplyTables: replies never arrive on a server
-// connection, so it makes no reply or locate tables, and close drops a
-// client connection's tables instead of replacing them.
+// connection, so it makes no reply table, and a client's costs one
+// array. close fails each waiter with a nil delivery, so it allocates
+// nothing per waiter, and a closed connection takes no new waiter.
 func TestServerConnNoReplyTables(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("alloc count skipped under -race: instrumentation skews the count")
@@ -226,20 +227,37 @@ func TestServerConnNoReplyTables(t *testing.T) {
 	}
 	srv, cli := count(true), count(false)
 	// What is left on a server connection: the conn itself, its two
-	// expiry hooks, the close error and the waiters' COMM_FAILURE.
-	if srv > 5 {
-		t.Fatalf("server newConn+close allocates %v objects, want at most 5", srv)
+	// expiry hooks and the close error.
+	if srv > 4 {
+		t.Fatalf("server newConn+close allocates %v objects, want at most 4", srv)
 	}
-	if cli < srv+pendingShards+1 {
-		t.Fatalf("client newConn+close allocates %v objects against the server's %v: reply tables missing", cli, srv)
+	if cli > srv+2 {
+		t.Fatalf("client newConn+close allocates %v objects against the server's %v, want at most 2 more", cli, srv)
+	}
+	// close alone, on connections prepared outside the count (one per
+	// run of AllocsPerRun, plus its warm-up).
+	closeAllocs := func(waiters int) float64 {
+		conns := make([]*conn, 101)
+		for i := range conns {
+			conns[i] = newConn(o, nopConn{}, false)
+			for j := 0; j < waiters; j++ {
+				if _, _, err := conns[i].take(slotRequest); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		i := 0
+		return testing.AllocsPerRun(100, func() { conns[i].close(nil); i++ })
+	}
+	idle, busy := closeAllocs(0), closeAllocs(8)
+	if busy > idle {
+		t.Fatalf("close with 8 waiters allocates %v objects, with none %v", busy, idle)
 	}
 	c := newConn(o, nopConn{}, false)
 	c.close(nil)
-	if c.pendingLocate != nil || c.pending[0].m != nil {
-		t.Fatal("close left the reply tables in place")
+	if _, _, err := c.take(slotRequest); err == nil {
+		t.Fatal("take on a closed connection succeeded")
 	}
-	if _, err := c.register(1); err == nil {
-		t.Fatal("register on a closed connection succeeded")
-	}
-	t.Logf("newConn+close: server %v allocs, client %v", srv, cli)
+	t.Logf("newConn+close: server %v allocs, client %v; close with 8 waiters %v, with none %v",
+		srv, cli, busy, idle)
 }

@@ -19,7 +19,7 @@ import (
 // resilience contract of PR 2: calls either complete correctly (via
 // retry or the marshaled fallback) or fail with a clean CORBA system
 // exception; no call hangs, no reply is lost or double-delivered, no
-// goroutine or pending-table entry leaks.
+// goroutine or reply slot leaks.
 //
 // Every scenario shuts its ORBs down explicitly inside the test body
 // (Shutdown is idempotent, so the newPair cleanups become no-ops) and
@@ -45,15 +45,28 @@ func assertNoGoroutineLeak(t *testing.T, before int) {
 		before, runtime.NumGoroutine(), buf[:n])
 }
 
-// pendingTotal counts outstanding pending-reply table entries across a
-// reference's connections.
-func pendingTotal(r *ObjectRef) int {
+// occupiedSlots counts the occupied reply slots across a reference's
+// connections (tests use it to prove the tables do not leak).
+func occupiedSlots(r *ObjectRef) int {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
 	n := 0
 	for _, c := range r.conns {
 		if c != nil {
-			n += c.pendingEntries()
+			n += c.occupiedSlots()
+		}
+	}
+	return n
+}
+
+// occupiedSlots counts the connection's occupied reply slots.
+func (c *conn) occupiedSlots() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, s := range c.slots {
+		if s.kind != slotFree {
+			n++
 		}
 	}
 	return n
@@ -103,8 +116,8 @@ func TestChaosResetBeforeReply(t *testing.T) {
 	if inj.Fired() != 1 {
 		t.Fatalf("injector fired %d faults, want 1", inj.Fired())
 	}
-	if n := pendingTotal(p.ref); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
+	if n := occupiedSlots(p.ref); n != 0 {
+		t.Fatalf("reply slots leaked: %d", n)
 	}
 	p.client.Shutdown()
 	p.server.Shutdown()
@@ -168,8 +181,8 @@ func TestChaosTruncateMidDeposit(t *testing.T) {
 	if n := p.server.leases.Pending(); n != 0 {
 		t.Fatalf("server deposit leases outstanding: %d", n)
 	}
-	if n := pendingTotal(p.ref); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
+	if n := occupiedSlots(p.ref); n != 0 {
+		t.Fatalf("reply slots leaked: %d", n)
 	}
 	p.client.Shutdown()
 	p.server.Shutdown()
@@ -329,8 +342,8 @@ func TestChaosServerRestart(t *testing.T) {
 	if got := client.Stats().Retries.Load(); got < 1 {
 		t.Fatalf("Retries = %d, want >= 1", got)
 	}
-	if n := pendingTotal(cref); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
+	if n := occupiedSlots(cref); n != 0 {
+		t.Fatalf("reply slots leaked: %d", n)
 	}
 	client.Shutdown()
 	serverB.Shutdown()
@@ -393,8 +406,8 @@ func TestChaosRandomSeeded(t *testing.T) {
 	if succeeded == 0 {
 		t.Fatal("no call survived the schedule")
 	}
-	if n := pendingTotal(p.ref); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
+	if n := occupiedSlots(p.ref); n != 0 {
+		t.Fatalf("reply slots leaked: %d", n)
 	}
 	if n := p.server.leases.Pending(); n != 0 {
 		t.Fatalf("server deposit leases outstanding: %d", n)
@@ -405,8 +418,8 @@ func TestChaosRandomSeeded(t *testing.T) {
 }
 
 // TestPendingTableSweptAfterTimeouts hammers a slow servant with calls
-// that all time out and asserts the pending-reply tables are swept
-// clean — the regression test for awaitReply leaving entries behind.
+// that all time out and asserts the reply slots are all freed
+// — the regression test for awaitReply leaving entries behind.
 func TestPendingTableSweptAfterTimeouts(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tr := &transport.InProc{}
@@ -434,8 +447,8 @@ func TestPendingTableSweptAfterTimeouts(t *testing.T) {
 	if got := p.client.Stats().Timeouts.Load(); got != workers*perWorker {
 		t.Fatalf("Timeouts = %d, want %d", got, workers*perWorker)
 	}
-	if n := pendingTotal(p.ref); n != 0 {
-		t.Fatalf("pending entries after %d timed-out calls: %d", workers*perWorker, n)
+	if n := occupiedSlots(p.ref); n != 0 {
+		t.Fatalf("occupied reply slots after %d timed-out calls: %d", workers*perWorker, n)
 	}
 	p.client.Shutdown()
 	p.server.Shutdown()

@@ -357,11 +357,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		}
 	}
 
-	// Zero-copy eligibility: both ORBs opted in and architectures
-	// match (the homogeneity negotiation of §2.1; on mismatch the call
-	// transparently falls back to standard IIOP marshaling).
-	zc := o.opts.ZeroCopy && pe.zcArch == o.arch
-	c, err := r.getConn(pe, zc)
+	c, err := r.getConn(pe)
 	if err != nil {
 		// COMM_FAILURE with CompletedNo: the server never saw the
 		// request, so the retry policy may re-dial later.
@@ -375,14 +371,26 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	}
 	useZC := c.zc && !c.ringDown.Load()
 
+	// A two-way request occupies its reply slot from here on, so every
+	// failure below frees it.
+	kind := slotRequest
+	if op.Oneway {
+		kind = slotFree
+	}
+	id, ch, err := c.take(kind)
+	if err != nil {
+		return r.failedCall(op, args, &SystemException{Name: "COMM_FAILURE", Completed: CompletedNo}, tc, start, attempt)
+	}
+
 	// The Call is taken now: the request is built in its send scratch.
 	call := callPool.Get().(*Call)
 	call.ref, call.op, call.args, call.ctx = r, op, args, ctx
 	call.tc, call.start, call.attempt = tc, start, attempt
+	call.conn, call.id, call.ch = c, id, ch
 	scx := &call.send
 	req := giop.RequestHeader{
 		ServiceContexts:  scx.contexts[:0],
-		RequestID:        o.reqID.Add(1),
+		RequestID:        id,
 		ResponseExpected: !op.Oneway,
 		ObjectKey:        pe.profile.ObjectKey,
 		Operation:        op.Name,
@@ -395,7 +403,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		var zcOK bool
 		deposits, sizes, zcOK, err = collectDeposits(inTypes, args, scx.segs[:], scx.sizes[:])
 		if err != nil {
-			return call.finish(&SystemException{Name: "MARSHAL", Completed: CompletedNo})
+			return call.fail(&SystemException{Name: "MARSHAL", Completed: CompletedNo})
 		}
 		// A zero-length ZC value is not deposit-eligible (the wire
 		// protocol forbids zero-length deposit blocks): the whole call
@@ -413,7 +421,7 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 	req.Marshal(e)
 	if err := o.marshalValues(e, inTypes, args, skipZC); err != nil {
 		cdr.PutEncoder(e)
-		return call.finish(&SystemException{Name: "MARSHAL", Completed: CompletedNo})
+		return call.fail(&SystemException{Name: "MARSHAL", Completed: CompletedNo})
 	}
 	body := e.Bytes()
 	if tc.Valid() {
@@ -424,14 +432,6 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 		})
 	}
 
-	var ch chan *replyMsg
-	if !op.Oneway {
-		ch, err = c.register(req.RequestID)
-		if err != nil {
-			cdr.PutEncoder(e)
-			return call.finish(&SystemException{Name: "COMM_FAILURE", Completed: CompletedNo})
-		}
-	}
 	o.stats.RequestsSent.Add(1)
 	if err := c.send(giop.MsgRequest, body, deposits, inline, tc, op.Name, trace.KindControlSend); err != nil {
 		cdr.PutEncoder(e)
@@ -450,47 +450,43 @@ func (r *ObjectRef) startCtx(ctx context.Context, op *Operation, args []any,
 					Op: op.Name, Attempt: attempt, Err: true, Start: trace.Now(),
 				})
 			}
+			// The superseded request's slot goes, reaping a reply (the
+			// server's error answer) that raced in, so the re-send
+			// cannot see a stale delivery.
 			if ch != nil {
-				r.dropAbandoned(c, req.RequestID, ch)
+				c.free(id)
 			}
 			freeCall(call)
 			return r.startCtx(ctx, op, args, tc, attempt)
 		}
-		if ch != nil {
-			c.unregister(req.RequestID)
-		}
 		c.close(err)
-		return call.finish(&SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe})
+		return call.fail(&SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe})
 	}
 	cdr.PutEncoder(e)
 	if op.Oneway {
 		return call.finish(nil)
 	}
-	call.conn, call.id, call.ch = c, req.RequestID, ch
 	return call
 }
 
-// dropAbandoned discards the reply slot of a request superseded by a
-// fallback re-send, reaping a reply (the server's error answer) that
-// raced in, so the superseding request cannot see a stale delivery.
-func (r *ObjectRef) dropAbandoned(c *conn, id uint32, ch chan *replyMsg) {
-	if c.unregister(id) {
-		replyChanPool.Put(ch)
-		return
+// fail completes a Call that failed after taking its reply slot: the
+// slot is freed, then the Call finishes with err.
+func (c *Call) fail(err error) *Call {
+	if c.ch != nil {
+		c.conn.free(c.id)
 	}
-	msg := <-ch
-	replyChanPool.Put(ch)
-	if msg.err == nil {
-		releaseAll(msg.deposits)
-	}
-	r.orb.freeReply(msg)
+	return c.finish(err)
 }
 
 // getConn returns a healthy connection for this reference, consulting
 // the per-ref cache first and rotating across the ORB's connection
-// stripes when ConnsPerEndpoint > 1.
-func (r *ObjectRef) getConn(pe profileEntry, zc bool) (*conn, error) {
+// stripes when ConnsPerEndpoint > 1. The connection is zero-copy when
+// both ORBs opted in and the architectures match (the homogeneity
+// negotiation of §2.1; on mismatch calls transparently fall back to
+// standard IIOP marshaling).
+func (r *ObjectRef) getConn(pe profileEntry) (*conn, error) {
 	o := r.orb
+	zc := o.opts.ZeroCopy && pe.zcArch == o.arch
 	stripes := o.connStripes()
 	stripe := 0
 	if stripes > 1 {

@@ -36,10 +36,10 @@ import (
 // record per segment, and claimed in place on the other side. No plane
 // keeps a reference to a segment once that call returns.
 //
-// The pending-reply table is striped across pendingShards independent
-// locks so concurrent invokers sharing the connection do not serialize
-// on a single mutex (per-message software overhead, the modern cousin
-// of the paper's per-byte copies).
+// A client connection matches replies to their waiters in one slot
+// array under mu: the request id, which the connection allocates,
+// indexes its slot directly, so a reply costs one index and one compare
+// (see replySlot).
 type conn struct {
 	orb *ORB
 	// ctrl is the byte stream the GIOP messages travel: the whole
@@ -81,39 +81,51 @@ type conn struct {
 
 	closed atomic.Bool
 
-	mu            sync.Mutex // guards err, pendingLocate, and onClose
-	pendingLocate map[uint32]chan locateResult
-	err           error
+	mu  sync.Mutex // guards err, onClose, and the reply slots
+	err error
 	// onClose runs exactly once during close, before the control stream
 	// is torn down: the event engine deregisters the connection's fd
 	// there while the fd is still open (a deregistration after Close
 	// could hit a reused fd number).
 	onClose func()
 
-	pending [pendingShards]pendingShard
+	// slots is a client connection's reply table (nil on a server one):
+	// a power-of-two array indexed by request id. nextID is the last
+	// request id handed out.
+	slots  []replySlot
+	nextID uint32
 
 	closeOnce sync.Once
 }
 
-// pendingShards stripes the reply table; must be a power of two.
-const pendingShards = 16
+// replySlots0 is the initial size of a client connection's reply table,
+// a power of two; take doubles it when every slot is occupied. Live ids
+// that differ mod n also differ mod 2n, so doubling never collides.
+const replySlots0 = 8
 
-// pendingShard is one stripe of the pending-reply table, padded so
-// adjacent shards do not share a cache line.
-type pendingShard struct {
-	mu sync.Mutex
-	m  map[uint32]chan *replyMsg
-	_  [40]byte
+// slotKind is what a reply slot waits for: free, a Reply to a Request,
+// or a LocateReply to a LocateRequest.
+type slotKind uint8
+
+const (
+	slotFree slotKind = iota
+	slotRequest
+	slotLocate
+)
+
+// replySlot is one entry of the reply table. It is occupied from take
+// to free; done marks that its reply (or the close's nil) has been put
+// into ch, which the slot keeps for the life of the connection. ch
+// holds at most that one message, so a send into it never blocks.
+type replySlot struct {
+	id   uint32
+	kind slotKind
+	done bool
+	ch   chan *replyMsg
 }
 
-// locateResult carries a LocateReply (or the connection's close error)
-// to the waiting locate caller.
-type locateResult struct {
-	hdr giop.LocateReplyHeader
-	err error
-}
-
-// replyMsg carries a decoded Reply to the waiting invoker. body is the
+// replyMsg carries a decoded Reply to the waiting invoker, or a
+// LocateReply's status (loc) to a waiting locate. body is the
 // pooled control-message buffer the decoder reads from; both return to
 // their pools via ORB.freeReply once the reply is fully decoded. The
 // header's service contexts are views of body. The slices keep their
@@ -121,6 +133,7 @@ type locateResult struct {
 // values are decoded.
 type replyMsg struct {
 	hdr      giop.ReplyHeader
+	loc      giop.LocateStatus
 	dec      *cdr.Decoder
 	deposits []*zcbuf.Buffer
 	vals     []any
@@ -183,12 +196,6 @@ func cleared[T any](s []T) []T {
 	return s[:0]
 }
 
-// replyChanPool recycles the single-slot reply channels handed to
-// invokers. A channel is only returned to the pool by the receiver
-// after it has consumed the (sole) message, never on the timeout path,
-// so a pooled channel is always empty.
-var replyChanPool = sync.Pool{New: func() any { return make(chan *replyMsg, 1) }}
-
 // timerPool recycles timeout timers: time.After allocates a timer and
 // channel per call, which would dominate otherwise allocation-free
 // reply waits. Requires the Go 1.23+ timer semantics (go directive >=
@@ -230,7 +237,7 @@ func (o *ORB) freeReply(msg *replyMsg) {
 }
 
 // newConn wraps a connection. Only a client connection gets the reply
-// and locate tables: replies never arrive on a server one. A connection
+// table: replies never arrive on a server one. A connection
 // that can carry a ring (the shm transport's) keeps it as ring, with
 // its stream view as ctrl.
 func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
@@ -243,10 +250,7 @@ func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 		c.ring, c.ctrl = rc, rc.Stream()
 	}
 	if !isServer {
-		c.pendingLocate = make(map[uint32]chan locateResult)
-		for i := range c.pending {
-			c.pending[i].m = make(map[uint32]chan *replyMsg)
-		}
+		c.slots = make([]replySlot, replySlots0)
 	}
 	c.frame.orb = o
 	c.onLeaseExpire = c.markRingDown
@@ -272,19 +276,6 @@ func (c *conn) markRingDown() {
 // it has one, installed by the dialer's promotion and not retired.
 func (c *conn) hasRing() bool { return c.ring != nil && c.ring.HasRing() }
 
-// pendingEntries counts registered reply waiters across all shards
-// (tests use it to prove the table does not leak).
-func (c *conn) pendingEntries() int {
-	n := 0
-	for i := range c.pending {
-		s := &c.pending[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // errDataWrite marks a send failure confined to the shm ring; the
 // stream already carried the message, so the caller can degrade to the
 // marshaled path instead of tearing the connection down.
@@ -302,16 +293,10 @@ type errDepositTransfer struct{ err error }
 func (e *errDepositTransfer) Error() string { return "orb: deposit transfer: " + e.err.Error() }
 func (e *errDepositTransfer) Unwrap() error { return e.err }
 
-// shard returns the pending-table stripe for a request id.
-func (c *conn) shard(id uint32) *pendingShard {
-	return &c.pending[id&(pendingShards-1)]
-}
-
-// close tears the connection down exactly once and fails all waiters:
-// pending reply and locate waiters alike observe the close error. The
-// reply and locate tables are dropped, not replaced: register and
-// locate check closed and err under the locks that guard the tables,
-// so nothing writes to a nil one.
+// close tears the connection down exactly once and fails every waiter:
+// each occupied slot not yet answered gets a nil delivery, which its
+// waiter reads as COMM_FAILURE. take checks err under mu, so no slot is
+// taken after that sweep.
 func (c *conn) close(err error) {
 	c.closeOnce.Do(func() {
 		if err == nil {
@@ -319,35 +304,21 @@ func (c *conn) close(err error) {
 		}
 		c.mu.Lock()
 		c.err = err
-		locWaiters := c.pendingLocate
-		c.pendingLocate = nil
 		onClose := c.onClose
 		c.mu.Unlock()
 		if onClose != nil {
 			onClose()
 		}
-		// Publish the closed flag before sweeping the shards: register
-		// either lands in a shard before the sweep (and is failed
-		// below) or observes closed afterwards.
 		c.closed.Store(true)
-		var waiters []chan *replyMsg
-		for i := range c.pending {
-			s := &c.pending[i]
-			s.mu.Lock()
-			for _, ch := range s.m {
-				waiters = append(waiters, ch)
-			}
-			s.m = nil
-			s.mu.Unlock()
-		}
-		commErr := &SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe}
-		for _, ch := range locWaiters {
-			ch <- locateResult{err: commErr}
-		}
 		_ = c.ctrl.Close()
-		for _, ch := range waiters {
-			ch <- &replyMsg{err: commErr}
+		c.mu.Lock()
+		for i := range c.slots {
+			if s := &c.slots[i]; s.kind != slotFree && !s.done {
+				s.done = true
+				s.ch <- nil
+			}
 		}
+		c.mu.Unlock()
 	})
 }
 
@@ -364,57 +335,102 @@ func (c *conn) setOnClose(fn func()) {
 // healthy reports whether the connection is still usable.
 func (c *conn) healthy() bool { return !c.closed.Load() }
 
-// closeErr returns the error the connection closed with.
-func (c *conn) closeErr() error {
+// take hands out the next request id whose reply slot is free, so a
+// long-running call is never overwritten, and occupies that slot with a
+// waiter of the given kind; slotFree (a oneway) takes the id alone. Ids
+// are per connection, as GIOP scopes them. It returns the channel the
+// answer arrives on. A full table doubles.
+func (c *conn) take(kind slotKind) (uint32, chan *replyMsg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err == nil {
-		return errors.New("orb: connection closed")
+	if c.err != nil {
+		return 0, nil, c.err
 	}
-	return c.err
-}
-
-// register adds a pending reply slot for a request id.
-func (c *conn) register(id uint32) (chan *replyMsg, error) {
-	s := c.shard(id)
-	s.mu.Lock()
-	if c.closed.Load() {
-		s.mu.Unlock()
-		return nil, c.closeErr()
+	for probed := 0; ; probed++ {
+		if probed == len(c.slots) {
+			// len(slots) consecutive ids found no free slot: it is full.
+			c.grow()
+		}
+		c.nextID++
+		s := c.slot(c.nextID)
+		if s.kind != slotFree {
+			continue
+		}
+		if kind == slotFree {
+			return c.nextID, nil, nil
+		}
+		if s.ch == nil {
+			s.ch = make(chan *replyMsg, 1)
+		}
+		s.id, s.kind = c.nextID, kind
+		return s.id, s.ch, nil
 	}
-	ch := replyChanPool.Get().(chan *replyMsg)
-	s.m[id] = ch
-	s.mu.Unlock()
-	return ch, nil
 }
 
-// unregister abandons a pending reply slot (timeout path). It reports
-// whether the slot was still registered; if not, a delivery is already
-// in flight and the channel must not be recycled.
-func (c *conn) unregister(id uint32) bool {
-	s := c.shard(id)
-	s.mu.Lock()
-	_, ok := s.m[id]
-	delete(s.m, id)
-	s.mu.Unlock()
-	return ok
+// slot returns the table entry request id maps to (mu held).
+func (c *conn) slot(id uint32) *replySlot {
+	return &c.slots[id&uint32(len(c.slots)-1)]
 }
 
-// deliver hands a reply to its waiter, releasing everything if nobody
-// is waiting anymore.
-func (c *conn) deliver(msg *replyMsg) {
-	s := c.shard(msg.hdr.RequestID)
-	s.mu.Lock()
-	ch := s.m[msg.hdr.RequestID]
-	delete(s.m, msg.hdr.RequestID)
-	s.mu.Unlock()
-	if ch == nil {
+// grow doubles the reply table (mu held): each occupied slot moves to
+// its id's index in the new one.
+func (c *conn) grow() {
+	slots := make([]replySlot, 2*len(c.slots))
+	for _, s := range c.slots {
+		if s.kind != slotFree {
+			slots[s.id&uint32(len(slots)-1)] = s
+		}
+	}
+	c.slots = slots
+}
+
+// free empties the slot of request id. A delivery its waiter never
+// received — one that raced a timeout — is reaped and released here.
+// It reports whether a reply or the close reached the slot.
+func (c *conn) free(id uint32) bool {
+	c.mu.Lock()
+	s := c.slot(id)
+	done := s.done
+	var msg *replyMsg
+	select {
+	case msg = <-s.ch:
+	default:
+	}
+	s.kind, s.done = slotFree, false
+	c.mu.Unlock()
+	if msg != nil {
 		releaseAll(msg.deposits)
 		c.orb.freeReply(msg)
-		return
 	}
-	c.orb.stats.RepliesReceived.Add(1)
-	ch <- msg
+	return done
+}
+
+// deliver hands msg to the waiter of its request id's slot, or
+// releases it when no waiter of that id is left (a reply to a timed-out
+// call, or a duplicate). An answer of the other kind to a live id is a
+// protocol error. It reports whether the connection lives on.
+func (c *conn) deliver(msg *replyMsg, kind slotKind) bool {
+	id := msg.hdr.RequestID
+	c.mu.Lock()
+	s := c.slot(id)
+	live := s.kind != slotFree && s.id == id
+	if !live || s.kind != kind || s.done {
+		ok := !live || s.kind == kind
+		c.mu.Unlock()
+		releaseAll(msg.deposits)
+		c.orb.freeReply(msg)
+		if !ok {
+			c.protocolError("answer of the wrong kind for request %d", id)
+		}
+		return ok
+	}
+	s.done = true
+	s.ch <- msg
+	c.mu.Unlock()
+	if kind == slotRequest {
+		c.orb.stats.RepliesReceived.Add(1)
+	}
+	return true
 }
 
 // tooLarge reports a message over the configured size bound.
@@ -867,16 +883,14 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 					})
 				}
 				msg.err = &SystemException{Name: "TRANSIENT", Completed: CompletedMaybe}
-				c.deliver(msg)
-				return true
+				return c.deliver(msg, slotRequest)
 			}
 			c.orb.freeReply(msg)
 			c.protocolError("reply deposit: %v", err)
 			return false
 		}
 		msg.deposits = deposits
-		c.deliver(msg)
-		return true
+		return c.deliver(msg, slotRequest)
 
 	case giop.MsgLocateRequest:
 		if !c.isServer {
@@ -906,20 +920,20 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 		return true
 
 	case giop.MsgLocateReply:
+		if c.isServer {
+			c.freeInline(dec, body)
+			c.protocolError("LocateReply on server connection")
+			return false
+		}
 		lrep, err := giop.UnmarshalLocateReplyHeader(dec)
 		c.freeInline(dec, body)
 		if err != nil {
 			c.protocolError("bad locate reply: %v", err)
 			return false
 		}
-		c.mu.Lock()
-		ch := c.pendingLocate[lrep.RequestID]
-		delete(c.pendingLocate, lrep.RequestID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- locateResult{hdr: lrep}
-		}
-		return true
+		msg := replyMsgPool.Get().(*replyMsg)
+		msg.hdr.RequestID, msg.loc = lrep.RequestID, lrep.Status
+		return c.deliver(msg, slotLocate)
 
 	case giop.MsgCancelRequest:
 		// Best-effort semantics: the reply is simply discarded by
@@ -1034,48 +1048,33 @@ func (c *conn) sendCloseConnection() {
 }
 
 // locate issues a LocateRequest for the given object key and returns
-// the peer's LocateReply status.
-func (c *conn) locate(id uint32, key []byte, timeout time.Duration) (giop.LocateStatus, error) {
-	ch := make(chan locateResult, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+// the peer's LocateReply status. It waits like a call: in a reply slot,
+// through awaitReply.
+func (c *conn) locate(key []byte, timeout time.Duration) (giop.LocateStatus, error) {
+	id, ch, err := c.take(slotLocate)
+	if err != nil {
 		return 0, err
 	}
-	c.pendingLocate[id] = ch
-	c.mu.Unlock()
-
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	(&giop.LocateRequestHeader{RequestID: id, ObjectKey: key}).Marshal(e)
-	err := c.sendMessage(giop.MsgLocateRequest, e.Bytes())
+	err = c.sendMessage(giop.MsgLocateRequest, e.Bytes())
 	cdr.PutEncoder(e)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pendingLocate, id)
-		c.mu.Unlock()
+		c.free(id)
 		return 0, err
 	}
-	t := getTimer(timeout)
-	defer putTimer(t)
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return 0, res.err
-		}
-		return res.hdr.Status, nil
-	case <-t.C:
-		c.mu.Lock()
-		delete(c.pendingLocate, id)
-		c.mu.Unlock()
-		return 0, &SystemException{Name: "TIMEOUT", Completed: CompletedMaybe}
+	msg, err := c.awaitReply(nil, id, ch, timeout)
+	if err != nil {
+		return 0, err
 	}
+	status := msg.loc
+	c.orb.freeReply(msg)
+	return status, nil
 }
 
-// awaitReply blocks for a reply until the per-call deadline (ctx) or
-// the ORB call timeout expires. Abandoned waits always sweep their
-// pending-table entry, so timed-out calls cannot grow the striped
-// shards unboundedly.
+// awaitReply blocks for the answer in request id's slot until the
+// per-call deadline (ctx) or the ORB call timeout expires, and frees
+// the slot on every path. A nil delivery is the connection's close.
 func (c *conn) awaitReply(ctx context.Context, id uint32, ch chan *replyMsg,
 	timeout time.Duration) (*replyMsg, error) {
 	var ctxDone <-chan struct{}
@@ -1086,7 +1085,10 @@ func (c *conn) awaitReply(ctx context.Context, id uint32, ch chan *replyMsg,
 	select {
 	case msg := <-ch:
 		putTimer(t)
-		replyChanPool.Put(ch)
+		c.free(id)
+		if msg == nil {
+			return nil, &SystemException{Name: "COMM_FAILURE", Completed: CompletedMaybe}
+		}
 		if msg.err != nil {
 			err := msg.err
 			c.orb.freeReply(msg)
@@ -1096,33 +1098,21 @@ func (c *conn) awaitReply(ctx context.Context, id uint32, ch chan *replyMsg,
 	case <-t.C:
 		putTimer(t)
 		c.orb.stats.Timeouts.Add(1)
-		return c.abandon(id, ch, &SystemException{Name: "TIMEOUT", Completed: CompletedMaybe})
+		return nil, c.abandon(id, &SystemException{Name: "TIMEOUT", Completed: CompletedMaybe})
 	case <-ctxDone:
 		putTimer(t)
-		return c.abandon(id, ch, ctx.Err())
+		return nil, c.abandon(id, ctx.Err())
 	}
 }
 
-// abandon gives up on a pending reply: it sweeps the pending-table
-// entry, reaps a delivery that raced the abandonment, and sends a
-// best-effort GIOP CancelRequest so the server can drop the now
+// abandon gives up on a pending answer: it frees the slot, reaping a
+// delivery that raced the abandonment, and when none had arrived sends
+// a best-effort GIOP CancelRequest so the server can drop the now
 // unwanted reply early. It returns failErr for the caller.
-func (c *conn) abandon(id uint32, ch chan *replyMsg, failErr error) (*replyMsg, error) {
-	if !c.unregister(id) {
-		// Delivery raced the abandonment: the reply is in (or on its
-		// way into) the buffered channel. Reap it.
-		msg := <-ch
-		replyChanPool.Put(ch)
-		if msg.err == nil {
-			releaseAll(msg.deposits)
-		}
-		c.orb.freeReply(msg)
-		return nil, failErr
+func (c *conn) abandon(id uint32, failErr error) error {
+	if c.free(id) {
+		return failErr
 	}
-	// unregister succeeded, so no deliverer holds the channel (delivery
-	// removes the entry under the shard lock before sending): it is
-	// provably empty and safe to recycle.
-	replyChanPool.Put(ch)
 	e := cdr.GetEncoder(cdr.NativeOrder, giop.HeaderSize)
 	(&giop.CancelRequestHeader{RequestID: id}).Marshal(e)
 	err := c.sendMessage(giop.MsgCancelRequest, e.Bytes())
@@ -1130,5 +1120,5 @@ func (c *conn) abandon(id uint32, ch chan *replyMsg, failErr error) (*replyMsg, 
 	if err == nil {
 		c.orb.stats.CancelsSent.Add(1)
 	}
-	return nil, failErr
+	return failErr
 }

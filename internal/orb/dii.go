@@ -33,16 +33,16 @@ const (
 
 // Locate asks the object's server whether the target is active there,
 // using a GIOP LocateRequest (cheaper than _non_existent: no dispatch,
-// no exception machinery).
+// no exception machinery). It rides the connection the reference's
+// calls use.
 func (r *ObjectRef) Locate() (LocateStatus, error) {
-	o := r.orb
-	profile, ok := r.ior.IIOP()
+	pe, ok := r.current()
 	if !ok {
 		return 0, &SystemException{Name: "INV_OBJREF", Completed: CompletedNo}
 	}
-	c, err := o.dialConn(dialAddr(profile.Host, profile.Port), false, "", 0)
+	c, err := r.getConn(pe)
 	if err != nil {
 		return 0, err
 	}
-	return c.locate(o.reqID.Add(1), profile.ObjectKey, o.opts.CallTimeout)
+	return c.locate(pe.profile.ObjectKey, r.orb.opts.CallTimeout)
 }

@@ -174,6 +174,25 @@ func TestLocate(t *testing.T) {
 	}
 }
 
+// TestLocateRidesRefConn: Locate on a zero-copy reference rides the
+// connection its calls use instead of dialling a second, standard one.
+func TestLocateRidesRefConn(t *testing.T) {
+	p := tcpPair(t, true)
+	if _, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{pattern(4096)}); err != nil {
+		t.Fatal(err)
+	}
+	status, err := p.ref.Locate()
+	if err != nil || status != LocateObjectHere {
+		t.Fatalf("Locate = %v, %v", status, err)
+	}
+	p.client.mu.Lock()
+	n := len(p.client.clientConns)
+	p.client.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("client holds %d connections to the server, want 1", n)
+	}
+}
+
 // TestBulkRequestIsOneWrite: a standard-path body of several MiB is
 // sent as one GIOP frame, so it leaves the client as one control write
 // and arrives intact.

@@ -60,6 +60,13 @@ func controlStreamSeeds() [][]byte {
 	var frag [giop.HeaderSize]byte
 	giop.EncodeHeader(frag[:], giop.Header{Major: 1, Type: giop.MsgFragment, Size: 4})
 	add(append(frag[:], 0xDE, 0xAD, 0xBE, 0xEF))
+	// A LocateReply, which only a client connection takes.
+	le := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+	(&giop.LocateReplyHeader{RequestID: 1, Status: giop.LocateObjectHere}).Marshal(le)
+	var lh [giop.HeaderSize]byte
+	giop.EncodeHeader(lh[:], giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+		Type: giop.MsgLocateReply, Size: uint32(len(le.Bytes()))})
+	add(append(lh[:], le.Bytes()...))
 	// Request announcing a multi-segment deposit train: a DepositInfo
 	// service context with several size-vector entries. The server must
 	// route it through the scatter path (or reject it cleanly) without

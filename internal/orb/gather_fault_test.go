@@ -37,8 +37,8 @@ func assertTornTrain(t *testing.T, p *pair, op *Operation, bufs []*zcbuf.Buffer,
 	if n := p.server.leases.Pending(); n != 0 {
 		t.Fatalf("server deposit leases outstanding: %d", n)
 	}
-	if n := pendingTotal(p.ref); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
+	if n := occupiedSlots(p.ref); n != 0 {
+		t.Fatalf("reply slots leaked: %d", n)
 	}
 	// sendTrain cleared the buffers; refill them for the fresh call.
 	for i, b := range bufs {

@@ -356,7 +356,6 @@ type ORB struct {
 	// unsupported on this platform, or failed to initialize).
 	engine *engine
 
-	reqID   atomic.Uint32
 	autoSeq atomic.Uint64
 	wg      sync.WaitGroup
 	done    chan struct{}

@@ -73,6 +73,16 @@ func TestFramingViolations(t *testing.T) {
 	}).Marshal(e)
 	inlineOver := append(header(giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
 		Type: giop.MsgRequest, Size: uint32(len(e.Bytes()))}), e.Bytes()...)
+	// Well-formed answers, which only a client connection takes.
+	answer := func(typ giop.MsgType, marshal func(*cdr.Encoder)) []byte {
+		e := cdr.NewEncoder(cdr.NativeOrder, giop.HeaderSize)
+		marshal(e)
+		return append(header(giop.Header{Major: 1, Flags: byte(cdr.NativeOrder),
+			Type: typ, Size: uint32(len(e.Bytes()))}), e.Bytes()...)
+	}
+	reply := answer(giop.MsgReply, (&giop.ReplyHeader{RequestID: 1}).Marshal)
+	locateReply := answer(giop.MsgLocateReply,
+		(&giop.LocateReplyHeader{RequestID: 1, Status: giop.LocateObjectHere}).Marshal)
 	rows := []struct {
 		name     string
 		max      int // Options.MaxMessageSize
@@ -87,6 +97,8 @@ func TestFramingViolations(t *testing.T) {
 		{"train_over_limit", 64, append(openTrain(40),
 			header(giop.Header{Major: 1, Minor: 1, Type: giop.MsgFragment, Size: 40})...), true},
 		{"inline_train_over_limit", 0, inlineOver, true},
+		{"reply_on_server", 0, reply, true},
+		{"locate_reply_on_server", 0, locateReply, true},
 		{"close_connection", 0, header(giop.Header{Major: 1, Type: giop.MsgCloseConnection}), false},
 	}
 	for _, tier := range serverTiers {

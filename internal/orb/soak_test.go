@@ -182,8 +182,8 @@ func manyConnectionsOneServer(t *testing.T, engine bool) {
 	}
 }
 
-// TestConcurrentInvokersSharedConn stresses the striped pending-reply
-// table and the pooled reply machinery: many goroutines share one
+// TestConcurrentInvokersSharedConn stresses the connection's reply-slot
+// array and the pooled reply machinery: many goroutines share one
 // client ORB (and thus one control connection), mixing synchronous
 // invokes, fire-a-window asynchronous calls, and pipelined submission.
 // Its value is highest under `make race`.
